@@ -27,7 +27,7 @@ from .prompting import (
     render_encoder_input,
     render_target_prefix_and_terminator,
 )
-from .remote import RemoteScorer, StdioScorer, TransportError
+from .remote import RemoteScorer, StdioScorer
 from .scorer import ScorerError, TableLM
 from .vocab import Vocabulary
 
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except (DataError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TransportError, ScorerError) as exc:
+    except ScorerError as exc:
         print(f"scorer error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
 

@@ -9,7 +9,9 @@ n passes total instead of one pass per span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from .scorer import ScoreRequest, Scorer
 from .vocab import TokenSeq
@@ -40,16 +42,14 @@ class SpanScoreTable:
     starting at i given its preceding span tokens; ``eterm[i][k]`` the
     log-probability of terminating after k span tokens; ``L[i][j]`` the
     cumulative span log-probability, built by the recursion
-    L(i,0) = 0, L(i,j) = L(i,j-1) + ell(i,j-1).
+    L(i,0) = 0, L(i,j) = L(i,j-1) + ell(i,j-1). Under a span cap K, row i
+    stops at the min(n - i, K) tokens a span starting at i can cover.
     """
 
     n: int
     ell: list[list[float]]
     eterm: list[list[float]]
     L: list[list[float]]
-
-    def span_logprob(self, i: int, j: int) -> float:
-        return self.L[i][j] + self.eterm[i][j]
 
 
 @dataclass(frozen=True)
@@ -83,24 +83,28 @@ def build_span_table(
     rendered_prompt: TokenSeq,
     prefix: TokenSeq,
     scorer: Scorer,
+    max_span_len: int | None = None,
 ) -> SpanScoreTable:
-    """Fill the score table with exactly one teacher-forced pass per suffix."""
+    """Fill the score table with exactly one teacher-forced pass per suffix.
+
+    With ``max_span_len`` K, the pass for suffix i forces only its first K
+    tokens, the longest span starting at i: still n passes, but about n*K
+    forced tokens instead of n(n+1)/2, and rows of at most K + 1 entries.
+    """
     n = len(passage)
     if n == 0:
         raise ValueError("passage must contain at least one token")
+    cap = n if max_span_len is None else max_span_len
     ell: list[list[float]] = []
     eterm: list[list[float]] = []
     L: list[list[float]] = []
     for i in range(n):
         scores = scorer.teacher_forced_pass(
-            ScoreRequest(rendered_prompt, passage[i:], prefix)
+            ScoreRequest(rendered_prompt, passage[i : i + cap], prefix)
         )
         ell.append(list(scores.gold_logprob))
         eterm.append(list(scores.term_logprob))
-        row = [0.0]
-        for j in range(1, n - i + 1):
-            row.append(row[j - 1] + ell[i][j - 1])
-        L.append(row)
+        L.append(list(accumulate(scores.gold_logprob, initial=0.0)))
     return SpanScoreTable(n=n, ell=ell, eterm=eterm, L=L)
 
 
@@ -135,21 +139,25 @@ def exact_extract(
 ) -> DecodeResult:
     """Return the passage span maximizing L(i,j) + e(i,j)."""
     before = scorer.pass_count()
-    table = build_span_table(passage, rendered_prompt, prefix, scorer)
-    best = None
-    for i, j in _span_candidates(table.n, cfg):
-        score = table.span_logprob(i, j)
-        if _better(score, i, j, best):
-            best = (score, i, j)
-    score, i, j = best
+    table = build_span_table(passage, rendered_prompt, prefix, scorer, cfg.max_span_len)
+    # Row i holds exactly the candidate lengths of start i. Rows are visited
+    # by start and max()/index() take a row's first (shortest) maximum, so a
+    # strict > across rows keeps the shared tie-break.
+    best_score = None
+    for i in range(table.n):
+        first = 0 if cfg.allow_empty_span and i == 0 else 1
+        row = list(map(add, table.L[i][first:], table.eterm[i][first:]))
+        top = max(row)
+        if best_score is None or top > best_score:
+            best_score, best_i, best_j = top, i, first + row.index(top)
     return DecodeResult(
-        start=i,
-        length=j,
-        span_logprob=score,
-        text=scorer.vocab.decode(passage[i : i + j]),
+        start=best_i,
+        length=best_j,
+        span_logprob=best_score,
+        text=scorer.vocab.decode(passage[best_i : best_i + best_j]),
         passes_used=scorer.pass_count() - before,
         algorithm=EXACT_EXTRACT,
-        token_ids=passage.ids[i : i + j],
+        token_ids=passage.ids[best_i : best_i + best_j],
     )
 
 
@@ -205,20 +213,24 @@ def greedy_decode(
 
     before = scorer.pass_count()
     vocab = scorer.vocab
+    context = prefix.ids
     emitted: list[int] = []
     logprob = 0.0
     truncated = True
     for _ in range(cfg.max_greedy_steps):
         dist = scorer.next_token_distribution(
-            rendered_prompt, prefix + vocab.seq(emitted)
+            rendered_prompt, TokenSeq(context, prefix.vocab_id)
         )
-        token = max(range(len(dist)), key=lambda t: (dist[t], -t))
-        logprob += dist[token]
+        # The first maximum is the lowest id among tied tokens.
+        top = max(dist)
+        token = dist.index(top)
+        logprob += top
         if token in scorer.terminator_ids:
             truncated = False
             break
         emitted.append(token)
-    text = vocab.decode(vocab.seq(emitted))
+        context += (token,)
+    text = vocab.decode(emitted)
     start = length = None
     extractive = False
     if passage is not None:

@@ -20,7 +20,6 @@ from .prompting import (
     render_encoder_input,
     render_target_prefix_and_terminator,
 )
-from .remote import TransportError
 from .scorer import Scorer, ScorerError
 from .vocab import Vocabulary
 
@@ -132,7 +131,7 @@ def run_eval(
     def run_one(example: QAExample):
         try:
             return example.id, evaluate_example(example, scorer, template, vocab, cfg), None
-        except (ScorerError, TransportError) as exc:
+        except ScorerError as exc:
             return example.id, None, exc
 
     if jobs > 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import string
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -108,10 +109,43 @@ def find_span(text: str, passage: TokenSeq, vocab: Vocabulary):
     Returns (start, length) or None. The comparison is on decoded surfaces
     after sentinel/whitespace stripping, so it is consistent with what the
     exact decoder can actually produce.
+
+    The passage is decoded once: span (i, j) decodes to the characters
+    between the offsets of tokens i and i + j, give or take a leading space,
+    so it matches iff they are whitespace, one occurrence of the target,
+    whitespace. Each occurrence is checked in O(1) amortized, earliest first.
     """
     target = strip_sentinels(text)
     if not target:
         return None
+    decoded = vocab.piece_surface(passage)
+    if decoded is None:
+        # A slice that cuts a byte-fallback run decodes to U+FFFD, which no
+        # substring of the whole decode shows; such passages keep the scan.
+        return _scan_span(target, passage, vocab)
+    surface, offsets = decoded
+    end = len(surface)
+    at = surface.find(target)
+    while at >= 0:
+        # Occurrences start and end on non-whitespace, so these walks cover
+        # disjoint whitespace runs.
+        lo = at
+        while lo and surface[lo - 1].isspace():
+            lo -= 1
+        i = bisect_left(offsets, lo)
+        if offsets[i] <= at:
+            hi = stop = at + len(target)
+            while hi < end and surface[hi].isspace():
+                hi += 1
+            e = bisect_left(offsets, stop)
+            if offsets[e] <= hi:
+                return i, e - i
+        at = surface.find(target, at + 1)
+    return None
+
+
+def _scan_span(target: str, passage: TokenSeq, vocab: Vocabulary):
+    """Decode every slice, earliest start first, shortest first."""
     n = len(passage)
     for i in range(n):
         for j in range(1, n - i + 1):

@@ -23,11 +23,11 @@ import threading
 
 import requests
 
-from .scorer import ScoreRequest, Scorer, StepScores, TableLM
+from .scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM
 from .vocab import TokenSeq, Vocabulary
 
 
-class TransportError(RuntimeError):
+class TransportError(ScorerError):
     """The remote scorer is unreachable or replied with garbage."""
 
 
@@ -68,11 +68,6 @@ class _WireScorer(Scorer):
             term = tuple(float(x) for x in reply["term_logprob"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed teacher_forced response: {exc}") from exc
-        m = len(req.forced_target)
-        if len(gold) != m or len(term) != m + 1:
-            raise TransportError(
-                f"response lengths {len(gold)}/{len(term)} do not match target length {m}"
-            )
         return StepScores(gold, term)
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):
@@ -81,10 +76,6 @@ class _WireScorer(Scorer):
             dist = [float(x) for x in reply["logits_logprob"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed next_dist response: {exc}") from exc
-        if len(dist) != self.vocab.size:
-            raise TransportError(
-                f"distribution length {len(dist)} != vocabulary size {self.vocab.size}"
-            )
         return dist
 
 

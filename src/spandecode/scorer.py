@@ -19,9 +19,14 @@ from pathlib import Path
 from .vocab import TokenSeq, Vocabulary, VocabularyMismatchError
 
 NEG_INF = float("-inf")
+POS_INF = float("inf")
+_NO_CONTEXTS: dict = {}
 
 # Probability-space tolerance when validating stored distributions.
 DIST_SUM_TOL = 1e-12
+# Largest log-probability a scorer may return: 0 plus the rounding of a
+# float32 log-softmax.
+LOGPROB_TOL = 1e-6
 
 
 class ScorerError(RuntimeError):
@@ -64,6 +69,19 @@ class StepScores:
     term_logprob: tuple[float, ...]
 
 
+def _check_logprobs(values, what: str) -> None:
+    """Raise ScorerError unless every value is a log-probability: no NaN,
+    no +inf, nothing above 0 beyond rounding. ``-inf`` is valid.
+
+    A NaN or +inf anywhere makes the sum NaN or +inf, so two C-level
+    reductions check the whole sequence."""
+    total = sum(values)
+    if total != total or total == POS_INF:
+        raise ScorerError(f"{what} hold NaN or +inf")
+    if values and max(values) > LOGPROB_TOL:
+        raise ScorerError(f"{what} hold a positive log-probability {max(values)!r}")
+
+
 def logsumexp(values) -> float:
     values = [v for v in values]
     hi = max(values, default=NEG_INF)
@@ -104,17 +122,33 @@ class Scorer:
 
     # -- public interface -----------------------------------------------
     def teacher_forced_pass(self, req: ScoreRequest) -> StepScores:
-        """Score a forced target in one counted pass."""
+        """Score a forced target in one counted pass; invalid scores raise
+        ScorerError instead of reaching the decoders."""
         self._check_vocab(req.source)
         self._count_pass()
-        return self._score_forced(req)
+        scores = self._score_forced(req)
+        m = len(req.forced_target)
+        if len(scores.gold_logprob) != m or len(scores.term_logprob) != m + 1:
+            raise ScorerError(
+                f"scorer returned {len(scores.gold_logprob)}/{len(scores.term_logprob)} "
+                f"scores for a target of length {m}"
+            )
+        _check_logprobs(scores.gold_logprob, "gold log-probs")
+        _check_logprobs(scores.term_logprob, "terminator log-probs")
+        return scores
 
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):
         """Full next-token log-distribution after ``prefix``; one counted pass."""
         self._check_vocab(source)
         self._check_vocab(prefix)
         self._count_pass()
-        return self._next_dist(source, prefix)
+        dist = self._next_dist(source, prefix)
+        if len(dist) != self.vocab.size:
+            raise ScorerError(
+                f"distribution length {len(dist)} != vocabulary size {self.vocab.size}"
+            )
+        _check_logprobs(dist, "next-token log-probs")
+        return dist
 
     # -- implementation hooks -------------------------------------------
     def _score_forced(self, req: ScoreRequest) -> StepScores:
@@ -131,15 +165,23 @@ class TableLM(Scorer):
     to a full next-token distribution; anything unlisted falls back to a
     single default distribution. All distributions live over the piece
     vocabulary (byte-fallback ids excluded) and must sum to 1 within 1e-12.
+
+    Each context table holds every prefix of every registered key: a
+    registered context maps to its (log-distribution, terminator log-prob)
+    entry, a mere prefix to None. A forced context missing from both tables
+    of its source therefore extends no registered key, and every later step
+    of the pass reads the default.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
         super().__init__(vocab, terminator_ids)
-        self._any_source: dict[tuple[int, ...], list[float]] = {}
-        self._by_source: dict[tuple[tuple[int, ...], tuple[int, ...]], list[float]] = {}
+        if not all(0 <= t < vocab.size for t in self.terminator_ids):
+            raise ValueError("terminator ids must lie in the piece vocabulary")
+        self._any_source: dict[tuple[int, ...], tuple | None] = {}
+        self._by_source: dict[tuple[int, ...], dict[tuple[int, ...], tuple | None]] = {}
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
-        self._default = self._to_logdist(default)
+        self._default = self._entry(default)
         for key, dist in (contexts or {}).items():
             self.set_context(key, dist)
 
@@ -159,18 +201,28 @@ class TableLM(Scorer):
                 out[token_id] = math.log(prob)
         return out
 
+    def _entry(self, dist: dict[int, float]) -> tuple[list[float], float]:
+        logdist = self._to_logdist(dist)
+        return logdist, logsumexp(logdist[t] for t in self.terminator_ids)
+
     def set_context(self, key, dist: dict[int, float]) -> None:
         """Register a context distribution.
 
         ``key`` is either a prefix id tuple (matches any source) or a
         ``(source_ids, prefix_ids)`` pair.
         """
+        entry = self._entry(dist)
         key = tuple(key)
         if key and isinstance(key[0], (tuple, list)):
             source_ids, prefix_ids = key
-            self._by_source[(tuple(source_ids), tuple(prefix_ids))] = self._to_logdist(dist)
+            table = self._by_source.setdefault(tuple(source_ids), {})
+            prefix_ids = tuple(prefix_ids)
         else:
-            self._any_source[tuple(int(t) for t in key)] = self._to_logdist(dist)
+            table = self._any_source
+            prefix_ids = tuple(int(t) for t in key)
+        for k in range(len(prefix_ids)):
+            table.setdefault(prefix_ids[:k], None)
+        table[prefix_ids] = entry
 
     @classmethod
     def uniform(cls, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
@@ -198,29 +250,32 @@ class TableLM(Scorer):
 
     # ------------------------------------------------------------------
     def _full_distribution(self, source: TokenSeq, prefix_ids: tuple[int, ...]):
-        dist = self._by_source.get((source.ids, prefix_ids))
-        if dist is None:
-            dist = self._any_source.get(prefix_ids)
-        if dist is None:
-            dist = self._default
-        return dist
-
-    def _term_logprob(self, dist) -> float:
-        return logsumexp(dist[t] for t in self.terminator_ids)
+        entry = self._by_source.get(source.ids, _NO_CONTEXTS).get(prefix_ids)
+        return (entry or self._any_source.get(prefix_ids) or self._default)[0]
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
+        by_source = self._by_source.get(req.source.ids, _NO_CONTEXTS)
+        any_source = self._any_source
+        context = req.forced_prefix.ids
+        target = req.forced_target.ids
         gold: list[float] = []
         term: list[float] = []
-        prefix = req.forced_prefix.ids
-        target = req.forced_target.ids
-        for k in range(len(target) + 1):
-            dist = self._full_distribution(req.source, prefix + target[:k])
-            term.append(self._term_logprob(dist))
-            if k < len(target):
-                # Byte-fallback ids sit outside the piece distribution and
-                # are never predicted by a table model.
-                token = target[k]
-                gold.append(dist[token] if token < len(dist) else NEG_INF)
+        k = 0
+        while context in by_source or context in any_source:
+            dist, term_logprob = by_source.get(context) or any_source.get(context) or self._default
+            term.append(term_logprob)
+            if k == len(target):
+                return StepScores(tuple(gold), tuple(term))
+            # Byte-fallback ids sit outside the piece distribution and
+            # are never predicted by a table model.
+            token = target[k]
+            gold.append(dist[token] if token < len(dist) else NEG_INF)
+            context += (token,)
+            k += 1
+        dist, term_logprob = self._default
+        size = len(dist)
+        gold.extend([dist[t] if t < size else NEG_INF for t in target[k:]])
+        term.extend([term_logprob] * (len(target) - k + 1))
         return StepScores(tuple(gold), tuple(term))
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 SPACE_MARKER = "▁"  # "▁" marks a word boundary in piece surfaces
@@ -170,6 +171,22 @@ class Vocabulary:
         if text.startswith(" "):
             text = text[1:]
         return text
+
+    def piece_surface(self, seq: TokenSeq) -> tuple[str, list[int]] | None:
+        """The decoded text of ``seq`` before its leading space is dropped,
+        and the character offset of each token and of the end, so that
+        ``decode(seq[i:j])`` is ``surface[offsets[i]:offsets[j]]`` less one
+        leading space. None when ``seq`` holds an id outside the piece table:
+        a byte-fallback run decodes as a whole, so its tokens have no offsets.
+        """
+        if seq.vocab_id != self.vocab_id:
+            raise VocabularyMismatchError("sequence was encoded under a different vocabulary")
+        ids = seq.ids
+        if ids and (min(ids) < 0 or max(ids) >= self.size):
+            return None
+        surfaces = [self.pieces[t] for t in ids]
+        offsets = list(accumulate(map(len, surfaces), initial=0))
+        return "".join(surfaces).replace(SPACE_MARKER, " "), offsets
 
     def seq(self, ids) -> TokenSeq:
         """Wrap raw ids as a TokenSeq, validating them against this vocabulary."""

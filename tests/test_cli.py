@@ -1,4 +1,6 @@
 import json
+import shlex
+import sys
 
 import pytest
 
@@ -295,6 +297,35 @@ class TestExitCodes:
         # eval absorbs per-example scorer faults; decode propagates them.
         code = main(
             ["--vocab", workspace["vocab"], "--scorer", "remote:http://127.0.0.1:1",
+             "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
+        )
+        assert code == 3
+
+    def test_dead_stdio_scorer_is_transport_error(self, workspace):
+        command = shlex.join([sys.executable, "-c", "pass"])
+        code = main(
+            ["--vocab", workspace["vocab"], "--scorer", f"stdio:{command}",
+             "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
+        )
+        assert code == 3
+
+    def test_nan_scores_are_a_scorer_error(self, workspace):
+        # A well-formed reply whose scores are NaN is refused at the scorer
+        # boundary, with the same exit code as a transport fault.
+        server = workspace["dir"] / "nan_server.py"
+        server.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    req = json.loads(line)\n"
+            "    n = len(req['target_ids'])\n"
+            "    reply = {'id': req['id'], 'gold_logprob': [float('nan')] * n,\n"
+            "             'term_logprob': [-1.0] * (n + 1)}\n"
+            "    print(json.dumps(reply), flush=True)\n",
+            encoding="utf-8",
+        )
+        command = shlex.join([sys.executable, str(server)])
+        code = main(
+            ["--vocab", workspace["vocab"], "--scorer", f"stdio:{command}",
              "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
         )
         assert code == 3

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spandecode.decoding import exact_extract
 from spandecode.harness import (
     EvalReport,
     evaluate_example,
@@ -19,7 +20,8 @@ from spandecode.mrqa import (
     subsample,
 )
 from spandecode.prompting import get_template, render_encoder_input
-from spandecode.scorer import ScoreRequest, TableLM
+from spandecode.remote import TransportError
+from spandecode.scorer import ScoreRequest, ScorerError, StepScores, TableLM
 
 from conftest import TOY_PIECES
 
@@ -221,16 +223,31 @@ class TestEvaluateExample:
 class FlakyScorer(TableLM):
     """Fails teacher-forced scoring for a chosen set of contexts."""
 
-    def __init__(self, vocab, fail_contexts):
+    def __init__(self, vocab, fail_contexts, error=ScorerError):
         super().__init__(vocab)
         self.fail_contexts = set(fail_contexts)
+        self.error = error
 
     def _score_forced(self, req: ScoreRequest):
-        from spandecode.scorer import ScorerError
-
         if req.source.ids in self.fail_contexts:
-            raise ScorerError("synthetic outage")
+            raise self.error("synthetic outage")
         return super()._score_forced(req)
+
+
+class NanScorer(TableLM):
+    """Returns NaN at the second step of every forced pass for one source."""
+
+    def __init__(self, vocab, nan_source):
+        super().__init__(vocab)
+        self.nan_source = nan_source
+
+    def _score_forced(self, req: ScoreRequest):
+        scores = super()._score_forced(req)
+        if req.source.ids != self.nan_source or len(scores.gold_logprob) < 2:
+            return scores
+        gold = list(scores.gold_logprob)
+        gold[1] = float("nan")
+        return StepScores(tuple(gold), scores.term_logprob)
 
 
 class TestRunEval:
@@ -273,6 +290,32 @@ class TestRunEval:
         assert report.num_skipped == 1
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
+
+    def album_source(self, vocab):
+        bad = self.dataset()[1]
+        return vocab.encode(render_encoder_input(get_template(2), bad.context, bad.question)).ids
+
+    def test_nan_score_raises_instead_of_winning(self):
+        vocab = qa_vocab()
+        source = self.album_source(vocab)
+        scorer = NanScorer(vocab, source)
+        passage = vocab.encode(self.dataset()[1].context)
+        prefix = vocab.encode("<extra_id_0>")
+        with pytest.raises(ScorerError):
+            exact_extract(passage, vocab.seq(source), prefix, scorer)
+
+    def test_nan_score_is_skipped_and_recorded(self):
+        vocab = qa_vocab()
+        scorer = NanScorer(vocab, self.album_source(vocab))
+        report = run_eval(self.dataset(), scorer, get_template(2), vocab)
+        assert report.skipped_ids == ("q-album",)
+        assert report.exact["overall"]["count"] == 1
+
+    def test_transport_failure_is_skipped_and_recorded(self):
+        vocab = qa_vocab()
+        scorer = FlakyScorer(vocab, {self.album_source(vocab)}, TransportError)
+        report = run_eval(self.dataset(), scorer, get_template(2), vocab)
+        assert report.skipped_ids == ("q-album",)
 
     def test_all_failures_raise(self):
         vocab = qa_vocab()

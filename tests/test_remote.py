@@ -14,7 +14,7 @@ from spandecode.remote import (
     _WireScorer,
     serve,
 )
-from spandecode.scorer import ScoreRequest, TableLM
+from spandecode.scorer import ScoreRequest, ScorerError, TableLM
 
 from conftest import bare_vocab
 
@@ -110,7 +110,7 @@ class TestWireFraming:
     def test_wrong_gold_length_raises(self):
         vocab = bare_vocab(4)
         scorer = RecordingScorer(vocab, [echo_scores([-1.0], [-1.0, -1.0])])
-        with pytest.raises(TransportError):
+        with pytest.raises(ScorerError):
             scorer.teacher_forced_pass(
                 ScoreRequest(vocab.seq(()), vocab.seq((0, 1)), vocab.seq(()))
             )
@@ -139,7 +139,7 @@ class TestWireFraming:
         scorer = RecordingScorer(
             vocab, [lambda p: {"id": p["id"], "logits_logprob": [-1.0] * 3}]
         )
-        with pytest.raises(TransportError):
+        with pytest.raises(ScorerError):
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
 

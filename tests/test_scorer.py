@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spandecode.scorer import NEG_INF, ScoreRequest, StepScores, TableLM
+from spandecode.scorer import NEG_INF, ScoreRequest, ScorerError, StepScores, TableLM
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
 from conftest import bare_vocab, random_distribution
@@ -164,3 +164,75 @@ class TestFileFormat:
         assert lm.next_token_distribution(vocab.seq(()), vocab.seq((0,)))[3] == 0.0
         assert lm.next_token_distribution(vocab.seq((1, 2)), vocab.seq((0, 1)))[2] == 0.0
         assert lm.next_token_distribution(vocab.seq(()), vocab.seq((2, 2)))[1] == math.log(0.25)
+
+
+class Scripted(TableLM):
+    """Returns the table model's scores with one step or entry replaced."""
+
+    def __init__(self, vocab, gold=None, term=None, dist=None):
+        super().__init__(vocab)
+        self.gold, self.term, self.dist = gold, term, dist
+
+    def _score_forced(self, req):
+        scores = super()._score_forced(req)
+        return StepScores(
+            scores.gold_logprob if self.gold is None else self.gold,
+            scores.term_logprob if self.term is None else self.term,
+        )
+
+    def _next_dist(self, source, prefix):
+        return super()._next_dist(source, prefix) if self.dist is None else self.dist
+
+
+class TestScorerBoundary:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
+    def test_invalid_gold_step_rejected(self, bad):
+        vocab = bare_vocab(4)
+        lm = Scripted(vocab, gold=(-1.0, bad))
+        with pytest.raises(ScorerError):
+            lm.teacher_forced_pass(make_request(vocab, (0, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-3])
+    def test_invalid_terminator_step_rejected(self, bad):
+        vocab = bare_vocab(4)
+        lm = Scripted(vocab, term=(bad, -1.0, -1.0))
+        with pytest.raises(ScorerError):
+            lm.teacher_forced_pass(make_request(vocab, (0, 1)))
+
+    def test_nan_beside_minus_inf_rejected(self):
+        vocab = bare_vocab(4)
+        lm = Scripted(vocab, gold=(NEG_INF, math.nan))
+        with pytest.raises(ScorerError):
+            lm.teacher_forced_pass(make_request(vocab, (0, 1)))
+
+    @pytest.mark.parametrize("gold, term", [((-1.0,), (-1.0, -1.0, -1.0)), ((-1.0, -1.0), (-1.0,))])
+    def test_wrong_lengths_rejected(self, gold, term):
+        vocab = bare_vocab(4)
+        with pytest.raises(ScorerError):
+            Scripted(vocab, gold=gold, term=term).teacher_forced_pass(make_request(vocab, (0, 1)))
+
+    def test_minus_inf_and_rounding_above_zero_accepted(self):
+        vocab = bare_vocab(4)
+        lm = Scripted(vocab, gold=(NEG_INF, 1e-12), term=(NEG_INF, 0.0, -0.0))
+        scores = lm.teacher_forced_pass(make_request(vocab, (0, 1)))
+        assert scores.gold_logprob == (NEG_INF, 1e-12)
+
+    @pytest.mark.parametrize(
+        "dist", [[math.nan, -1.0, -1.0, -1.0], [-1.0, math.inf, NEG_INF, -1.0], [0.1] * 4, [-1.0] * 3]
+    )
+    def test_invalid_distribution_rejected(self, dist):
+        vocab = bare_vocab(4)
+        with pytest.raises(ScorerError):
+            Scripted(vocab, dist=dist).next_token_distribution(vocab.seq(()), vocab.seq(()))
+
+    def test_rejected_pass_still_counts(self):
+        vocab = bare_vocab(4)
+        lm = Scripted(vocab, dist=[math.nan] * 4)
+        with pytest.raises(ScorerError):
+            lm.next_token_distribution(vocab.seq(()), vocab.seq(()))
+        assert lm.pass_count() == 1
+
+    def test_terminator_outside_piece_vocabulary_rejected(self):
+        vocab = bare_vocab(4)
+        with pytest.raises(ValueError):
+            TableLM(vocab, terminator_ids={vocab.byte_id(0)})

@@ -115,6 +115,25 @@ class TestSubsequence:
             assert got == expected
 
 
+class TestPieceSurface:
+    def test_every_slice_is_a_substring(self, toy_vocab):
+        seq = toy_vocab.encode("The album released in the (1971) IRA.")
+        surface, offsets = toy_vocab.piece_surface(seq)
+        n = len(seq)
+        assert len(offsets) == n + 1 and offsets[n] == len(surface)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                text = surface[offsets[i] : offsets[j]]
+                assert toy_vocab.decode(seq[i:j]) == (text[1:] if text.startswith(" ") else text)
+
+    def test_byte_fallback_has_no_offsets(self, toy_vocab):
+        assert toy_vocab.piece_surface(toy_vocab.encode("the é")) is None
+
+    def test_vocab_mismatch(self, toy_vocab):
+        with pytest.raises(VocabularyMismatchError):
+            toy_vocab.piece_surface(TokenSeq((0,), "deadbeef"))
+
+
 class TestVocabulary:
     def test_special_ids_present(self, toy_vocab):
         assert toy_vocab.pieces[toy_vocab.terminator_id] == "</s>"
