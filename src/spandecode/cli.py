@@ -178,39 +178,45 @@ def _require(value, flag: str):
 def cmd_decode(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     scorer = make_scorer(_require(args.scorer, "--scorer"), vocab, args.terminator_mode)
-    template = get_template(args.prompt_id, args.prompt_file)
-    cfg = DecodeConfig(max_span_len=args.max_span_len)
-    examples = _read_decode_inputs(args.input)
-    with open(args.output, "w", encoding="utf-8") as out:
-        for example in examples:
-            source = vocab.encode(render_encoder_input(template, example.context, example.question))
-            prefix_text, _ = render_target_prefix_and_terminator(template)
-            prefix = vocab.encode(prefix_text)
-            passage = vocab.encode(example.context)
-            if args.algo == GREEDY:
-                result = greedy_decode(source, prefix, scorer, cfg, passage=passage)
-            elif args.algo == NAIVE:
-                result = naive_exact(passage, source, prefix, scorer, cfg)
-            else:
-                result = exact_extract(passage, source, prefix, scorer, cfg)
-            record = {"id": example.id, **result.to_dict()}
-            out.write(json.dumps(record) + "\n")
+    try:
+        template = get_template(args.prompt_id, args.prompt_file)
+        cfg = DecodeConfig(max_span_len=args.max_span_len)
+        examples = _read_decode_inputs(args.input)
+        with open(args.output, "w", encoding="utf-8") as out:
+            for example in examples:
+                source = vocab.encode(render_encoder_input(template, example.context, example.question))
+                prefix_text, _ = render_target_prefix_and_terminator(template)
+                prefix = vocab.encode(prefix_text)
+                passage = vocab.encode(example.context)
+                if args.algo == GREEDY:
+                    result = greedy_decode(source, prefix, scorer, cfg, passage=passage)
+                elif args.algo == NAIVE:
+                    result = naive_exact(passage, source, prefix, scorer, cfg)
+                else:
+                    result = exact_extract(passage, source, prefix, scorer, cfg)
+                record = {"id": example.id, **result.to_dict()}
+                out.write(json.dumps(record) + "\n")
+    finally:
+        scorer.close()
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     scorer = make_scorer(_require(args.scorer, "--scorer"), vocab, args.terminator_mode)
-    template = get_template(args.prompt_id, args.prompt_file)
-    dataset = load_dataset(args.input)
-    report = harness.run_eval(
-        dataset,
-        scorer,
-        template,
-        vocab,
-        DecodeConfig(max_span_len=args.max_span_len),
-        jobs=args.jobs,
-    )
+    try:
+        template = get_template(args.prompt_id, args.prompt_file)
+        dataset = load_dataset(args.input)
+        report = harness.run_eval(
+            dataset,
+            scorer,
+            template,
+            vocab,
+            DecodeConfig(max_span_len=args.max_span_len),
+            jobs=args.jobs,
+        )
+    finally:
+        scorer.close()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             json.dump(report.to_dict(), f, indent=2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +83,18 @@ def _check_logprobs(values, what: str) -> None:
         raise ScorerError(f"{what} hold a positive log-probability {max(values)!r}")
 
 
+def check_step_scores(scores: StepScores, m: int) -> StepScores:
+    """Return ``scores`` if they are valid for a forced target of length m:
+    m gold and m + 1 terminator log-probabilities; else raise ScorerError."""
+    if len(scores.gold_logprob) != m or len(scores.term_logprob) != m + 1:
+        raise ScorerError(
+            f"scorer returned {len(scores.gold_logprob)}/{len(scores.term_logprob)} "
+            f"scores for a target of length {m}"
+        )
+    _check_logprobs(scores.gold_logprob + scores.term_logprob, "forced log-probs")
+    return scores
+
+
 def logsumexp(values) -> float:
     values = [v for v in values]
     hi = max(values, default=NEG_INF)
@@ -110,9 +123,9 @@ class Scorer:
         with self._lock:
             self._passes = 0
 
-    def _count_pass(self) -> None:
+    def _count_pass(self, passes: int = 1) -> None:
         with self._lock:
-            self._passes += 1
+            self._passes += passes
 
     def _check_vocab(self, seq: TokenSeq) -> None:
         if seq.vocab_id != self.vocab.vocab_id:
@@ -126,16 +139,15 @@ class Scorer:
         ScorerError instead of reaching the decoders."""
         self._check_vocab(req.source)
         self._count_pass()
-        scores = self._score_forced(req)
-        m = len(req.forced_target)
-        if len(scores.gold_logprob) != m or len(scores.term_logprob) != m + 1:
-            raise ScorerError(
-                f"scorer returned {len(scores.gold_logprob)}/{len(scores.term_logprob)} "
-                f"scores for a target of length {m}"
-            )
-        _check_logprobs(scores.gold_logprob, "gold log-probs")
-        _check_logprobs(scores.term_logprob, "terminator log-probs")
-        return scores
+        return check_step_scores(self._score_forced(req), len(req.forced_target))
+
+    def teacher_forced_batch(
+        self, source: TokenSeq, prefix: TokenSeq, targets: Iterable[TokenSeq]
+    ) -> list[StepScores]:
+        """Score each target after the same source and prefix, in order; one
+        counted pass per target. A transport can override this to send the
+        source once for all targets."""
+        return [self.teacher_forced_pass(ScoreRequest(source, t, prefix)) for t in targets]
 
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):
         """Full next-token log-distribution after ``prefix``; one counted pass."""
@@ -149,6 +161,9 @@ class Scorer:
             )
         _check_logprobs(dist, "next-token log-probs")
         return dist
+
+    def close(self) -> None:
+        """Release what the scorer holds open; nothing by default."""
 
     # -- implementation hooks -------------------------------------------
     def _score_forced(self, req: ScoreRequest) -> StepScores:

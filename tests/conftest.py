@@ -1,3 +1,5 @@
+import io
+import json
 import random
 
 import pytest
@@ -13,6 +15,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in acceptance_lines:
             terminalreporter.write_line(line)
 
+from spandecode.remote import _WireScorer, serve
 from spandecode.scorer import TableLM
 from spandecode.vocab import Vocabulary
 
@@ -70,3 +73,31 @@ def random_table_lm(rng: random.Random, max_vocab: int = 16, max_len: int = 12):
         k = rng.randint(0, n - i)
         lm.set_context(passage.ids[i : i + k], random_distribution(rng, size))
     return vocab, lm, passage
+
+
+class LoopbackScorer(_WireScorer):
+    """A wire scorer whose requests ``remote.serve`` answers in memory over
+    ``backend``, for the protocol without a process or a socket.
+
+    Every request sent is kept in ``sent``. Ops in ``refuse`` get the reply
+    of a server that does not know them; ``edit(payload, reply)``, when
+    given, returns the reply to deliver instead of the served one."""
+
+    def __init__(self, backend, refuse=(), edit=None):
+        super().__init__(backend.vocab, backend.terminator_ids)
+        self.backend = backend
+        self.refuse = set(refuse)
+        self.edit = edit
+        self.sent = []
+
+    def ops(self):
+        return [payload["op"] for payload in self.sent]
+
+    def _roundtrip(self, payload):
+        self.sent.append(payload)
+        if payload["op"] in self.refuse:
+            return {"id": payload["id"], "error": f"unknown op {payload['op']!r}"}
+        out = io.StringIO()
+        serve(self.backend, io.StringIO(json.dumps(payload) + "\n"), out)
+        reply = json.loads(out.getvalue())
+        return self.edit(payload, reply) if self.edit else reply

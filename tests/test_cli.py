@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from spandecode import cli
 from spandecode.cli import main
 from spandecode.vocab import Vocabulary
 
@@ -309,17 +310,22 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_nan_scores_are_a_scorer_error(self, workspace):
+    def test_nan_scores_are_a_scorer_error(self, workspace, capsys):
         # A well-formed reply whose scores are NaN is refused at the scorer
-        # boundary, with the same exit code as a transport fault.
+        # boundary, with the same exit code as a transport fault. The server
+        # knows only the one-pass teacher_forced op, so the client falls
+        # back to it after its batch request is refused.
         server = workspace["dir"] / "nan_server.py"
         server.write_text(
             "import json, sys\n"
             "for line in sys.stdin:\n"
             "    req = json.loads(line)\n"
-            "    n = len(req['target_ids'])\n"
-            "    reply = {'id': req['id'], 'gold_logprob': [float('nan')] * n,\n"
-            "             'term_logprob': [-1.0] * (n + 1)}\n"
+            "    if req['op'] != 'teacher_forced':\n"
+            "        reply = {'id': req['id'], 'error': 'unknown op %r' % req['op']}\n"
+            "    else:\n"
+            "        n = len(req['target_ids'])\n"
+            "        reply = {'id': req['id'], 'gold_logprob': [float('nan')] * n,\n"
+            "                 'term_logprob': [-1.0] * (n + 1)}\n"
             "    print(json.dumps(reply), flush=True)\n",
             encoding="utf-8",
         )
@@ -329,6 +335,40 @@ class TestExitCodes:
              "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
         )
         assert code == 3
+        assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    @pytest.mark.parametrize("healthy", [True, False])
+    def test_stdio_child_has_exited_when_main_returns(
+        self, workspace, monkeypatch, command, healthy
+    ):
+        # Both servers wait on stdin until it closes; the broken one answers
+        # every request with a line that is not JSON.
+        if healthy:
+            table = workspace["table"].removeprefix("table:")
+            close_id = TOY_PIECES.index("<extra_id_1>")
+            child = [sys.executable, "-m", "spandecode.remote", "--vocab",
+                     workspace["vocab"], "--table", table, "--terminator-ids", str(close_id)]
+        else:
+            child = [sys.executable, "-c",
+                     "import sys\nfor line in sys.stdin: print('not json', flush=True)"]
+        opened = []
+        make_scorer = cli.make_scorer
+
+        def recording(*args, **kwargs):
+            opened.append(make_scorer(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "make_scorer", recording)
+        out = workspace["dir"] / "out.json"
+        argv = ["--vocab", workspace["vocab"], "--scorer", "stdio:" + shlex.join(child),
+                command, "--input", workspace["dataset"], "--output", str(out)]
+        code = main(argv)
+        # eval skips the failing example, then finds every example skipped.
+        expected = 0 if healthy else (3 if command == "decode" else 2)
+        assert code == expected
+        (scorer,) = opened
+        assert scorer._proc.poll() is not None
 
     def test_env_var_supplies_scorer(self, workspace, monkeypatch):
         monkeypatch.setenv("SPANDECODE_SCORER_URL", workspace["table"])

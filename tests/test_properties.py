@@ -2,7 +2,8 @@
 
 - ``find_span`` against the O(n^3) scan that decodes every (i, j) slice;
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
-  cap and with and without the empty span;
+  cap and with and without the empty span, in process and over the wire
+  protocol (batched, and per pass for a server without the batch op);
 - ``TableLM`` forced scores against a per-step lookup of the full
   distribution.
 """
@@ -15,7 +16,7 @@ from spandecode.metrics import find_span, strip_sentinels
 from spandecode.scorer import NEG_INF, ScoreRequest, TableLM, logsumexp
 from spandecode.vocab import Vocabulary
 
-from conftest import bare_vocab
+from conftest import LoopbackScorer, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -110,7 +111,11 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         max_span_len=data.draw(st.sampled_from([None, *range(1, n + 2)])),
         allow_empty_span=data.draw(st.booleans()),
     )
-    fast = exact_extract(passage, source, prefix, lm, cfg)
+    # In process, over the wire in one batch, or over the wire pass by pass
+    # to a server that refuses the batch op.
+    refuse = data.draw(st.sampled_from([None, (), ("teacher_forced_batch",)]))
+    scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse)
+    fast = exact_extract(passage, source, prefix, scorer, cfg)
     slow = naive_exact(passage, source, prefix, lm, cfg)
     assert (fast.start, fast.length, fast.span_logprob.hex()) == (
         slow.start,
@@ -118,6 +123,8 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         slow.span_logprob.hex(),
     )
     assert fast.passes_used == n
+    if refuse is not None:
+        assert len(scorer.sent) == (n + 1 if refuse else 1)
 
 
 @SETTINGS
