@@ -16,6 +16,13 @@ sent as one batch, answered with one score list per target, in order:
                "source_ids": [u32], "prefix_ids": [u32], "targets": [[u32], ...]}
     response: {"id": u64, "gold_logprob": [[f64], ...], "term_logprob": [[f64], ...]}
 
+A request may carry ``"floats": "b64-f64le"``. A server that knows the
+field then sends every float list of its reply (each ``[f64]`` above, one
+per target in a batch reply) as one base64 string of little-endian IEEE-754
+binary64 values instead: exact, like the JSON text, and several times
+cheaper to write and read. Servers may ignore the field and reply with
+lists; the client always sends it and reads either form.
+
 A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 (``null`` when the request's id could not be read), and the client raises
 ``TransportError`` with the server's text. A server that answers
@@ -29,11 +36,16 @@ that exposes a TableLM over stdio, used to exercise the protocol end to end.
 
 from __future__ import annotations
 
+import base64
 import json
+import os
+import select
 import shlex
+import struct
 import subprocess
 import sys
 import threading
+import time
 from collections.abc import Iterable
 
 import requests
@@ -50,6 +62,24 @@ from .vocab import TokenSeq, Vocabulary
 
 # What a server's error says when it does not know a requested op.
 UNKNOWN_OP = "unknown op"
+# The request's "floats" value asking for packed float lists.
+PACKED_FLOATS = "b64-f64le"
+
+
+def _pack(values) -> str:
+    """A float list in the packed form: base64 of little-endian binary64."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _floats(field) -> tuple[float, ...]:
+    """A reply's float list, sent as a JSON list or packed; ValueError or
+    TypeError when it is neither."""
+    if isinstance(field, str):
+        raw = base64.b64decode(field, validate=True)
+        if len(raw) % 8:
+            raise ValueError(f"packed floats of {len(raw)} bytes, not a multiple of 8")
+        return struct.unpack(f"<{len(raw) // 8}d", raw)
+    return tuple(map(float, field))
 
 
 class TransportError(ScorerError):
@@ -83,6 +113,7 @@ class _WireScorer(Scorer):
         payload = {
             "id": req_id,
             "op": op,
+            "floats": PACKED_FLOATS,
             "source_ids": list(source.ids),
             "prefix_ids": list(prefix.ids),
             **fields,
@@ -119,10 +150,7 @@ class _WireScorer(Scorer):
         self._count_pass(len(targets))
         try:
             gold, term = reply["gold_logprob"], reply["term_logprob"]
-            rows = [
-                StepScores(tuple(map(float, g)), tuple(map(float, t)))
-                for g, t in zip(gold, term)
-            ]
+            rows = [StepScores(_floats(g), _floats(t)) for g, t in zip(gold, term)]
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed teacher_forced_batch response: {exc}") from exc
         if len(gold) != len(targets) or len(term) != len(targets):
@@ -138,17 +166,14 @@ class _WireScorer(Scorer):
             target_ids=list(req.forced_target.ids),
         )
         try:
-            return StepScores(
-                tuple(map(float, reply["gold_logprob"])),
-                tuple(map(float, reply["term_logprob"])),
-            )
+            return StepScores(_floats(reply["gold_logprob"]), _floats(reply["term_logprob"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed teacher_forced response: {exc}") from exc
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):
         reply = self._call("next_dist", source, prefix, target_ids=[])
         try:
-            return [float(x) for x in reply["logits_logprob"]]
+            return list(_floats(reply["logits_logprob"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed next_dist response: {exc}") from exc
 
@@ -175,22 +200,34 @@ class RemoteScorer(_WireScorer):
 
 
 class StdioScorer(_WireScorer):
-    """Scores over the stdio of a child process speaking the ndjson protocol."""
+    """Scores over the stdio of a child process speaking the ndjson protocol.
 
-    def __init__(self, command: str, vocab: Vocabulary, terminator_ids=None):
+    A round trip, the request written and the whole reply line read, must
+    end within ``timeout`` seconds; otherwise the child is killed and the
+    call raises TransportError, as every later call then does at once."""
+
+    def __init__(self, command: str, vocab: Vocabulary, terminator_ids=None, timeout: float = 30.0):
         super().__init__(vocab, terminator_ids)
         self.command = command
+        self.timeout = timeout
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise TransportError(f"cannot start scorer process {command!r}: {exc}") from exc
         self._io_lock = threading.Lock()
+        # Both pipes are used raw and waited on with poll, which bounds the
+        # wait; the stdin end does not block, so a write stops at a full pipe.
+        self._stdin_fd = self._proc.stdin.fileno()
+        self._stdout_fd = self._proc.stdout.fileno()
+        os.set_blocking(self._stdin_fd, False)
+        self._writable = select.poll()
+        self._writable.register(self._stdin_fd, select.POLLOUT)
+        self._readable = select.poll()
+        self._readable.register(self._stdout_fd, select.POLLIN)
+        self._unread = bytearray()  # bytes read past the last reply line
+        self._failure: str | None = None  # why the child was killed
 
     def close(self) -> None:
         """Close the child's stdin, wait for it to exit (kill it after 10 s)
@@ -209,18 +246,52 @@ class StdioScorer(_WireScorer):
 
     def _roundtrip(self, payload: dict) -> dict:
         with self._io_lock:
+            if self._failure:
+                raise TransportError(self._failure)
+            deadline = time.monotonic() + self.timeout
             try:
-                self._proc.stdin.write(json.dumps(payload) + "\n")
-                self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
+                self._write(json.dumps(payload).encode("ascii") + b"\n", deadline)
+                line = self._read_line(deadline)
+            except OSError as exc:
                 raise TransportError(f"scorer process pipe broke: {exc}") from exc
         if not line:
             raise TransportError("scorer process closed its stdout")
         try:
             return json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise TransportError(f"undecodable response line: {line!r}") from exc
+
+    def _wait(self, poll, deadline: float) -> None:
+        """Return once ``poll`` finds its pipe ready; at ``deadline``, kill
+        the child and raise TransportError, now and on every later call."""
+        left = deadline - time.monotonic()
+        if left <= 0 or not poll.poll(left * 1e3):
+            self._proc.kill()
+            self._proc.wait()
+            self._failure = f"scorer process did not answer within {self.timeout:g} s and was killed"
+            raise TransportError(self._failure)
+
+    def _write(self, data: bytes, deadline: float) -> None:
+        view = memoryview(data)
+        while view:
+            self._wait(self._writable, deadline)
+            view = view[os.write(self._stdin_fd, view) :]
+
+    def _read_line(self, deadline: float) -> bytes:
+        """The child's next line, or what it wrote before closing its stdout."""
+        buf = self._unread
+        searched = 0
+        while (end := buf.find(b"\n", searched)) < 0:
+            searched = len(buf)
+            self._wait(self._readable, deadline)
+            chunk = os.read(self._stdout_fd, 1 << 16)
+            if not chunk:
+                end = len(buf) - 1
+                break
+            buf += chunk
+        line = bytes(buf[: end + 1])
+        del buf[: end + 1]
+        return line
 
 
 def _answer(scorer: Scorer, req: dict) -> dict:
@@ -228,13 +299,15 @@ def _answer(scorer: Scorer, req: dict) -> dict:
     source = vocab.seq(req["source_ids"])
     prefix = vocab.seq(req["prefix_ids"])
     op = req["op"]
+    # Float lists go out packed when the request asks for it, else as lists.
+    floats = _pack if req.get("floats") == PACKED_FLOATS else list
     if op == "teacher_forced":
         target = vocab.seq(req["target_ids"])
         scores = scorer.teacher_forced_pass(ScoreRequest(source, target, prefix))
         return {
             "id": req["id"],
-            "gold_logprob": scores.gold_logprob,
-            "term_logprob": scores.term_logprob,
+            "gold_logprob": floats(scores.gold_logprob),
+            "term_logprob": floats(scores.term_logprob),
         }
     if op == "teacher_forced_batch":
         # Answered pass by pass: a scorer handed to serve (a wrapper, say)
@@ -245,11 +318,12 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         ]
         return {
             "id": req["id"],
-            "gold_logprob": [row.gold_logprob for row in rows],
-            "term_logprob": [row.term_logprob for row in rows],
+            "gold_logprob": [floats(row.gold_logprob) for row in rows],
+            "term_logprob": [floats(row.term_logprob) for row in rows],
         }
     if op == "next_dist":
-        return {"id": req["id"], "logits_logprob": scorer.next_token_distribution(source, prefix)}
+        dist = scorer.next_token_distribution(source, prefix)
+        return {"id": req["id"], "logits_logprob": floats(dist)}
     return {"id": req["id"], "error": f"{UNKNOWN_OP} {op!r}"}
 
 

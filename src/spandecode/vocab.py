@@ -111,7 +111,8 @@ class Vocabulary:
         return self.size + byte
 
     def is_valid_id(self, token_id: int) -> bool:
-        return 0 <= token_id < self.size + NUM_BYTE_TOKENS
+        """True for an ``int`` (not a ``bool``) naming a piece or a byte."""
+        return type(token_id) is int and 0 <= token_id < self.size + NUM_BYTE_TOKENS
 
     # ------------------------------------------------------------------
     def encode(self, text: str) -> TokenSeq:
@@ -157,7 +158,7 @@ class Vocabulary:
         byte_run: list[int] = []
         for token_id in ids:
             if not self.is_valid_id(token_id):
-                raise UnknownTokenError(f"token id {token_id} is out of range")
+                raise UnknownTokenError(f"{token_id!r} is not a token id of this vocabulary")
             if token_id >= self.size:
                 byte_run.append(token_id - self.size)
                 continue
@@ -191,9 +192,11 @@ class Vocabulary:
     def seq(self, ids) -> TokenSeq:
         """Wrap raw ids as a TokenSeq, validating them against this vocabulary."""
         ids = tuple(ids)
+        # is_valid_id inlined: serve validates every id of every request.
+        limit = len(self.pieces) + NUM_BYTE_TOKENS
         for token_id in ids:
-            if not self.is_valid_id(token_id):
-                raise UnknownTokenError(f"token id {token_id} is out of range")
+            if type(token_id) is not int or not 0 <= token_id < limit:
+                raise UnknownTokenError(f"{token_id!r} is not a token id of this vocabulary")
         return TokenSeq(ids, self.vocab_id)
 
 

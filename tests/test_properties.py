@@ -3,7 +3,8 @@
 - ``find_span`` against the O(n^3) scan that decodes every (i, j) slice;
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
   cap and with and without the empty span, in process and over the wire
-  protocol (batched, and per pass for a server without the batch op);
+  protocol (batched with packed or JSON-list float replies, and per pass
+  for a server without the batch op);
 - ``TableLM`` forced scores against a per-step lookup of the full
   distribution.
 """
@@ -111,10 +112,13 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         max_span_len=data.draw(st.sampled_from([None, *range(1, n + 2)])),
         allow_empty_span=data.draw(st.booleans()),
     )
-    # In process, over the wire in one batch, or over the wire pass by pass
-    # to a server that refuses the batch op.
-    refuse = data.draw(st.sampled_from([None, (), ("teacher_forced_batch",)]))
-    scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse)
+    # In process; over the wire in one batch, with packed or JSON-list float
+    # replies; or over the wire pass by pass to a server that refuses the
+    # batch op.
+    wire = data.draw(
+        st.sampled_from([None, {}, {"lists": True}, {"refuse": ("teacher_forced_batch",)}])
+    )
+    scorer = lm if wire is None else LoopbackScorer(lm, **wire)
     fast = exact_extract(passage, source, prefix, scorer, cfg)
     slow = naive_exact(passage, source, prefix, lm, cfg)
     assert (fast.start, fast.length, fast.span_logprob.hex()) == (
@@ -123,8 +127,8 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         slow.span_logprob.hex(),
     )
     assert fast.passes_used == n
-    if refuse is not None:
-        assert len(scorer.sent) == (n + 1 if refuse else 1)
+    if wire is not None:
+        assert len(scorer.sent) == (n + 1 if "refuse" in wire else 1)
 
 
 @SETTINGS

@@ -1,9 +1,13 @@
+import base64
 import io
 import itertools
 import json
+import shlex
+import struct
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -13,13 +17,16 @@ from spandecode.harness import run_eval
 from spandecode.mrqa import QAExample
 from spandecode.prompting import get_template, render_encoder_input
 from spandecode.remote import (
+    PACKED_FLOATS,
     RemoteScorer,
     StdioScorer,
     TransportError,
+    _floats,
+    _pack,
     _WireScorer,
     serve,
 )
-from spandecode.scorer import ScoreRequest, ScorerError, StepScores, TableLM
+from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM
 from spandecode.vocab import Vocabulary
 
 from conftest import TOY_PIECES, LoopbackScorer, bare_vocab
@@ -125,6 +132,7 @@ class TestWireFraming:
         assert second["op"] == "next_dist"
         assert second["target_ids"] == []
         assert second["id"] == first["id"] + 1
+        assert first["floats"] == second["floats"] == PACKED_FLOATS
 
     def test_id_mismatch_raises(self):
         vocab = bare_vocab(4)
@@ -198,26 +206,52 @@ class TestWireFraming:
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
 
+# Tamper helpers for batch replies: each decodes the entry it changes and
+# re-encodes it in the form it arrived in, packed or a JSON list.
+def reencode(entry, values):
+    return _pack(values) if isinstance(entry, str) else list(values)
+
+
 def drop_last_entry(payload, reply):
     return {**reply, "gold_logprob": reply["gold_logprob"][:-1], "term_logprob": reply["term_logprob"][:-1]}
 
 
 def short_entry(payload, reply):
     gold = list(reply["gold_logprob"])
-    gold[1] = gold[1][:-1]
+    gold[1] = reencode(gold[1], _floats(gold[1])[:-1])
     return {**reply, "gold_logprob": gold}
 
 
 def nan_entry(payload, reply):
     gold = list(reply["gold_logprob"])
-    gold[1] = [float("nan")] + gold[1][1:]
+    gold[1] = reencode(gold[1], (float("nan"),) + _floats(gold[1])[1:])
     return {**reply, "gold_logprob": gold}
 
 
 def positive_entry(payload, reply):
     term = list(reply["term_logprob"])
-    term[2] = [0.5] + term[2][1:]
+    term[2] = reencode(term[2], (0.5,) + _floats(term[2])[1:])
     return {**reply, "term_logprob": term}
+
+
+def both_forms(*edits):
+    """Each edit with packed replies, under its own name, and with JSON-list
+    replies, as ``<name>-lists``."""
+    return [pytest.param(e, True, id=e.__name__) for e in edits] + [
+        pytest.param(e, False, id=f"{e.__name__}-lists") for e in edits
+    ]
+
+
+def in_form(edit, packed):
+    """``edit``, after checking that every entry arrived packed or as a list."""
+
+    def checked(payload, reply):
+        if payload["op"] == "teacher_forced_batch":
+            entries = reply["gold_logprob"] + reply["term_logprob"]
+            assert entries and all(isinstance(e, str) == packed for e in entries)
+        return edit(payload, reply)
+
+    return checked
 
 
 class TestBatch:
@@ -304,13 +338,17 @@ class TestBatch:
         exact_extract(passage, empty, empty, wire)
         assert wire.ops() == ["teacher_forced_batch"] * 2
 
-    @pytest.mark.parametrize("edit", [drop_last_entry, short_entry, nan_entry, positive_entry])
-    def test_invalid_entry_raises_scorer_error(self, edit):
+    @pytest.mark.parametrize(
+        "edit, packed", both_forms(drop_last_entry, short_entry, nan_entry, positive_entry)
+    )
+    def test_invalid_entry_raises_scorer_error(self, edit, packed):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=edit)
+        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
         passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
-        with pytest.raises(ScorerError):
+        with pytest.raises(ScorerError) as caught:
             exact_extract(passage, empty, empty, wire)
+        # The check of the scores caught it, not the decoding of the reply.
+        assert not isinstance(caught.value, TransportError)
 
     def test_missing_field_is_transport_error(self):
         vocab, lm = self.setup_model()
@@ -318,8 +356,8 @@ class TestBatch:
         with pytest.raises(TransportError, match="malformed teacher_forced_batch"):
             wire.teacher_forced_batch(vocab.seq(()), vocab.seq(()), [vocab.seq((1,))])
 
-    @pytest.mark.parametrize("edit", [drop_last_entry, nan_entry])
-    def test_invalid_batch_reply_skips_the_example(self, edit):
+    @pytest.mark.parametrize("edit, packed", both_forms(drop_last_entry, nan_entry))
+    def test_invalid_batch_reply_skips_the_example(self, edit, packed):
         vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
         template = get_template(2)
         dataset = [
@@ -334,10 +372,102 @@ class TestBatch:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), edit=corrupt_album)
+        wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
+
+
+# Valid log-probs at the edges of binary64: -inf, -0.0, the smallest
+# subnormals and the largest negative subnormal.
+SPECIAL_FLOATS = (float("-inf"), -0.0, -5e-324, 5e-324, -2.225073858507201e-308, -1.0 / 3)
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class FixedScorer(Scorer):
+    """Answers every pass with ``SPECIAL_FLOATS``, cycled to length."""
+
+    def _score_forced(self, req):
+        m = len(req.forced_target)
+        cycle = itertools.cycle(SPECIAL_FLOATS)
+        return StepScores(tuple(itertools.islice(cycle, m)), tuple(itertools.islice(cycle, m + 1)))
+
+    def _next_dist(self, source, prefix):
+        return list(itertools.islice(itertools.cycle(SPECIAL_FLOATS), self.vocab.size))
+
+
+class TestFloatForms:
+    def test_packing_is_bit_exact(self):
+        packed = _pack(SPECIAL_FLOATS)
+        assert base64.b64decode(packed) == b"".join(bits(SPECIAL_FLOATS))
+        assert bits(_floats(packed)) == bits(SPECIAL_FLOATS)
+        assert _floats(_pack(())) == ()
+
+    @pytest.mark.parametrize("lists", [False, True])
+    def test_scores_cross_the_wire_bit_for_bit(self, lists):
+        vocab = bare_vocab(9)
+        local = FixedScorer(vocab)
+        wire = LoopbackScorer(local, lists=lists)
+        source, prefix, target = vocab.seq((0,)), vocab.seq(()), vocab.seq((1, 2, 3, 4, 5))
+        want = local.teacher_forced_pass(ScoreRequest(source, target, prefix))
+        got = wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
+        assert bits(got.gold_logprob + got.term_logprob) == bits(want.gold_logprob + want.term_logprob)
+        (row,) = wire.teacher_forced_batch(source, prefix, [target])
+        assert bits(row.gold_logprob + row.term_logprob) == bits(want.gold_logprob + want.term_logprob)
+        got_dist = wire.next_token_distribution(source, prefix)
+        assert bits(got_dist) == bits(local.next_token_distribution(source, prefix))
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "teacher_forced", "target_ids": [1, 2]},
+            {"op": "teacher_forced_batch", "targets": [[1, 2], [], [3]]},
+            {"op": "next_dist", "target_ids": []},
+        ],
+    )
+    def test_server_packs_only_when_asked(self, request_):
+        vocab = bare_vocab(6)
+        base = {"id": 1, "source_ids": [0], "prefix_ids": [], **request_}
+        lm = FixedScorer(vocab)
+        # An encoding the server does not know gets lists too.
+        as_lists, packed, unknown = TestServe().run(
+            lm, [base, {**base, "floats": PACKED_FLOATS}, {**base, "floats": "f16"}]
+        )
+        assert unknown == as_lists
+        assert as_lists.keys() == packed.keys()
+        for field in as_lists.keys() - {"id"}:
+            lists, strings = as_lists[field], packed[field]
+            if request_["op"] == "teacher_forced_batch":
+                assert all(isinstance(e, list) for e in lists)
+                assert [bits(_floats(e)) for e in strings] == [bits(e) for e in lists]
+            else:
+                assert isinstance(lists, list)
+                assert bits(_floats(strings)) == bits(lists)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["not base64!", base64.b64encode(bytes(12)).decode("ascii"), "AAAAAAAAAAA", "é" * 8],
+    )
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", "teacher_forced_batch"])
+    def test_malformed_packed_floats_raise_transport_error(self, bad, op):
+        vocab = bare_vocab(4)
+        fields = {
+            "teacher_forced": {"gold_logprob": bad, "term_logprob": _pack((-1.0, -1.0))},
+            "teacher_forced_batch": {"gold_logprob": [bad], "term_logprob": [_pack((-1.0, -1.0))]},
+            "next_dist": {"logits_logprob": bad},
+        }
+        scorer = RecordingScorer(vocab, [lambda p: {"id": p["id"], **fields[op]}])
+        empty, target = vocab.seq(()), vocab.seq((0,))
+        calls = {
+            "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
+            "next_dist": lambda: scorer.next_token_distribution(empty, empty),
+            "teacher_forced_batch": lambda: scorer.teacher_forced_batch(empty, empty, [target]),
+        }
+        with pytest.raises(TransportError, match=f"malformed {op} response"):
+            calls[op]()
 
 
 class ForwardingScorer:
@@ -451,6 +581,8 @@ class TestServe:
             ('{"id": 7, "op": "teacher_forced", "source_ids": [999], "prefix_ids": [], "target_ids": []}', 7),
             ('{"id": 8, "op": "teacher_forced_batch", "source_ids": [], "prefix_ids": [], "targets": [[0, -1]]}', 8),
             ('{"id": 9, "op": "teacher_forced_batch", "source_ids": [], "prefix_ids": [], "targets": 3}', 9),
+            ('{"id": 11, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [1.0]}', 11),
+            ('{"id": 12, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [true]}', 12),
         ],
     )
     def test_bad_line_gets_an_error_and_serving_goes_on(self, bad_line, error_id):
@@ -556,6 +688,53 @@ class TestStdioScorer:
         try:
             with pytest.raises(TransportError):
                 scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
+        finally:
+            scorer.close()
+
+    @pytest.mark.parametrize(
+        "child",
+        [
+            "import time; time.sleep(60)",
+            # Half a reply line, then nothing.
+            "import sys, time; sys.stdout.write('{\"id\": 1, \"logits'); sys.stdout.flush(); time.sleep(60)",
+            # A whole reply, but too late.
+            "import json, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    time.sleep(2)\n"
+            "    print(json.dumps({'id': json.loads(line)['id'], 'logits_logprob': [-2.0] * 4}), flush=True)",
+        ],
+        ids=["silent", "half-line", "late"],
+    )
+    def test_reply_timeout_kills_the_child(self, child):
+        vocab = bare_vocab(4)
+        empty = vocab.seq(())
+        scorer = StdioScorer(shlex.join([sys.executable, "-c", child]), vocab, timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="did not answer within 0.5 s"):
+                scorer.next_token_distribution(empty, empty)
+            assert time.monotonic() - start < 5
+            assert scorer._proc.returncode is not None
+            # Later calls fail at once, without reading a late reply.
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="did not answer within 0.5 s"):
+                scorer.next_token_distribution(empty, empty)
+            assert time.monotonic() - start < 0.5
+        finally:
+            scorer.close()
+
+    def test_request_write_timeout_kills_the_child(self):
+        # A child that reads nothing, and a request of about 200 kB, more
+        # than a pipe holds: the write itself must give up.
+        vocab = bare_vocab(4)
+        empty, passage = vocab.seq(()), vocab.seq([1] * 360)
+        scorer = StdioScorer(shlex.join([sys.executable, "-c", "import time; time.sleep(60)"]), vocab, timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="did not answer within 0.5 s"):
+                scorer.teacher_forced_batch(empty, empty, [passage[i:] for i in range(len(passage))])
+            assert time.monotonic() - start < 5
+            assert scorer._proc.returncode is not None
         finally:
             scorer.close()
 

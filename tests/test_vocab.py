@@ -58,6 +58,16 @@ class TestDecode:
         with pytest.raises(UnknownTokenError):
             toy_vocab.decode([toy_vocab.size + 300])
 
+    @pytest.mark.parametrize("bad", [-1, 16 + 256, 1.0, 1.5, True, False, "1", None])
+    def test_only_ints_in_range_are_ids(self, toy_vocab, bad):
+        # Only an int (not a bool) in [0, size + 256) is a token id.
+        assert toy_vocab.is_valid_id(0) and toy_vocab.is_valid_id(16 + 255)
+        assert not toy_vocab.is_valid_id(bad)
+        with pytest.raises(UnknownTokenError):
+            toy_vocab.decode([bad])
+        with pytest.raises(UnknownTokenError):
+            toy_vocab.seq([0, bad])
+
     def test_vocab_mismatch_rejected(self, toy_vocab):
         other = TokenSeq((0,), "deadbeef")
         with pytest.raises(VocabularyMismatchError):
