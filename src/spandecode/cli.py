@@ -77,19 +77,8 @@ def make_scorer(spec: str, vocab: Vocabulary, terminator_mode: str = "sentinel")
 
 
 def _read_decode_inputs(path: str) -> list[QAExample]:
-    """Accept MRQA paragraph lines or flat {"id","context","question"} lines."""
-    with open(path, encoding="utf-8") as f:
-        first = ""
-        for line in f:
-            if line.strip():
-                first = line
-                break
-    try:
-        obj = json.loads(first) if first else {}
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:1: invalid JSON: {exc}") from exc
-    if "qas" in obj or "header" in obj:
-        return load_dataset(path)
+    """Accept MRQA paragraph lines or flat {"id","context","question"} lines;
+    the first object decides which."""
     examples = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -97,17 +86,36 @@ def _read_decode_inputs(path: str) -> list[QAExample]:
                 continue
             try:
                 obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            if not examples and ("qas" in obj or "header" in obj):
+                return load_dataset(path)
+            context, question = obj.get("context"), obj.get("question")
+            if not isinstance(context, str) or not isinstance(question, str):
+                raise DataError(f"{path}:{lineno}: context and question must be strings")
+            try:
                 examples.append(
                     QAExample(
                         id=str(obj.get("id", lineno)),
-                        context=obj["context"],
-                        question=obj["question"],
+                        context=context,
+                        question=question,
                         answers=tuple(obj.get("answers") or ("",)),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (DataError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
     return examples
+
+
+def _template(args):
+    try:
+        return get_template(args.prompt_id, args.prompt_file)
+    except KeyError as exc:
+        raise DataError(exc.args[0]) from exc
 
 
 def build_parser() -> _Parser:
@@ -179,7 +187,7 @@ def cmd_decode(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     scorer = make_scorer(_require(args.scorer, "--scorer"), vocab, args.terminator_mode)
     try:
-        template = get_template(args.prompt_id, args.prompt_file)
+        template = _template(args)
         cfg = DecodeConfig(max_span_len=args.max_span_len)
         examples = _read_decode_inputs(args.input)
         with open(args.output, "w", encoding="utf-8") as out:
@@ -205,7 +213,7 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     scorer = make_scorer(_require(args.scorer, "--scorer"), vocab, args.terminator_mode)
     try:
-        template = get_template(args.prompt_id, args.prompt_file)
+        template = _template(args)
         dataset = load_dataset(args.input)
         report = harness.run_eval(
             dataset,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .scorer import ScoreRequest, Scorer
+from .scorer import NEG_INF, ScoreRequest, Scorer
 from .vocab import TokenSeq
 
 GREEDY = "greedy"
@@ -143,16 +143,20 @@ def exact_extract(
     """Return the passage span maximizing L(i,j) + e(i,j)."""
     before = scorer.pass_count()
     table = build_span_table(passage, rendered_prompt, prefix, scorer, cfg.max_span_len)
-    # Row i holds exactly the candidate lengths of start i. Rows are visited
-    # by start and max()/index() take a row's first (shortest) maximum, so a
-    # strict > across rows keeps the shared tie-break.
+    # Row i holds the lengths 0..K of start i; length 0 is a candidate only
+    # at start 0 with the empty span allowed, so elsewhere it reads -inf and
+    # index() searches from length 1. Rows are visited by start and
+    # max()/index() take a row's first (shortest) maximum, so a strict >
+    # across rows keeps the shared tie-break.
     best_score = None
     for i in range(table.n):
         first = 0 if cfg.allow_empty_span and i == 0 else 1
-        row = list(map(add, table.L[i][first:], table.eterm[i][first:]))
+        row = list(map(add, table.L[i], table.eterm[i]))
+        if first:
+            row[0] = NEG_INF
         top = max(row)
         if best_score is None or top > best_score:
-            best_score, best_i, best_j = top, i, first + row.index(top)
+            best_score, best_i, best_j = top, i, row.index(top, first)
     return DecodeResult(
         start=best_i,
         length=best_j,

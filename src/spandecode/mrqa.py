@@ -61,12 +61,16 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
             if "header" in obj:
                 continue
             try:
                 context = obj["context"]
                 qas = obj["qas"]
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
             if not isinstance(context, str) or not isinstance(qas, list):
                 raise DataError(f"{path}:{lineno}: bad context/qas types")

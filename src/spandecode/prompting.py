@@ -31,6 +31,8 @@ class PromptTemplate:
     target_pattern: str = OPEN_SENTINEL + "{a}" + CLOSE_SENTINEL
 
     def __post_init__(self):
+        if not isinstance(self.encoder_pattern, str):
+            raise ValueError(f"template {self.id}: encoder_pattern must be a string")
         for placeholder in ("{T}", "{Q}", OPEN_SENTINEL):
             if self.encoder_pattern.count(placeholder) != 1:
                 raise ValueError(
@@ -40,24 +42,34 @@ class PromptTemplate:
             raise ValueError(f"template {self.id}: unexpected target pattern")
 
 
-def _load(raw: list[dict]) -> tuple[PromptTemplate, ...]:
-    return tuple(PromptTemplate(**entry) for entry in raw)
+def _load(raw, where) -> tuple[PromptTemplate, ...]:
+    """Templates from a JSON list of PromptTemplate fields; ValueError names
+    ``where`` and the entry for anything else."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{where}: expected a JSON list of templates")
+    templates = []
+    for index, entry in enumerate(raw):
+        try:
+            templates.append(PromptTemplate(**entry))
+        except TypeError as exc:
+            raise ValueError(f"{where}: template {index}: {exc}") from exc
+    return tuple(templates)
 
 
 def list_templates(path: str | Path | None = None) -> tuple[PromptTemplate, ...]:
     """The built-in template library, or one loaded from an override file."""
     if path is not None:
         with open(path, encoding="utf-8") as f:
-            return _load(json.load(f))
+            return _load(json.load(f), path)
     data = resources.files("spandecode.data").joinpath("templates.json")
-    return _load(json.loads(data.read_text(encoding="utf-8")))
+    return _load(json.loads(data.read_text(encoding="utf-8")), "templates.json")
 
 
 def get_template(template_id: int, path: str | Path | None = None) -> PromptTemplate:
     for tpl in list_templates(path):
         if tpl.id == template_id:
             return tpl
-    raise KeyError(f"no template with id {template_id}")
+    raise KeyError(f"no template with id {template_id}" + (f" in {path}" if path else ""))
 
 
 def render_encoder_input(tpl: PromptTemplate, passage: str, question: str) -> str:

@@ -91,7 +91,8 @@ def check_step_scores(scores: StepScores, m: int) -> StepScores:
             f"scorer returned {len(scores.gold_logprob)}/{len(scores.term_logprob)} "
             f"scores for a target of length {m}"
         )
-    _check_logprobs(scores.gold_logprob + scores.term_logprob, "forced log-probs")
+    _check_logprobs(scores.gold_logprob, "forced log-probs")
+    _check_logprobs(scores.term_logprob, "forced log-probs")
     return scores
 
 
@@ -186,6 +187,10 @@ class TableLM(Scorer):
     entry, a mere prefix to None. A forced context missing from both tables
     of its source therefore extends no registered key, and every later step
     of the pass reads the default.
+
+    The source tuple is hashed once per batch, not once per pass: the
+    context table of the last source looked up is kept with that source's
+    ``ids`` tuple and reused while requests carry the same tuple object.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
@@ -194,6 +199,10 @@ class TableLM(Scorer):
             raise ValueError("terminator ids must lie in the piece vocabulary")
         self._any_source: dict[tuple[int, ...], tuple | None] = {}
         self._by_source: dict[tuple[int, ...], dict[tuple[int, ...], tuple | None]] = {}
+        # (source ids, its context table), one attribute so that threads
+        # read and replace the pair at once; None holds nothing. Not an
+        # empty tuple: () is a singleton, the ids of every empty source.
+        self._last_source = None
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
         self._default = self._entry(default)
@@ -238,6 +247,7 @@ class TableLM(Scorer):
         for k in range(len(prefix_ids)):
             table.setdefault(prefix_ids[:k], None)
         table[prefix_ids] = entry
+        self._last_source = None
 
     @classmethod
     def uniform(cls, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
@@ -269,7 +279,13 @@ class TableLM(Scorer):
         return (entry or self._any_source.get(prefix_ids) or self._default)[0]
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
-        by_source = self._by_source.get(req.source.ids, _NO_CONTEXTS)
+        source = req.source.ids
+        last = self._last_source
+        if last is not None and last[0] is source:
+            by_source = last[1]
+        else:
+            by_source = self._by_source.get(source, _NO_CONTEXTS)
+            self._last_source = (source, by_source)
         any_source = self._any_source
         context = req.forced_prefix.ids
         target = req.forced_target.ids

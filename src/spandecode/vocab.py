@@ -68,6 +68,9 @@ class Vocabulary:
         self.sentinels = list(sentinels)
         self._piece_to_id = {p: i for i, p in enumerate(pieces)}
         self._max_piece_len = max(len(p) for p in pieces)
+        # When the marker only ever begins a piece, no match crosses a word
+        # boundary, so encode can take the marked string one word at a time.
+        self._split_words = not any(SPACE_MARKER in p[1:] for p in pieces)
         digest = hashlib.sha1(
             json.dumps(
                 {"pieces": pieces, "terminator": terminator, "sentinels": sentinels},
@@ -121,28 +124,43 @@ class Vocabulary:
         Spaces are rewritten to the word-boundary marker and a marker is
         prepended, matching the sentencepiece convention. Characters no
         piece covers are emitted as per-byte fallback tokens.
+
+        If no piece holds the marker after its first character, the marked
+        string is split before each marker and every word that is a piece
+        costs one lookup; only the other words are matched probe by probe.
+        Otherwise the whole string is matched probe by probe.
         """
         if not text:
             return TokenSeq((), self.vocab_id)
-        s = SPACE_MARKER + text.replace(" ", SPACE_MARKER)
+        marked = text.replace(" ", SPACE_MARKER)
         ids: list[int] = []
+        if not self._split_words:
+            self._match(SPACE_MARKER + marked, ids)
+            return TokenSeq(tuple(ids), self.vocab_id)
+        get = self._piece_to_id.get
+        for word in marked.split(SPACE_MARKER):
+            word = SPACE_MARKER + word
+            token = get(word)
+            if token is None:
+                self._match(word, ids)
+            else:
+                ids.append(token)
+        return TokenSeq(tuple(ids), self.vocab_id)
+
+    def _match(self, s: str, ids: list[int]) -> None:
+        """Append the greedy longest-match segmentation of ``s`` to ``ids``:
+        at each position the longest piece, else the character's bytes."""
         pos = 0
         while pos < len(s):
-            match_id = None
             for length in range(min(self._max_piece_len, len(s) - pos), 0, -1):
-                candidate = s[pos : pos + length]
-                token = self._piece_to_id.get(candidate)
+                token = self._piece_to_id.get(s[pos : pos + length])
                 if token is not None:
-                    match_id = token
+                    ids.append(token)
                     pos += length
                     break
-            if match_id is not None:
-                ids.append(match_id)
             else:
-                for b in s[pos].encode("utf-8"):
-                    ids.append(self.byte_id(b))
+                ids.extend(self.byte_id(b) for b in s[pos].encode("utf-8"))
                 pos += 1
-        return TokenSeq(tuple(ids), self.vocab_id)
 
     def decode(self, seq: TokenSeq | list[int] | tuple[int, ...]) -> str:
         """Concatenate piece surfaces, rendering the boundary marker as a space."""

@@ -381,6 +381,85 @@ class TestExitCodes:
         assert json.loads(out.read_text().splitlines()[0])["text"] == "IRA"
 
 
+FLAT_ROW = json.dumps({"id": "a", "context": "the IRA was active", "question": "who?"})
+TEMPLATE_2 = {"id": 2, "encoder_pattern": "Text: {T}\nQuestion: {Q}\nAnswer:<extra_id_0>."}
+
+
+class TestMalformedInput:
+    """Bad input files and flags end with a data error naming the fault,
+    exit code 2 and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command, lines, message",
+        [
+            pytest.param("eval", ["MRQA", "5"],
+                         "dev.jsonl:2: expected a JSON object, got int", id="mrqa-int"),
+            pytest.param("eval", ["MRQA", "[1, 2]"],
+                         "dev.jsonl:2: expected a JSON object, got list", id="mrqa-list"),
+            pytest.param("decode", ["MRQA", "null"],
+                         "dev.jsonl:2: expected a JSON object, got NoneType", id="mrqa-null"),
+            pytest.param("decode", ["[1, 2]"],
+                         "dev.jsonl:1: expected a JSON object, got list", id="first-list"),
+            pytest.param("decode", ["5"],
+                         "dev.jsonl:1: expected a JSON object, got int", id="first-int"),
+            pytest.param("decode", [FLAT_ROW, "[1, 2]"],
+                         "dev.jsonl:2: expected a JSON object, got list", id="flat-list"),
+            pytest.param("decode", ['{"context": 5, "question": "who?"}'],
+                         "dev.jsonl:1: context and question must be strings", id="int-context"),
+            pytest.param("decode", [FLAT_ROW, '{"context": "c", "question": ["who?"]}'],
+                         "dev.jsonl:2: context and question must be strings", id="list-question"),
+            pytest.param("decode", [FLAT_ROW, '{"question": "who?"}'],
+                         "dev.jsonl:2: context and question must be strings", id="no-context"),
+        ],
+    )
+    def test_malformed_input_line(self, workspace, capsys, command, lines, message):
+        dataset = workspace["dir"] / "dev.jsonl"
+        mrqa_row = dataset.read_text(encoding="utf-8").strip()
+        dataset.write_text(
+            "".join((mrqa_row if line == "MRQA" else line) + "\n" for line in lines),
+            encoding="utf-8",
+        )
+        out = workspace["dir"] / "out.json"
+        argv = base_args(workspace) + [command, "--input", str(dataset), "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entries, flags, message",
+        [
+            pytest.param(None, ["--prompt-id", "99"], "no template with id 99", id="unknown-id"),
+            pytest.param([TEMPLATE_2], ["--prompt-id", "3"], "no template with id 3 in ",
+                         id="unknown-id-in-file"),
+            pytest.param([{**TEMPLATE_2, "style": "terse"}], [],
+                         "template 0: PromptTemplate.__init__() got an unexpected keyword "
+                         "argument 'style'", id="unknown-key"),
+            pytest.param([{"id": 2}], [], "template 0: PromptTemplate.__init__() missing 1 "
+                         "required", id="missing-key"),
+            pytest.param([TEMPLATE_2, 5], [], "template 1: ", id="entry-not-object"),
+            pytest.param({"2": TEMPLATE_2}, [], "expected a JSON list of templates",
+                         id="file-not-list"),
+            pytest.param([{**TEMPLATE_2, "encoder_pattern": 7}], [],
+                         "encoder_pattern must be a string", id="pattern-not-string"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_bad_template_choice(self, workspace, capsys, command, entries, flags, message):
+        if entries is not None:
+            prompt_file = workspace["dir"] / "templates.json"
+            prompt_file.write_text(json.dumps(entries), encoding="utf-8")
+            flags = flags + ["--prompt-file", str(prompt_file)]
+        out = workspace["dir"] / "out.json"
+        argv = base_args(workspace) + [
+            command, "--input", workspace["dataset"], "--output", str(out), *flags
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestTerminatorMode:
     def test_eos_mode_changes_terminator(self, workspace):
         # Under eos mode the close sentinel no longer terminates, so the

@@ -1,5 +1,6 @@
 import gzip
 import json
+import sys
 
 import pytest
 
@@ -73,6 +74,13 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [{"context": "x"}])
         with pytest.raises(DataError, match=":1:"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"context"', "null", "true"])
+    def test_non_object_line_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(mrqa_rows()[1]) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.jsonl:2: expected a JSON object"):
             load_dataset(path)
 
     def test_empty_answers_rejected(self, tmp_path):
@@ -277,6 +285,47 @@ class TestRunEval:
         parallel = run_eval(
             self.dataset(), ira_scorer(vocab), get_template(2), vocab, jobs=2
         )
+        assert parallel.to_dict() == serial.to_dict()
+
+    def test_parallel_matches_serial_with_pinned_sources(self):
+        # Every example has its own encoder input, and only the contexts
+        # pinned to that input make its answer win, so a pass scored against
+        # another example's contexts changes the report. Threads switch
+        # every microsecond, so passes for different sources interleave.
+        vocab = qa_vocab()
+        template = get_template(2)
+        words = ["The", "album", "was", "released", "in", "the", "IRA"]
+        dataset = [
+            QAExample(
+                id=f"q{k}",
+                context=" ".join(words),
+                question=f"question {k}?",
+                answers=(words[k % len(words)],),
+            )
+            for k in range(24)
+        ]
+        prefix = vocab.encode("<extra_id_0>").ids
+        term = vocab.terminator_id
+        lm = TableLM(vocab)
+        for example in dataset:
+            source = vocab.encode(
+                render_encoder_input(template, example.context, example.question)
+            ).ids
+            answer = vocab.piece_id("▁" + example.answers[0])
+            lm.set_context((source, prefix), {answer: 0.9, term: 0.05, **{
+                i: 0.05 / (vocab.size - 2) for i in range(vocab.size) if i not in (answer, term)
+            }})
+            lm.set_context((source, prefix + (answer,)), {term: 0.9, **{
+                i: 0.1 / (vocab.size - 1) for i in range(vocab.size) if i != term
+            }})
+        serial = run_eval(dataset, lm, template, vocab)
+        assert serial.exact["overall"]["f1"] == serial.greedy["overall"]["f1"] == 1.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_eval(dataset, lm, template, vocab, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert parallel.to_dict() == serial.to_dict()
 
     def test_scorer_failure_is_skipped_and_recorded(self):

@@ -6,16 +6,22 @@
   protocol (batched with packed or JSON-list float replies, and per pass
   for a server without the batch op);
 - ``TableLM`` forced scores against a per-step lookup of the full
-  distribution.
+  distribution, also across sources and ``set_context`` calls;
+- ``Vocabulary.encode``, which looks whole words up when the word marker
+  only ever begins a piece, against greedy longest match over the whole
+  string.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, exact_extract, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
 from spandecode.scorer import NEG_INF, ScoreRequest, TableLM, logsumexp
-from spandecode.vocab import Vocabulary
+from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
 from conftest import LoopbackScorer, bare_vocab
 
@@ -140,13 +146,96 @@ def test_table_lm_forced_scores_match_per_step_lookup(model, data):
     target = passage.ids[i : data.draw(st.integers(i, n))]
     if data.draw(st.booleans()):
         target += (vocab.byte_id(data.draw(st.integers(0, 255))),)
-    scores = lm.teacher_forced_pass(ScoreRequest(source, vocab.seq(target), prefix))
+    assert_per_step(lm, source, prefix, vocab.seq(target))
 
+
+def assert_per_step(lm, source, prefix, target):
+    """One forced pass equals, bit for bit, a lookup of the full
+    distribution at every step."""
+    scores = lm.teacher_forced_pass(ScoreRequest(source, target, prefix))
     gold, term = [], []
     for k in range(len(target) + 1):
-        dist = lm._full_distribution(source, prefix.ids + target[:k])
+        dist = lm._full_distribution(source, prefix.ids + target.ids[:k])
         term.append(logsumexp(dist[t] for t in lm.terminator_ids))
         if k < len(target):
-            gold.append(dist[target[k]] if target[k] < vocab.size else NEG_INF)
+            gold.append(dist[target[k]] if target[k] < lm.vocab.size else NEG_INF)
     assert [g.hex() for g in scores.gold_logprob] == [g.hex() for g in gold]
     assert [t.hex() for t in scores.term_logprob] == [t.hex() for t in term]
+
+
+@pytest.mark.parametrize("a_ids, b_ids", [((), (0, 1)), ((0, 1), ()), ((2,), (0, 1))])
+def test_table_lm_source_lookup_follows_the_source_and_set_context(a_ids, b_ids):
+    # TableLM keeps the context table of the last source it looked up. B has
+    # pinned contexts from the start and is passed first, A has none until
+    # set_context gives it one right after a pass on A; the empty source,
+    # whose ids are the () singleton, is each of them once.
+    vocab = bare_vocab(4)
+    prefix, target = vocab.seq((0,)), vocab.seq((1, 2, 1))
+    lm = TableLM(vocab, contexts={
+        (b_ids, (0,)): {1: 0.5, 3: 0.5},
+        (b_ids, (0, 1)): {2: 0.25, 3: 0.75},
+        (0, 1, 2): {3: 1.0},
+    })
+    a, b = vocab.seq(a_ids), vocab.seq(b_ids)
+    for source in (b, a, b, vocab.seq(b_ids), a):
+        assert_per_step(lm, source, prefix, target)
+    lm.set_context((a_ids, (0,)), {1: 0.125, 3: 0.875})
+    assert_per_step(lm, a, prefix, target)
+    assert lm.teacher_forced_pass(ScoreRequest(a, target, prefix)).term_logprob[0] == (
+        math.log(0.875)
+    )
+    lm.set_context((b_ids, (0, 1)), {2: 0.5, 3: 0.5})
+    assert_per_step(lm, b, prefix, target)
+
+
+def probe_encode(vocab, text):
+    """The reference: greedy longest match over the whole marked string,
+    probe by probe, with per-byte fallback."""
+    if not text:
+        return ()
+    s = SPACE_MARKER + text.replace(" ", SPACE_MARKER)
+    longest = max(map(len, vocab.pieces))
+    ids, pos = [], 0
+    while pos < len(s):
+        for length in range(min(longest, len(s) - pos), 0, -1):
+            if s[pos : pos + length] in vocab.pieces:
+                ids.append(vocab.piece_id(s[pos : pos + length]))
+                pos += length
+                break
+        else:
+            ids.extend(vocab.byte_id(b) for b in s[pos].encode("utf-8"))
+            pos += 1
+    return tuple(ids)
+
+
+# Pieces that begin with the marker or hold none, and pieces that hold it
+# after their first character.
+WORD_PIECES = [
+    "", "a", "b", "ab", "ba", "aba", "é", "\n", "a\nb", "▁", "▁a", "▁b", "▁ab", "▁ba", "▁\n",
+]
+INNER_MARKER_PIECES = ["▁▁", "a▁", "b▁▁", "▁a▁b", "\n▁", "▁a▁"]
+
+
+@st.composite
+def encode_cases(draw):
+    inner = draw(st.booleans())
+    pool = WORD_PIECES + (INNER_MARKER_PIECES if inner else [])
+    extra = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1))
+    if inner and not any(SPACE_MARKER in p[1:] for p in extra):
+        extra.append(draw(st.sampled_from(INNER_MARKER_PIECES)))
+    vocab = Vocabulary(extra + SPECIALS, terminator="</s>", sentinels=SPECIALS[:2])
+    # Runs of spaces, a literal marker, a newline, characters only some
+    # vocabularies cover and two that none does (byte fallback).
+    text = draw(st.text(alphabet="ab  ▁\néz☃", max_size=16))
+    return vocab, inner, text
+
+
+@SETTINGS
+@given(encode_cases())
+def test_encode_equals_the_probe_loop(case):
+    vocab, inner, text = case
+    assert vocab._split_words is not inner
+    seq = vocab.encode(text)
+    assert seq == TokenSeq(probe_encode(vocab, text), vocab.vocab_id)
+    # The marker stands for a space, so a literal one decodes as a space.
+    assert vocab.decode(seq) == text.replace(SPACE_MARKER, " ")
