@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
 def _terminator_ids(vocab: Vocabulary, mode: str) -> frozenset[int]:
     sentinel = vocab.piece_id(CLOSE_SENTINEL) if CLOSE_SENTINEL in vocab.pieces else None
     if mode == "sentinel":
@@ -128,7 +139,7 @@ def build_parser() -> _Parser:
         f"(default: ${SCORER_URL_ENV})",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     parser.add_argument(
         "--terminator-mode", choices=("sentinel", "eos", "combined"), default="sentinel"
     )
@@ -138,14 +149,14 @@ def build_parser() -> _Parser:
     p.add_argument("--algo", choices=(GREEDY, "exact", NAIVE), default="exact")
     p.add_argument("--prompt-id", type=int, default=2)
     p.add_argument("--prompt-file", default=None)
-    p.add_argument("--max-span-len", type=int, default=None)
+    p.add_argument("--max-span-len", type=_positive_int, default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("eval", help="compare greedy and exact decoding on a dataset")
     p.add_argument("--prompt-id", type=int, default=2)
     p.add_argument("--prompt-file", default=None)
-    p.add_argument("--max-span-len", type=int, default=None)
+    p.add_argument("--max-span-len", type=_positive_int, default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="write the report JSON here")
 

@@ -87,28 +87,23 @@ def build_span_table(
 ) -> SpanScoreTable:
     """Fill the score table with exactly one teacher-forced pass per suffix.
 
-    The n passes share the source and prefix, so they go to the scorer as
-    one batch, which a remote scorer sends in one request. With
-    ``max_span_len`` K, the pass for suffix i forces only its first K
-    tokens, the longest span starting at i: still n passes, but about n*K
-    forced tokens instead of n(n+1)/2, and rows of at most K + 1 entries.
+    The n passes share the source, prefix and passage, so they go to the
+    scorer as one call, which a remote scorer sends as one request carrying
+    the passage once. With ``max_span_len`` K, the pass for suffix i forces
+    only its first K tokens, the longest span starting at i: still n
+    passes, but about n*K forced tokens instead of n(n+1)/2, and rows of at
+    most K + 1 entries.
     """
-    n = len(passage)
-    if n == 0:
-        raise ValueError("passage must contain at least one token")
-    cap = n if max_span_len is None else max_span_len
     ell: list[tuple[float, ...]] = []
     eterm: list[tuple[float, ...]] = []
     L: list[list[float]] = []
-    # Suffixes are made as the scorer takes them and rows keep the scorer's
-    # tuples: holding n suffixes, or copying every row, slows an in-process
-    # table by several percent, mostly in the cyclic garbage collector.
-    suffixes = (passage[i : i + cap] for i in range(n))
-    for scores in scorer.teacher_forced_batch(rendered_prompt, prefix, suffixes):
+    # Rows keep the scorer's tuples: copying every row slows an in-process
+    # table by several percent.
+    for scores in scorer.teacher_forced_suffixes(rendered_prompt, prefix, passage, max_span_len):
         ell.append(scores.gold_logprob)
         eterm.append(scores.term_logprob)
         L.append(list(accumulate(scores.gold_logprob, initial=0.0)))
-    return SpanScoreTable(n=n, ell=ell, eterm=eterm, L=L)
+    return SpanScoreTable(n=len(passage), ell=ell, eterm=eterm, L=L)
 
 
 def _span_candidates(n: int, cfg: DecodeConfig):

@@ -9,8 +9,22 @@ endpoint. One scoring pass per request:
     response: {"id": u64, "gold_logprob": [f64], "term_logprob": [f64]}
               or {"id": u64, "logits_logprob": [f64 of |V|]}
 
-Exact-extract's n suffix passes share one source and prefix, so they are
-sent as one batch, answered with one score list per target, in order:
+Exact-extract's n passes force the n suffixes of one passage after one
+source and prefix, so they are sent as one request that carries the
+passage once; the server builds the suffixes ``passage[i:i + K]`` itself,
+K being ``max_span_len`` or n when it is null:
+
+    request:  {"id": u64, "op": "teacher_forced_suffixes",
+               "source_ids": [u32], "prefix_ids": [u32],
+               "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null}
+    response: {"id": u64, "gold_logprob": [f64], "term_logprob": [f64]}
+
+Each reply list holds the n rows joined in order of i: row i has
+m_i = min(n - i, K) gold entries and m_i + 1 terminator entries, so the
+lengths are the sum of m_i and that sum plus n.
+
+A server may also take a batch of arbitrary targets, answered with one
+score list per target, in order:
 
     request:  {"id": u64, "op": "teacher_forced_batch",
                "source_ids": [u32], "prefix_ids": [u32], "targets": [[u32], ...]}
@@ -18,17 +32,19 @@ sent as one batch, answered with one score list per target, in order:
 
 A request may carry ``"floats": "b64-f64le"``. A server that knows the
 field then sends every float list of its reply (each ``[f64]`` above, one
-per target in a batch reply) as one base64 string of little-endian IEEE-754
-binary64 values instead: exact, like the JSON text, and several times
-cheaper to write and read. Servers may ignore the field and reply with
-lists; the client always sends it and reads either form.
+per target in a batch reply, one per field in a suffixes reply) as one
+base64 string of little-endian IEEE-754 binary64 values instead: exact,
+like the JSON text, and several times cheaper to write and read. Servers
+may ignore the field and reply with lists of JSON numbers; the client
+always sends it and reads either form.
 
 A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 (``null`` when the request's id could not be read), and the client raises
-``TransportError`` with the server's text. A server that answers
-``teacher_forced_batch`` with an error naming an unknown op speaks only the
-one-pass ops: the client then sends one ``teacher_forced`` request per
-target, and no more batches to that server.
+``TransportError`` with the server's text. A server that answers an op
+with an error naming an unknown op does not speak it, and the client steps
+down, once per scorer: from ``teacher_forced_suffixes`` to one
+``teacher_forced_batch`` per table, and from that to one
+``teacher_forced`` request per target.
 
 This module also provides a reference server (``python -m spandecode.remote``)
 that exposes a TableLM over stdio, used to exercise the protocol end to end.
@@ -56,7 +72,9 @@ from .scorer import (
     ScorerError,
     StepScores,
     TableLM,
+    _check_logprobs,
     check_step_scores,
+    suffix_cap,
 )
 from .vocab import TokenSeq, Vocabulary
 
@@ -72,13 +90,17 @@ def _pack(values) -> str:
 
 
 def _floats(field) -> tuple[float, ...]:
-    """A reply's float list, sent as a JSON list or packed; ValueError or
-    TypeError when it is neither."""
+    """A reply's float list, sent packed or as a JSON list of numbers;
+    ValueError or TypeError when it is neither, OverflowError for an integer
+    past the binary64 range."""
     if isinstance(field, str):
         raw = base64.b64decode(field, validate=True)
         if len(raw) % 8:
             raise ValueError(f"packed floats of {len(raw)} bytes, not a multiple of 8")
         return struct.unpack(f"<{len(raw) // 8}d", raw)
+    # Exact types: JSON's true and false are ints to Python.
+    if type(field) is not list or not all(type(v) is float or type(v) is int for v in field):
+        raise TypeError(f"not a list of numbers or a packed string: {field!r:.40}")
     return tuple(map(float, field))
 
 
@@ -97,7 +119,8 @@ class _WireScorer(Scorer):
         super().__init__(vocab, terminator_ids)
         self._next_id = 0
         self._id_lock = threading.Lock()
-        # False once the server has refused teacher_forced_batch as unknown.
+        # Each False once the server has refused the op as unknown.
+        self._suffixes = True
         self._batches = True
 
     def _take_id(self) -> int:
@@ -127,6 +150,69 @@ class _WireScorer(Scorer):
             raise TransportError(f"response id mismatch for request {req_id}")
         return reply
 
+    def _call_unless_unknown(self, op: str, source: TokenSeq, prefix: TokenSeq, **fields) -> dict | None:
+        """The reply to ``op``, or None when the server does not know it."""
+        try:
+            return self._call(op, source, prefix, **fields)
+        except _ServerError as exc:
+            if UNKNOWN_OP not in str(exc):
+                raise
+            return None
+
+    @staticmethod
+    def _read(reply: dict, op: str, *keys, read=_floats) -> list:
+        """``read`` applied to each field ``keys`` of a reply to ``op``; a
+        missing or malformed field raises TransportError."""
+        try:
+            return [read(reply[key]) for key in keys]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise TransportError(f"malformed {op} response: {exc}") from exc
+
+    def teacher_forced_suffixes(
+        self,
+        source: TokenSeq,
+        prefix: TokenSeq,
+        passage: TokenSeq,
+        max_span_len: int | None = None,
+    ) -> list[StepScores]:
+        """The whole suffix table in one ``teacher_forced_suffixes`` request,
+        still n counted passes; batched or per-pass requests for a server
+        that does not know the op."""
+        cap = suffix_cap(passage, max_span_len)
+        if self._suffixes:
+            for seq in (source, prefix, passage):
+                self._check_vocab(seq)
+            reply = self._call_unless_unknown(
+                "teacher_forced_suffixes", source, prefix,
+                passage_ids=list(passage.ids), max_span_len=max_span_len,
+            )
+            if reply is not None:
+                self._count_pass(len(passage))
+                return self._suffix_rows(reply, len(passage), cap)
+            self._suffixes = False
+        return super().teacher_forced_suffixes(source, prefix, passage, max_span_len)
+
+    def _suffix_rows(self, reply: dict, n: int, cap: int) -> list[StepScores]:
+        """The n rows of a suffixes reply, checked as a whole: the total
+        lengths, then every value."""
+        gold, term = self._read(reply, "teacher_forced_suffixes", "gold_logprob", "term_logprob")
+        lengths = [min(n - i, cap) for i in range(n)]
+        golds = sum(lengths)
+        if len(gold) != golds or len(term) != golds + n:
+            raise ScorerError(
+                f"scorer returned {len(gold)}/{len(term)} scores "
+                f"for a table of {golds}/{golds + n}"
+            )
+        _check_logprobs(gold, "forced log-probs")
+        _check_logprobs(term, "forced log-probs")
+        rows = []
+        g = t = 0
+        for m in lengths:
+            rows.append(StepScores(gold[g : g + m], term[t : t + m + 1]))
+            g += m
+            t += m + 1
+        return rows
+
     def teacher_forced_batch(
         self, source: TokenSeq, prefix: TokenSeq, targets: Iterable[TokenSeq]
     ) -> list[StepScores]:
@@ -134,48 +220,48 @@ class _WireScorer(Scorer):
         counted pass per target; per-pass requests for a server that does not
         know the op."""
         targets = list(targets)
-        if not self._batches:
-            return super().teacher_forced_batch(source, prefix, targets)
-        for seq in (source, prefix, *targets):
-            self._check_vocab(seq)
-        try:
-            reply = self._call(
+        if self._batches:
+            for seq in (source, prefix, *targets):
+                self._check_vocab(seq)
+            reply = self._call_unless_unknown(
                 "teacher_forced_batch", source, prefix, targets=[list(t.ids) for t in targets]
             )
-        except _ServerError as exc:
-            if UNKNOWN_OP not in str(exc):
-                raise
+            if reply is not None:
+                self._count_pass(len(targets))
+                return self._batch_rows(reply, targets)
             self._batches = False
-            return super().teacher_forced_batch(source, prefix, targets)
-        self._count_pass(len(targets))
-        try:
-            gold, term = reply["gold_logprob"], reply["term_logprob"]
-            rows = [StepScores(_floats(g), _floats(t)) for g, t in zip(gold, term)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed teacher_forced_batch response: {exc}") from exc
+        return super().teacher_forced_batch(source, prefix, targets)
+
+    def _batch_rows(self, reply: dict, targets: list[TokenSeq]) -> list[StepScores]:
+        def rows(field):
+            if type(field) is not list:
+                raise TypeError("expected a list of score lists")
+            return [_floats(row) for row in field]
+
+        gold, term = self._read(
+            reply, "teacher_forced_batch", "gold_logprob", "term_logprob", read=rows
+        )
         if len(gold) != len(targets) or len(term) != len(targets):
             raise ScorerError(
                 f"scorer returned {len(gold)}/{len(term)} score lists "
                 f"for {len(targets)} targets"
             )
-        return [check_step_scores(row, len(t)) for row, t in zip(rows, targets)]
+        return [
+            check_step_scores(StepScores(g, t), len(target))
+            for g, t, target in zip(gold, term, targets)
+        ]
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
         reply = self._call(
             "teacher_forced", req.source, req.forced_prefix,
             target_ids=list(req.forced_target.ids),
         )
-        try:
-            return StepScores(_floats(reply["gold_logprob"]), _floats(reply["term_logprob"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed teacher_forced response: {exc}") from exc
+        return StepScores(*self._read(reply, "teacher_forced", "gold_logprob", "term_logprob"))
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):
         reply = self._call("next_dist", source, prefix, target_ids=[])
-        try:
-            return list(_floats(reply["logits_logprob"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed next_dist response: {exc}") from exc
+        (dist,) = self._read(reply, "next_dist", "logits_logprob")
+        return list(dist)
 
 
 class RemoteScorer(_WireScorer):
@@ -309,9 +395,9 @@ def _answer(scorer: Scorer, req: dict) -> dict:
             "gold_logprob": floats(scores.gold_logprob),
             "term_logprob": floats(scores.term_logprob),
         }
+    # Tables are answered pass by pass: a scorer handed to serve (a wrapper,
+    # say) need implement only teacher_forced_pass and next_token_distribution.
     if op == "teacher_forced_batch":
-        # Answered pass by pass: a scorer handed to serve (a wrapper, say)
-        # need not implement teacher_forced_batch.
         rows = [
             scorer.teacher_forced_pass(ScoreRequest(source, vocab.seq(t), prefix))
             for t in req["targets"]
@@ -321,6 +407,17 @@ def _answer(scorer: Scorer, req: dict) -> dict:
             "gold_logprob": [floats(row.gold_logprob) for row in rows],
             "term_logprob": [floats(row.term_logprob) for row in rows],
         }
+    if op == "teacher_forced_suffixes":
+        passage = vocab.seq(req["passage_ids"])
+        cap = suffix_cap(passage, req["max_span_len"])
+        # The rows go out joined, row i after row i - 1, in one list each.
+        gold: list[float] = []
+        term: list[float] = []
+        for i in range(len(passage)):
+            row = scorer.teacher_forced_pass(ScoreRequest(source, passage[i : i + cap], prefix))
+            gold += row.gold_logprob
+            term += row.term_logprob
+        return {"id": req["id"], "gold_logprob": floats(gold), "term_logprob": floats(term)}
     if op == "next_dist":
         dist = scorer.next_token_distribution(source, prefix)
         return {"id": req["id"], "logits_logprob": floats(dist)}

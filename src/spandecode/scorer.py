@@ -96,6 +96,20 @@ def check_step_scores(scores: StepScores, m: int) -> StepScores:
     return scores
 
 
+def suffix_cap(passage: TokenSeq, max_span_len: int | None) -> int:
+    """The number of tokens forced per suffix of ``passage``: ``max_span_len``,
+    or n when uncapped. ValueError for an empty passage (a table needs at
+    least one token) or a cap that is not an integer >= 1."""
+    if not len(passage):
+        raise ValueError("passage must contain at least one token")
+    if max_span_len is None:
+        return len(passage)
+    # Exact type: a bool is an int to Python, and a cap read from JSON may be one.
+    if type(max_span_len) is not int or max_span_len < 1:
+        raise ValueError(f"max_span_len must be None or an integer >= 1, not {max_span_len!r}")
+    return max_span_len
+
+
 def logsumexp(values) -> float:
     values = [v for v in values]
     hi = max(values, default=NEG_INF)
@@ -149,6 +163,25 @@ class Scorer:
         counted pass per target. A transport can override this to send the
         source once for all targets."""
         return [self.teacher_forced_pass(ScoreRequest(source, t, prefix)) for t in targets]
+
+    def teacher_forced_suffixes(
+        self,
+        source: TokenSeq,
+        prefix: TokenSeq,
+        passage: TokenSeq,
+        max_span_len: int | None = None,
+    ) -> list[StepScores]:
+        """Score every suffix ``passage[i:i + K]`` after the same source and
+        prefix, in order of i, K being ``max_span_len`` or n when uncapped;
+        one counted pass per suffix. A transport can override this to send
+        the passage once instead of n targets."""
+        cap = suffix_cap(passage, max_span_len)
+        # Suffixes are made as the batch takes them: holding n suffixes
+        # slows an in-process table by several percent, mostly in the
+        # cyclic garbage collector.
+        return self.teacher_forced_batch(
+            source, prefix, (passage[i : i + cap] for i in range(len(passage)))
+        )
 
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):
         """Full next-token log-distribution after ``prefix``; one counted pass."""

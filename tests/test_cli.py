@@ -1,14 +1,17 @@
 import json
 import shlex
 import sys
+import time
 
 import pytest
 
-from spandecode import cli
+from spandecode import cli, harness
 from spandecode.cli import main
+from spandecode.mrqa import load_dataset
+from spandecode.prompting import get_template
 from spandecode.vocab import Vocabulary
 
-from conftest import TOY_PIECES
+from conftest import TOY_PIECES, LoopbackScorer
 
 
 @pytest.fixture
@@ -369,6 +372,89 @@ class TestExitCodes:
         assert code == expected
         (scorer,) = opened
         assert scorer._proc.poll() is not None
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-span-len", "0"],
+            ["--max-span-len", "-1"],
+            ["--max-span-len", "two"],
+            ["--jobs", "0"],
+            ["--jobs", "-1"],
+            ["--jobs", "two"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_below_one_is_usage_error(self, workspace, monkeypatch, capsys, command, flags):
+        # Rejected while parsing, so no scorer child is started.
+        opened = []
+        monkeypatch.setattr(cli, "make_scorer", lambda *args, **kwargs: opened.append(args))
+        child = shlex.join([sys.executable, "-m", "spandecode.remote", "--vocab",
+                            workspace["vocab"], "--table", workspace["table"].removeprefix("table:")])
+        argv = ["--vocab", workspace["vocab"], "--scorer", f"stdio:{child}", command,
+                "--input", workspace["dataset"], "--output", str(workspace["dir"] / "out")]
+        # --jobs belongs to the main parser, --max-span-len to the subcommand.
+        at = argv.index(command) + (flags[0] == "--max-span-len")
+        code = main(argv[:at] + flags + argv[at:])
+        assert code == 1
+        assert f"usage error: argument {flags[0]}: must be an integer >= 1" in capsys.readouterr().err
+        assert opened == []
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stdio_child_that_exits_after_k_requests(self, workspace, monkeypatch, command, k):
+        # Four questions on one passage; the child serves k request lines,
+        # then exits with its stdin still open.
+        dataset = workspace["dir"] / "four.jsonl"
+        qas = [{"qid": f"q{i}", "question": "who was active?", "answers": ["IRA"]} for i in range(4)]
+        dataset.write_text(json.dumps({"context": "the IRA was active", "qas": qas}) + "\n", encoding="utf-8")
+        table = workspace["table"].removeprefix("table:")
+        close_id = TOY_PIECES.index("<extra_id_1>")
+        child = [
+            sys.executable, "-c",
+            "import itertools, sys\n"
+            "from spandecode.remote import serve\n"
+            "from spandecode.scorer import TableLM\n"
+            "from spandecode.vocab import Vocabulary\n"
+            f"vocab = Vocabulary.from_file({workspace['vocab']!r})\n"
+            f"lm = TableLM.from_file({table!r}, vocab, terminator_ids={{{close_id}}})\n"
+            f"serve(lm, itertools.islice(sys.stdin, {k}), sys.stdout)\n",
+        ]
+        # The requests one eval example makes: its suffixes table and its
+        # greedy steps (1 + 2 here); decode makes one per example.
+        vocab = Vocabulary.from_file(workspace["vocab"])
+        wire = LoopbackScorer(cli.make_scorer(workspace["table"], vocab))
+        example = load_dataset(str(dataset))[0]
+        harness.evaluate_example(example, wire, get_template(2), vocab)
+        per_example = len(wire.sent) if command == "eval" else 1
+        done = k // per_example
+        opened = []
+        make_scorer = cli.make_scorer
+
+        def recording(*args, **kwargs):
+            opened.append(make_scorer(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "make_scorer", recording)
+        out = workspace["dir"] / "out.json"
+        start = time.monotonic()
+        code = main(["--vocab", workspace["vocab"], "--scorer", "stdio:" + shlex.join(child),
+                     command, "--input", str(dataset), "--output", str(out)])
+        # Far below the 30 s reply timeout: a dead child is seen at once.
+        assert time.monotonic() - start < 20
+        if command == "decode":
+            assert code == 3
+            assert len(out.read_text(encoding="utf-8").splitlines()) == done
+        elif done:
+            assert code == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert report["skipped_ids"] == [f"q{i}" for i in range(done, 4)]
+        else:
+            # Every example skipped.
+            assert code == 2
+        (scorer,) = opened
+        assert scorer._proc.returncode is not None
 
     def test_env_var_supplies_scorer(self, workspace, monkeypatch):
         monkeypatch.setenv("SPANDECODE_SCORER_URL", workspace["table"])

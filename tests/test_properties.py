@@ -3,8 +3,8 @@
 - ``find_span`` against the O(n^3) scan that decodes every (i, j) slice;
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
   cap and with and without the empty span, in process and over the wire
-  protocol (batched with packed or JSON-list float replies, and per pass
-  for a server without the batch op);
+  protocol at every op level (one suffixes request, with packed or
+  JSON-list float replies; one batch; one request per pass);
 - ``TableLM`` forced scores against a per-step lookup of the full
   distribution, also across sources and ``set_context`` calls;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
@@ -26,6 +26,7 @@ from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 from conftest import LoopbackScorer, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
+SUFFIXES, BATCH = "teacher_forced_suffixes", "teacher_forced_batch"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
 # the sentinels and the terminator.
@@ -118,13 +119,12 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         max_span_len=data.draw(st.sampled_from([None, *range(1, n + 2)])),
         allow_empty_span=data.draw(st.booleans()),
     )
-    # In process; over the wire in one batch, with packed or JSON-list float
-    # replies; or over the wire pass by pass to a server that refuses the
-    # batch op.
-    wire = data.draw(
-        st.sampled_from([None, {}, {"lists": True}, {"refuse": ("teacher_forced_batch",)}])
-    )
-    scorer = lm if wire is None else LoopbackScorer(lm, **wire)
+    # In process, or over the wire at every op level: one suffixes request,
+    # with packed or JSON-list float replies; a refused suffixes request and
+    # one batch; or both refused and then one request per pass.
+    refuse = data.draw(st.sampled_from([None, (), (SUFFIXES,), (SUFFIXES, BATCH)]))
+    lists = data.draw(st.booleans())
+    scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse, lists=lists)
     fast = exact_extract(passage, source, prefix, scorer, cfg)
     slow = naive_exact(passage, source, prefix, lm, cfg)
     assert (fast.start, fast.length, fast.span_logprob.hex()) == (
@@ -133,8 +133,10 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         slow.span_logprob.hex(),
     )
     assert fast.passes_used == n
-    if wire is not None:
-        assert len(scorer.sent) == (n + 1 if "refuse" in wire else 1)
+    if refuse is not None:
+        # 1, 1 + 1 or 1 + 1 + n requests.
+        steps = [[], [BATCH], [BATCH] + ["teacher_forced"] * n][len(refuse)]
+        assert scorer.ops() == [SUFFIXES] + steps
 
 
 @SETTINGS

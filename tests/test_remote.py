@@ -35,8 +35,9 @@ from conftest import TOY_PIECES, LoopbackScorer, bare_vocab
 # exact-extract must agree.
 CONFIGS = [
     DecodeConfig(max_span_len=cap, allow_empty_span=empty)
-    for cap, empty in itertools.product([None, 1, 3], [False, True])
+    for cap, empty in itertools.product([None, 1, 3, 8, 20], [False, True])
 ]
+SUFFIXES, BATCH = "teacher_forced_suffixes", "teacher_forced_batch"
 
 
 def write_fixture_files(tmp_path, vocab, table: dict):
@@ -72,7 +73,8 @@ def reference_setup(tmp_path):
 
 
 def assert_wire_matches_in_process(wire, local, vocab):
-    """exact_extract over ``wire`` equals ``local``'s bit for bit, in n passes."""
+    """exact_extract over ``wire`` equals ``local``'s bit for bit, in n passes,
+    with every table sent as one suffixes request."""
     passage = vocab.seq((1, 2, 0, 1, 2, 3, 4, 1))
     source = vocab.seq((0, 1))
     prefix = vocab.seq(())
@@ -85,6 +87,8 @@ def assert_wire_matches_in_process(wire, local, vocab):
             want.span_logprob.hex(),
         ), cfg
         assert got.passes_used == len(passage)
+    # No op was refused, so every table went as one suffixes request.
+    assert wire._suffixes and wire._batches
 
 
 class RecordingScorer(_WireScorer):
@@ -179,7 +183,7 @@ class TestWireFraming:
         with pytest.raises(ScorerError):
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", "teacher_forced_batch"])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", BATCH, SUFFIXES])
     @pytest.mark.parametrize("reply_id", ["same", None])
     def test_server_error_is_raised_verbatim(self, op, reply_id):
         vocab = bare_vocab(4)
@@ -193,7 +197,8 @@ class TestWireFraming:
         calls = {
             "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
             "next_dist": lambda: scorer.next_token_distribution(empty, empty),
-            "teacher_forced_batch": lambda: scorer.teacher_forced_batch(empty, empty, [target]),
+            BATCH: lambda: scorer.teacher_forced_batch(empty, empty, [target]),
+            SUFFIXES: lambda: scorer.teacher_forced_suffixes(empty, empty, target),
         }
         with pytest.raises(TransportError, match="model shard 3 is out of memory"):
             calls[op]()
@@ -206,8 +211,9 @@ class TestWireFraming:
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
 
-# Tamper helpers for batch replies: each decodes the entry it changes and
-# re-encodes it in the form it arrived in, packed or a JSON list.
+# Tamper helpers for batch replies, whose fields hold one score list per
+# target: each decodes the entry it changes and re-encodes it in the form it
+# arrived in, packed or a JSON list.
 def reencode(entry, values):
     return _pack(values) if isinstance(entry, str) else list(values)
 
@@ -246,8 +252,11 @@ def in_form(edit, packed):
     """``edit``, after checking that every entry arrived packed or as a list."""
 
     def checked(payload, reply):
-        if payload["op"] == "teacher_forced_batch":
-            entries = reply["gold_logprob"] + reply["term_logprob"]
+        if payload["op"] in (BATCH, SUFFIXES):
+            gold, term = reply["gold_logprob"], reply["term_logprob"]
+            # A batch reply field holds one entry per target; a suffixes
+            # reply field is one entry.
+            entries = gold + term if payload["op"] == BATCH else [gold, term]
             assert entries and all(isinstance(e, str) == packed for e in entries)
         return edit(payload, reply)
 
@@ -255,6 +264,8 @@ def in_form(edit, packed):
 
 
 class TestBatch:
+    """The batch op, which a server that refuses the suffixes op gets."""
+
     def setup_model(self):
         vocab = bare_vocab(6)
         term = vocab.terminator_id
@@ -279,16 +290,21 @@ class TestBatch:
             )
             return {
                 "id": payload["id"],
-                "gold_logprob": [row.gold_logprob for row in rows],
-                "term_logprob": [row.term_logprob for row in rows],
+                "gold_logprob": [list(row.gold_logprob) for row in rows],
+                "term_logprob": [list(row.term_logprob) for row in rows],
             }
 
-        # One scripted reply: a second request would find none.
-        wire = RecordingScorer(vocab, [answer])
+        def refuse(payload):
+            return {"id": payload["id"], "error": f"unknown op {payload['op']!r}"}
+
+        # The suffixes request refused, then one batch: a third request
+        # would find no scripted reply.
+        wire = RecordingScorer(vocab, [refuse, answer])
         passage = vocab.seq((1, 2, 3, 0, 1))
         source, prefix = vocab.seq((0, 1)), vocab.seq(())
         result = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=3))
-        (request,) = wire.sent
+        refused, request = wire.sent
+        assert refused["op"] == SUFFIXES
         assert request["op"] == "teacher_forced_batch"
         assert request["source_ids"] == [0, 1]
         assert request["prefix_ids"] == []
@@ -306,7 +322,7 @@ class TestBatch:
 
     def test_unknown_op_falls_back_to_single_passes_once(self):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={"teacher_forced_batch"})
+        wire = LoopbackScorer(lm, refuse={SUFFIXES, BATCH})
         passage = vocab.seq((1, 2, 3, 0))
         source, prefix = vocab.seq((0, 1)), vocab.seq(())
         want = exact_extract(passage, source, prefix, lm)
@@ -318,8 +334,8 @@ class TestBatch:
                 want.span_logprob.hex(),
             )
             assert got.passes_used == 4
-        assert wire.ops() == ["teacher_forced_batch"] + ["teacher_forced"] * 8
-        assert [p["target_ids"] for p in wire.sent[1:5]] == [[1, 2, 3, 0], [2, 3, 0], [3, 0], [0]]
+        assert wire.ops() == [SUFFIXES, BATCH] + ["teacher_forced"] * 8
+        assert [p["target_ids"] for p in wire.sent[2:6]] == [[1, 2, 3, 0], [2, 3, 0], [3, 0], [0]]
 
     def test_other_errors_raise_and_keep_batching(self):
         vocab, lm = self.setup_model()
@@ -331,19 +347,19 @@ class TestBatch:
                 return {"id": payload["id"], "error": "overloaded, retry later"}
             return reply
 
-        wire = LoopbackScorer(lm, edit=overloaded_once)
+        wire = LoopbackScorer(lm, refuse={SUFFIXES}, edit=overloaded_once)
         passage, empty = vocab.seq((1, 2)), vocab.seq(())
         with pytest.raises(TransportError, match="overloaded, retry later"):
             exact_extract(passage, empty, empty, wire)
         exact_extract(passage, empty, empty, wire)
-        assert wire.ops() == ["teacher_forced_batch"] * 2
+        assert wire.ops() == [SUFFIXES, BATCH, BATCH]
 
     @pytest.mark.parametrize(
         "edit, packed", both_forms(drop_last_entry, short_entry, nan_entry, positive_entry)
     )
     def test_invalid_entry_raises_scorer_error(self, edit, packed):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        wire = LoopbackScorer(lm, refuse={SUFFIXES}, edit=in_form(edit, packed), lists=not packed)
         passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
         with pytest.raises(ScorerError) as caught:
             exact_extract(passage, empty, empty, wire)
@@ -372,10 +388,155 @@ class TestBatch:
                 return edit(payload, reply)
             return reply
 
+        wire = LoopbackScorer(
+            TableLM.uniform(vocab), refuse={SUFFIXES}, edit=in_form(corrupt_album, packed), lists=not packed
+        )
+        report = run_eval(dataset, wire, template, vocab)
+        assert report.skipped_ids == ("q-album",)
+        assert report.exact["overall"]["count"] == 1
+
+
+# Tamper helpers for suffixes replies, whose fields each hold every row
+# joined: each re-encodes the field it changes in the form it arrived in.
+def short_total(payload, reply):
+    gold = reply["gold_logprob"]
+    return {**reply, "gold_logprob": reencode(gold, _floats(gold)[:-1])}
+
+
+def long_total(payload, reply):
+    term = reply["term_logprob"]
+    return {**reply, "term_logprob": reencode(term, _floats(term) + (-1.0,))}
+
+
+def nan_value(payload, reply):
+    gold = _floats(reply["gold_logprob"])
+    return {**reply, "gold_logprob": reencode(reply["gold_logprob"], gold[:1] + (float("nan"),) + gold[2:])}
+
+
+def positive_value(payload, reply):
+    term = _floats(reply["term_logprob"])
+    return {**reply, "term_logprob": reencode(reply["term_logprob"], term[:2] + (0.5,) + term[3:])}
+
+
+class TestSuffixes:
+    """The suffixes op: one request per table, the passage sent once."""
+
+    setup_model = TestBatch.setup_model
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_table_is_one_suffixes_request(self, cap):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        passage = vocab.seq((1, 2, 3, 0, 1))
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        result = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=cap))
+        (request,) = wire.sent
+        assert request["op"] == SUFFIXES
+        assert request["source_ids"] == [0, 1]
+        assert request["prefix_ids"] == []
+        assert request["passage_ids"] == [1, 2, 3, 0, 1]
+        assert request["max_span_len"] == cap
+        assert "targets" not in request and "target_ids" not in request
+        assert result.passes_used == 5 == wire.pass_count()
+
+    @pytest.mark.parametrize("lists", [False, True])
+    @pytest.mark.parametrize("cap", [None, 1, 2, 5, 6, 9])
+    def test_rows_equal_in_process_rows(self, lists, cap):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
+        source, prefix, passage = vocab.seq((0, 1)), vocab.seq((2,)), vocab.seq((1, 2, 3, 0, 1))
+        got = wire.teacher_forced_suffixes(source, prefix, passage, cap)
+        assert got == lm.teacher_forced_suffixes(source, prefix, passage, cap)
+        assert [len(row.gold_logprob) for row in got] == [min(5 - i, cap or 5) for i in range(5)]
+        assert wire.pass_count() == 5 and wire.ops() == [SUFFIXES]
+
+    def test_unknown_op_steps_down_to_batch_once(self):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse={SUFFIXES})
+        passage, source, prefix = vocab.seq((1, 2, 3, 0)), vocab.seq((0, 1)), vocab.seq(())
+        want = exact_extract(passage, source, prefix, lm, DecodeConfig(max_span_len=2))
+        for _ in range(2):
+            got = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=2))
+            assert (got.start, got.length, got.span_logprob.hex()) == (
+                want.start,
+                want.length,
+                want.span_logprob.hex(),
+            )
+            assert got.passes_used == 4
+        assert wire.ops() == [SUFFIXES, BATCH, BATCH]
+        assert wire.sent[1]["targets"] == [[1, 2], [2, 3], [3, 0], [0]]
+
+    def test_other_errors_raise_and_keep_the_op(self):
+        vocab, lm = self.setup_model()
+        calls = []
+
+        def overloaded_once(payload, reply):
+            calls.append(payload["op"])
+            if len(calls) == 1:
+                return {"id": payload["id"], "error": "overloaded, retry later"}
+            return reply
+
+        wire = LoopbackScorer(lm, edit=overloaded_once)
+        passage, empty = vocab.seq((1, 2)), vocab.seq(())
+        with pytest.raises(TransportError, match="overloaded, retry later"):
+            exact_extract(passage, empty, empty, wire)
+        exact_extract(passage, empty, empty, wire)
+        assert wire.ops() == [SUFFIXES, SUFFIXES]
+
+    @pytest.mark.parametrize(
+        "edit, packed", both_forms(short_total, long_total, nan_value, positive_value)
+    )
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_invalid_reply_raises_scorer_error(self, edit, packed, cap):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
+        with pytest.raises(ScorerError) as caught:
+            exact_extract(passage, empty, empty, wire, DecodeConfig(max_span_len=cap))
+        # The check of the scores caught it, not the decoding of the reply.
+        assert not isinstance(caught.value, TransportError)
+        assert wire.ops() == [SUFFIXES]
+
+    @pytest.mark.parametrize("field", ["gold_logprob", "term_logprob"])
+    def test_missing_field_is_transport_error(self, field):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=lambda p, r: {k: v for k, v in r.items() if k != field})
+        with pytest.raises(TransportError, match="malformed teacher_forced_suffixes"):
+            wire.teacher_forced_suffixes(vocab.seq(()), vocab.seq(()), vocab.seq((1,)))
+
+    @pytest.mark.parametrize("cap, passage", [(0, (1,)), (-1, (1,)), (None, ())])
+    def test_bad_table_raises_before_any_request(self, cap, passage):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        with pytest.raises(ValueError):
+            wire.teacher_forced_suffixes(vocab.seq(()), vocab.seq(()), vocab.seq(passage), cap)
+        with pytest.raises(ValueError):
+            lm.teacher_forced_suffixes(vocab.seq(()), vocab.seq(()), vocab.seq(passage), cap)
+        assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
+
+    @pytest.mark.parametrize(
+        "edit, packed", both_forms(short_total, nan_value, positive_value)
+    )
+    def test_invalid_reply_skips_the_example(self, edit, packed):
+        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
+        template = get_template(2)
+        dataset = [
+            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
+            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
+        ]
+        bad = dataset[1]
+        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
+
+        def corrupt_album(payload, reply):
+            if payload["op"] == SUFFIXES and payload["source_ids"] == bad_source:
+                return edit(payload, reply)
+            return reply
+
         wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
+        assert wire.ops().count(SUFFIXES) == 2
 
 
 # Valid log-probs at the edges of binary64: -inf, -0.0, the smallest
@@ -417,6 +578,12 @@ class TestFloatForms:
         assert bits(got.gold_logprob + got.term_logprob) == bits(want.gold_logprob + want.term_logprob)
         (row,) = wire.teacher_forced_batch(source, prefix, [target])
         assert bits(row.gold_logprob + row.term_logprob) == bits(want.gold_logprob + want.term_logprob)
+        for cap in (None, 2):
+            rows = wire.teacher_forced_suffixes(source, prefix, target, cap)
+            wanted = local.teacher_forced_suffixes(source, prefix, target, cap)
+            assert [bits(r.gold_logprob + r.term_logprob) for r in rows] == [
+                bits(r.gold_logprob + r.term_logprob) for r in wanted
+            ]
         got_dist = wire.next_token_distribution(source, prefix)
         assert bits(got_dist) == bits(local.next_token_distribution(source, prefix))
 
@@ -426,6 +593,7 @@ class TestFloatForms:
             {"op": "teacher_forced", "target_ids": [1, 2]},
             {"op": "teacher_forced_batch", "targets": [[1, 2], [], [3]]},
             {"op": "next_dist", "target_ids": []},
+            {"op": SUFFIXES, "passage_ids": [1, 2, 3], "max_span_len": 2},
         ],
     )
     def test_server_packs_only_when_asked(self, request_):
@@ -451,23 +619,60 @@ class TestFloatForms:
         "bad",
         ["not base64!", base64.b64encode(bytes(12)).decode("ascii"), "AAAAAAAAAAA", "é" * 8],
     )
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", "teacher_forced_batch"])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", BATCH, SUFFIXES])
     def test_malformed_packed_floats_raise_transport_error(self, bad, op):
-        vocab = bare_vocab(4)
-        fields = {
-            "teacher_forced": {"gold_logprob": bad, "term_logprob": _pack((-1.0, -1.0))},
-            "teacher_forced_batch": {"gold_logprob": [bad], "term_logprob": [_pack((-1.0, -1.0))]},
-            "next_dist": {"logits_logprob": bad},
-        }
-        scorer = RecordingScorer(vocab, [lambda p: {"id": p["id"], **fields[op]}])
-        empty, target = vocab.seq(()), vocab.seq((0,))
-        calls = {
-            "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
-            "next_dist": lambda: scorer.next_token_distribution(empty, empty),
-            "teacher_forced_batch": lambda: scorer.teacher_forced_batch(empty, empty, [target]),
-        }
         with pytest.raises(TransportError, match=f"malformed {op} response"):
-            calls[op]()
+            call_with_reply(op, gold=bad, term=_pack((-1.0, -1.0)), dist=bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # The first three read as valid log-probs if taken as floats;
+            # float() of the last raises OverflowError.
+            lambda m: [False] * m,
+            lambda m: ["-0.5"] * m,
+            lambda m: {str(-1 - k): 3 for k in range(m)},
+            lambda m: [None] * m,
+            lambda m: [[-1.0]] * m,
+            lambda m: [-(10**400)] * m,
+        ],
+        ids=["false", "numeric-string", "dict", "null", "nested-list", "huge-int"],
+    )
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", BATCH, SUFFIXES])
+    def test_non_numbers_raise_transport_error(self, bad, op):
+        # One gold and two terminator log-probs, or four in a distribution.
+        call_with_reply(op, gold=[-1], term=[-1.0, -1.0], dist=[-1.0] * 4)
+        with pytest.raises(TransportError, match=f"malformed {op} response"):
+            call_with_reply(op, gold=bad(1), term=[-1.0, -1.0], dist=bad(4))
+        with pytest.raises(TransportError, match=f"malformed {op} response"):
+            call_with_reply(op, gold=[-1.0], term=bad(2), dist=bad(4))
+
+    @pytest.mark.parametrize("field", [{"AAAAAAAA8L8=": 1}, _pack((-1.0,)), None, 3])
+    def test_batch_reply_that_is_not_a_list_of_rows_raises(self, field):
+        with pytest.raises(TransportError, match=f"malformed {BATCH} response"):
+            call_with_reply(BATCH, gold=field, term=[_pack((-1.0, -1.0))], nest=False)
+
+
+def call_with_reply(op, gold, term, dist=None, nest=True):
+    """Make a one-token ``op`` call on a wire scorer over a 4-piece vocabulary
+    whose server replies with ``gold`` and ``term`` (one row of a batch
+    reply, with ``nest``) or the distribution ``dist``."""
+    vocab = bare_vocab(4)
+    fields = {
+        "teacher_forced": {"gold_logprob": gold, "term_logprob": term},
+        BATCH: {"gold_logprob": [gold] if nest else gold, "term_logprob": [term] if nest else term},
+        SUFFIXES: {"gold_logprob": gold, "term_logprob": term},
+        "next_dist": {"logits_logprob": dist},
+    }
+    scorer = RecordingScorer(vocab, [lambda p: {"id": p["id"], **fields[op]}])
+    empty, target = vocab.seq(()), vocab.seq((0,))
+    calls = {
+        "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
+        "next_dist": lambda: scorer.next_token_distribution(empty, empty),
+        BATCH: lambda: scorer.teacher_forced_batch(empty, empty, [target]),
+        SUFFIXES: lambda: scorer.teacher_forced_suffixes(empty, empty, target),
+    }
+    return calls[op]()
 
 
 class ForwardingScorer:
@@ -490,6 +695,10 @@ class NanTableLM(TableLM):
     def _score_forced(self, req):
         scores = super()._score_forced(req)
         return StepScores((float("nan"),) * len(scores.gold_logprob), scores.term_logprob)
+
+
+# A valid suffixes request: an uncapped table of two tokens.
+SUFFIXES_LINE = {"id": 3, "op": SUFFIXES, "source_ids": [0], "prefix_ids": [], "passage_ids": [0, 1], "max_span_len": None}
 
 
 class TestServe:
@@ -570,6 +779,59 @@ class TestServe:
         assert forwarding.forced_calls == 3
         assert lm.pass_count() == 3
 
+    @pytest.mark.parametrize("cap", [None, 2, 3, 7])
+    def test_teacher_forced_suffixes_reply_shape(self, cap):
+        vocab = bare_vocab(5)
+        lm = TableLM.uniform(vocab)
+        forwarding = ForwardingScorer(lm)
+        request = {
+            "id": 9, "op": SUFFIXES, "source_ids": [0], "prefix_ids": [1],
+            "passage_ids": [1, 2, 3], "max_span_len": cap,
+        }
+        (reply,) = self.run(forwarding, [request])
+        assert reply["id"] == 9
+        k = cap or 3
+        rows = [lm.teacher_forced_pass(ScoreRequest(vocab.seq((0,)), vocab.seq((1, 2, 3)[i : i + k]), vocab.seq((1,)))) for i in range(3)]
+        # The rows joined in order: min(3 - i, K) gold entries, one more terminator.
+        assert reply["gold_logprob"] == [v for row in rows for v in row.gold_logprob]
+        assert reply["term_logprob"] == [v for row in rows for v in row.term_logprob]
+        assert len(reply["gold_logprob"]) == sum(min(3 - i, k) for i in range(3))
+        # Answered pass by pass through teacher_forced_pass.
+        assert forwarding.forced_calls == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {**SUFFIXES_LINE, "max_span_len": 0},
+            {**SUFFIXES_LINE, "max_span_len": -1},
+            {**SUFFIXES_LINE, "max_span_len": True},
+            {**SUFFIXES_LINE, "max_span_len": 1.0},
+            {**SUFFIXES_LINE, "max_span_len": "3"},
+            {**SUFFIXES_LINE, "max_span_len": [2]},
+            {k: v for k, v in SUFFIXES_LINE.items() if k != "passage_ids"},
+            {k: v for k, v in SUFFIXES_LINE.items() if k != "max_span_len"},
+            {**SUFFIXES_LINE, "passage_ids": []},
+            {**SUFFIXES_LINE, "passage_ids": [0, 999]},
+            {**SUFFIXES_LINE, "passage_ids": [0, -1]},
+            {**SUFFIXES_LINE, "passage_ids": [0, True]},
+            {**SUFFIXES_LINE, "passage_ids": [0, 1.0]},
+            {**SUFFIXES_LINE, "passage_ids": 3},
+        ],
+        ids=[
+            "cap-0", "cap-negative", "cap-true", "cap-float", "cap-string", "cap-list",
+            "no-passage", "no-cap", "empty-passage", "id-out-of-range", "id-negative",
+            "id-true", "id-float", "passage-not-a-list",
+        ],
+    )
+    def test_bad_suffixes_line_gets_an_error_and_serving_goes_on(self, bad):
+        vocab = bare_vocab(5)
+        good = {**SUFFIXES_LINE, "id": 4, "max_span_len": 1}
+        error, answer = self.run(TableLM.uniform(vocab), [bad, good])
+        assert error["id"] == 3
+        assert isinstance(error["error"], str) and error["error"]
+        assert answer["id"] == 4
+        assert len(answer["gold_logprob"]) == 2 and len(answer["term_logprob"]) == 4
+
     @pytest.mark.parametrize(
         "bad_line, error_id",
         [
@@ -611,6 +873,11 @@ class TestServe:
         assert "NaN" in replies[0]["error"]
         assert "NaN" in replies[1]["error"]
         assert len(replies[2]["logits_logprob"]) == 5
+        (reply,) = self.run(
+            NanTableLM.uniform(vocab),
+            [{"id": 4, "op": SUFFIXES, "source_ids": [], "prefix_ids": [], "passage_ids": [0], "max_span_len": None}],
+        )
+        assert reply["id"] == 4 and "NaN" in reply["error"]
 
 
 class TestStdioScorer:
