@@ -289,7 +289,7 @@ def cmd_select_hp(args) -> int:
     try:
         best = harness.select_hyperparameters(table)
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(f"{args.scores}: {exc}") from exc
     print(best)
     return EXIT_OK
 
@@ -313,8 +313,18 @@ def cmd_rss_gen(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.input, encoding="utf-8") as f:
-        report = harness.EvalReport.from_dict(json.load(f))
-    print(report.render_table())
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{args.input}: invalid JSON: {exc}") from exc
+    # A missing or mistyped field fails in reading the report or in rendering it.
+    try:
+        table = harness.EvalReport.from_dict(obj).render_table()
+    except KeyError as exc:
+        raise DataError(f"{args.input}: report has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{args.input}: malformed report: {exc}") from exc
+    print(table)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .scorer import NEG_INF, ScoreRequest, Scorer
+from .scorer import NEG_INF, ScoreRequest, Scorer, positive_int
 from .vocab import TokenSeq
 
 GREEDY = "greedy"
@@ -28,10 +28,9 @@ class DecodeConfig:
     allow_empty_span: bool = False
 
     def __post_init__(self):
-        if self.max_greedy_steps < 1:
-            raise ValueError("max_greedy_steps must be >= 1")
-        if self.max_span_len is not None and self.max_span_len < 1:
-            raise ValueError("max_span_len must be >= 1 when set")
+        positive_int(self.max_greedy_steps, "max_greedy_steps")
+        if self.max_span_len is not None:
+            positive_int(self.max_span_len, "max_span_len")
 
 
 @dataclass
@@ -207,31 +206,25 @@ def greedy_decode(
 ) -> DecodeResult:
     """Argmax one token at a time until a terminator token or the step cap.
 
-    When ``passage`` is given, the output is matched back to a passage span
-    (token-level, via the span search in the metrics module); outputs with
-    no matching span are marked non-extractive.
+    The steps come from one ``scorer.greedy_steps`` call, which a remote
+    scorer answers with one request. When ``passage`` is given, the output
+    is matched back to a passage span (token-level, via the span search in
+    the metrics module); outputs with no matching span are marked
+    non-extractive.
     """
     from .metrics import find_span
 
     before = scorer.pass_count()
     vocab = scorer.vocab
-    context = prefix.ids
-    emitted: list[int] = []
+    steps = scorer.greedy_steps(rendered_prompt, prefix, cfg.max_greedy_steps)
+    # Summed in step order from 0.0, as the steps were taken.
     logprob = 0.0
-    truncated = True
-    for _ in range(cfg.max_greedy_steps):
-        dist = scorer.next_token_distribution(
-            rendered_prompt, TokenSeq(context, prefix.vocab_id)
-        )
-        # The first maximum is the lowest id among tied tokens.
-        top = max(dist)
-        token = dist.index(top)
+    for _, top in steps:
         logprob += top
-        if token in scorer.terminator_ids:
-            truncated = False
-            break
-        emitted.append(token)
-        context += (token,)
+    emitted = [token for token, _ in steps]
+    truncated = emitted[-1] not in scorer.terminator_ids
+    if not truncated:
+        emitted.pop()
     text = vocab.decode(emitted)
     start = length = None
     extractive = False

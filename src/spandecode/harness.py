@@ -43,6 +43,8 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalReport":
+        if not isinstance(obj, dict):
+            raise DataError(f"a report is a JSON object, not {type(obj).__name__}")
         return cls(
             num_examples=obj["num_examples"],
             num_skipped=obj["num_skipped"],
@@ -170,15 +172,23 @@ def select_hyperparameters(scores) -> int:
     """
     if not scores:
         raise ValueError("score table must be non-empty")
+    arrays = (list, tuple)
+    if not all(isinstance(row, arrays) and all(isinstance(cell, arrays) for cell in row) for row in scores):
+        raise ValueError("score table must be a 3-dimensional array")
     num_sizes = len(scores[0])
     if num_sizes == 0:
         raise ValueError("score table must cover at least one training size")
     num_samples = len(scores[0][0])
+    if num_samples == 0:
+        raise ValueError("score table must hold at least one score per training size")
     for row in scores:
         if len(row) != num_sizes or any(len(cell) != num_samples for cell in row):
             raise ValueError("inconsistent score table dimensions")
         for cell in row:
             for value in cell:
+                # Exact types: JSON's true and false are ints to Python.
+                if type(value) not in (int, float):
+                    raise ValueError(f"score {value!r} is not a number")
                 if not 0 <= value <= 100:
                     raise ValueError(f"score {value!r} outside [0, 100]")
 
@@ -198,7 +208,10 @@ def select_hyperparameters(scores) -> int:
 
 def load_score_table(path) -> list:
     with open(path, encoding="utf-8") as f:
-        table = json.load(f)
+        try:
+            table = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(table, list):
-        raise DataError("score table file must hold a 3-dimensional JSON array")
+        raise DataError(f"{path}: score table file must hold a 3-dimensional JSON array")
     return table

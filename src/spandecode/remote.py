@@ -30,6 +30,21 @@ score list per target, in order:
                "source_ids": [u32], "prefix_ids": [u32], "targets": [[u32], ...]}
     response: {"id": u64, "gold_logprob": [[f64], ...], "term_logprob": [[f64], ...]}
 
+Greedy decoding's whole loop is one request; the server runs it over
+``next_dist``'s distributions, taking each step's argmax (the lowest id
+among tied maxima) and stopping after a token in the client's
+``terminator_ids`` or after ``max_steps`` steps:
+
+    request:  {"id": u64, "op": "greedy", "source_ids": [u32], "prefix_ids": [u32],
+               "terminator_ids": [u32], "max_steps": u32 >= 1}
+    response: {"id": u64, "token_ids": [u32 of k], "logprob": [f64 of k]}
+
+``logprob[s]`` is the log-probability of ``token_ids[s]``, the step's
+maximum. The client counts k passes, one per step, after checking that
+1 <= k <= max_steps, that every id is a piece id, that no terminator comes
+before the last step and that the last step is one when k < max_steps, and
+that every value is a log-probability.
+
 A request may carry ``"floats": "b64-f64le"``. A server that knows the
 field then sends every float list of its reply (each ``[f64]`` above, one
 per target in a batch reply, one per field in a suffixes reply) as one
@@ -44,7 +59,8 @@ A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 with an error naming an unknown op does not speak it, and the client steps
 down, once per scorer: from ``teacher_forced_suffixes`` to one
 ``teacher_forced_batch`` per table, and from that to one
-``teacher_forced`` request per target.
+``teacher_forced`` request per target; from ``greedy`` to one
+``next_dist`` request per step.
 
 This module also provides a reference server (``python -m spandecode.remote``)
 that exposes a TableLM over stdio, used to exercise the protocol end to end.
@@ -73,7 +89,9 @@ from .scorer import (
     StepScores,
     TableLM,
     _check_logprobs,
+    argmax_steps,
     check_step_scores,
+    positive_int,
     suffix_cap,
 )
 from .vocab import TokenSeq, Vocabulary
@@ -122,6 +140,7 @@ class _WireScorer(Scorer):
         # Each False once the server has refused the op as unknown.
         self._suffixes = True
         self._batches = True
+        self._greedy = True
 
     def _take_id(self) -> int:
         with self._id_lock:
@@ -250,6 +269,53 @@ class _WireScorer(Scorer):
             check_step_scores(StepScores(g, t), len(target))
             for g, t, target in zip(gold, term, targets)
         ]
+
+    def greedy_steps(self, source: TokenSeq, prefix: TokenSeq, max_steps: int) -> list[tuple[int, float]]:
+        """The whole greedy loop in one ``greedy`` request, still one counted
+        pass per step; one ``next_dist`` request per step for a server that
+        does not know the op."""
+        positive_int(max_steps, "max_steps")
+        if self._greedy:
+            self._check_vocab(source)
+            self._check_vocab(prefix)
+            reply = self._call_unless_unknown(
+                "greedy", source, prefix,
+                terminator_ids=sorted(self.terminator_ids), max_steps=max_steps,
+            )
+            if reply is not None:
+                steps = self._greedy_steps(reply, max_steps)
+                self._count_pass(len(steps))
+                return steps
+            self._greedy = False
+        return super().greedy_steps(source, prefix, max_steps)
+
+    def _greedy_steps(self, reply: dict, max_steps: int) -> list[tuple[int, float]]:
+        """The k steps of a greedy reply, checked: 1 <= k <= max_steps, one
+        log-prob per step, piece ids, a terminator only at the end and there
+        unless the loop ran out of steps, every value a log-probability."""
+        def ids(field):
+            # Exact types: JSON's true and false are ints to Python.
+            if type(field) is not list or not all(type(t) is int for t in field):
+                raise TypeError(f"not a list of token ids: {field!r:.40}")
+            return field
+
+        (tokens,) = self._read(reply, "greedy", "token_ids", read=ids)
+        (logprob,) = self._read(reply, "greedy", "logprob")
+        k = len(tokens)
+        if not 1 <= k <= max_steps or len(logprob) != k:
+            raise ScorerError(
+                f"scorer returned {k} tokens and {len(logprob)} log-probs "
+                f"for a greedy loop of 1 to {max_steps} steps"
+            )
+        if not all(0 <= t < self.vocab.size for t in tokens):
+            raise ScorerError(f"greedy token ids {tokens!r:.60} leave the piece vocabulary")
+        stops = self.terminator_ids
+        if any(t in stops for t in tokens[:-1]):
+            raise ScorerError("greedy steps go on past a terminator")
+        if k < max_steps and tokens[-1] not in stops:
+            raise ScorerError(f"greedy steps stop after {k} of {max_steps} without a terminator")
+        _check_logprobs(logprob, "greedy log-probs")
+        return list(zip(tokens, logprob))
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
         reply = self._call(
@@ -421,6 +487,17 @@ def _answer(scorer: Scorer, req: dict) -> dict:
     if op == "next_dist":
         dist = scorer.next_token_distribution(source, prefix)
         return {"id": req["id"], "logits_logprob": floats(dist)}
+    if op == "greedy":
+        # The client's terminator set decides where the loop stops.
+        stops = req["terminator_ids"]
+        if type(stops) is not list or not all(type(t) is int and 0 <= t < vocab.size for t in stops):
+            raise ValueError(f"terminator_ids must be a list of piece ids, not {stops!r:.40}")
+        steps = argmax_steps(scorer, source, prefix, frozenset(stops), req["max_steps"])
+        return {
+            "id": req["id"],
+            "token_ids": [token for token, _ in steps],
+            "logprob": floats([top for _, top in steps]),
+        }
     return {"id": req["id"], "error": f"{UNKNOWN_OP} {op!r}"}
 
 

@@ -96,18 +96,46 @@ def check_step_scores(scores: StepScores, m: int) -> StepScores:
     return scores
 
 
+def positive_int(value, name: str) -> int:
+    """``value`` if it is an integer >= 1, else ValueError naming ``name``.
+    Exact type: a bool is an int to Python, and a value read from JSON may
+    be one, or a float such as 1.0."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+    return value
+
+
 def suffix_cap(passage: TokenSeq, max_span_len: int | None) -> int:
     """The number of tokens forced per suffix of ``passage``: ``max_span_len``,
     or n when uncapped. ValueError for an empty passage (a table needs at
-    least one token) or a cap that is not an integer >= 1."""
+    least one token) or a cap that is not None or an integer >= 1."""
     if not len(passage):
         raise ValueError("passage must contain at least one token")
     if max_span_len is None:
         return len(passage)
-    # Exact type: a bool is an int to Python, and a cap read from JSON may be one.
-    if type(max_span_len) is not int or max_span_len < 1:
-        raise ValueError(f"max_span_len must be None or an integer >= 1, not {max_span_len!r}")
-    return max_span_len
+    return positive_int(max_span_len, "max_span_len")
+
+
+def argmax_steps(scorer, source: TokenSeq, prefix: TokenSeq, terminator_ids, max_steps: int):
+    """Greedy decoding's steps after ``prefix``, as (token, log-probability)
+    pairs: each step takes the argmax of ``scorer.next_token_distribution``
+    (the lowest id among tied maxima) and the loop stops after a token in
+    ``terminator_ids`` or after ``max_steps`` steps. One pass per step.
+
+    ``scorer`` needs only ``next_token_distribution``, so that a server can
+    run the loop over any scorer handed to it."""
+    positive_int(max_steps, "max_steps")
+    context = prefix.ids
+    steps: list[tuple[int, float]] = []
+    for _ in range(max_steps):
+        dist = scorer.next_token_distribution(source, TokenSeq(context, prefix.vocab_id))
+        top = max(dist)
+        token = dist.index(top)
+        steps.append((token, top))
+        if token in terminator_ids:
+            break
+        context += (token,)
+    return steps
 
 
 def logsumexp(values) -> float:
@@ -195,6 +223,12 @@ class Scorer:
             )
         _check_logprobs(dist, "next-token log-probs")
         return dist
+
+    def greedy_steps(self, source: TokenSeq, prefix: TokenSeq, max_steps: int) -> list[tuple[int, float]]:
+        """Greedy decoding's (token, log-probability) steps after ``prefix``,
+        ending at a terminator or after ``max_steps``; one counted pass per
+        step. A transport can override this to run the loop server-side."""
+        return argmax_steps(self, source, prefix, self.terminator_ids, max_steps)
 
     def close(self) -> None:
         """Release what the scorer holds open; nothing by default."""

@@ -144,6 +144,19 @@ class TestEval:
         assert main(["report", "--input", str(out)]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"num_examples": 1}', "[1]", '{"num_examples": 1, "num_skipped": 0, "skipped_ids": [], '
+         '"greedy": {"overall": 3}, "exact": {}}', "{"],
+        ids=["missing-field", "not-an-object", "bad-aggregate", "invalid-json"],
+    )
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["report", "--input", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and str(path) in line
+
 
 class TestSubsample:
     def dataset(self, tmp_path, count):
@@ -243,6 +256,14 @@ class TestSelectHp:
         scores.write_text('{"oops": true}')
         assert main(["select-hp", "--scores", str(scores)]) == 2
 
+    @pytest.mark.parametrize("table", ["[[[]]]", "[[1]]", '[["x"]]', "[[[50, null]]]", "[[[true]]]", "[["])
+    def test_malformed_table_is_one_data_error_line(self, tmp_path, capsys, table):
+        scores = tmp_path / "scores.json"
+        scores.write_text(table)
+        assert main(["select-hp", "--scores", str(scores)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and str(scores) in line
+
 
 class TestRssGen:
     def test_deterministic_generation(self, tmp_path, capsys):
@@ -313,32 +334,49 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_nan_scores_are_a_scorer_error(self, workspace, capsys):
-        # A well-formed reply whose scores are NaN is refused at the scorer
-        # boundary, with the same exit code as a transport fault. The server
-        # knows only the one-pass teacher_forced op, so the client falls
-        # back to it after its batch request is refused.
+    def nan_server(self, workspace) -> str:
+        """The command of a server that knows only the one-pass ops and
+        answers each with NaN scores: forced gold log-probs, or a whole
+        distribution over the 16 toy pieces."""
         server = workspace["dir"] / "nan_server.py"
         server.write_text(
             "import json, sys\n"
             "for line in sys.stdin:\n"
             "    req = json.loads(line)\n"
-            "    if req['op'] != 'teacher_forced':\n"
-            "        reply = {'id': req['id'], 'error': 'unknown op %r' % req['op']}\n"
-            "    else:\n"
+            "    if req['op'] == 'teacher_forced':\n"
             "        n = len(req['target_ids'])\n"
             "        reply = {'id': req['id'], 'gold_logprob': [float('nan')] * n,\n"
             "                 'term_logprob': [-1.0] * (n + 1)}\n"
+            "    elif req['op'] == 'next_dist':\n"
+            "        reply = {'id': req['id'], 'logits_logprob': [float('nan')] * 16}\n"
+            "    else:\n"
+            "        reply = {'id': req['id'], 'error': 'unknown op %r' % req['op']}\n"
             "    print(json.dumps(reply), flush=True)\n",
             encoding="utf-8",
         )
-        command = shlex.join([sys.executable, str(server)])
+        return shlex.join([sys.executable, str(server)])
+
+    def test_nan_scores_are_a_scorer_error(self, workspace, capsys):
+        # A well-formed reply whose scores are NaN is refused at the scorer
+        # boundary, with the same exit code as a transport fault. The server
+        # knows only the one-pass ops, so the client falls back to
+        # teacher_forced after its suffixes and batch requests are refused.
         code = main(
-            ["--vocab", workspace["vocab"], "--scorer", f"stdio:{command}",
+            ["--vocab", workspace["vocab"], "--scorer", f"stdio:{self.nan_server(workspace)}",
              "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
         )
         assert code == 3
         assert "NaN" in capsys.readouterr().err
+
+    def test_nan_distribution_after_greedy_step_down_is_a_scorer_error(self, workspace, capsys):
+        # The greedy request is refused, and the NaN comes back in the first
+        # next_dist distribution.
+        code = main(
+            ["--vocab", workspace["vocab"], "--scorer", f"stdio:{self.nan_server(workspace)}",
+             "decode", "--algo", "greedy", "--input", workspace["dataset"], "--output", "/dev/null"]
+        )
+        assert code == 3
+        assert "next-token log-probs hold NaN" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["decode", "eval"])
     @pytest.mark.parametrize("healthy", [True, False])

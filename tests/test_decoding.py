@@ -244,3 +244,14 @@ class TestConfigValidation:
     def test_bad_span_cap(self):
         with pytest.raises(ValueError):
             DecodeConfig(max_span_len=0)
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "3", -1, None])
+    def test_greedy_steps_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="max_greedy_steps"):
+            DecodeConfig(max_greedy_steps=value)
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "3", -1])
+    def test_span_cap_must_be_an_int_or_none(self, value):
+        with pytest.raises(ValueError, match="max_span_len"):
+            DecodeConfig(max_span_len=value)
+        assert DecodeConfig(max_span_len=None).max_span_len is None

@@ -5,6 +5,9 @@
   cap and with and without the empty span, in process and over the wire
   protocol at every op level (one suffixes request, with packed or
   JSON-list float replies; one batch; one request per pass);
+- ``greedy_decode`` over the wire against in process, bit for bit, at
+  every op level (one greedy request, with packed or JSON-list float
+  replies; a refused greedy request and one ``next_dist`` per step);
 - ``TableLM`` forced scores against a per-step lookup of the full
   distribution, also across sources and ``set_context`` calls;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spandecode.decoding import DecodeConfig, exact_extract, naive_exact
+from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
 from spandecode.scorer import NEG_INF, ScoreRequest, TableLM, logsumexp
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
@@ -26,7 +29,7 @@ from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 from conftest import LoopbackScorer, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
-SUFFIXES, BATCH = "teacher_forced_suffixes", "teacher_forced_batch"
+SUFFIXES, BATCH, GREEDY = "teacher_forced_suffixes", "teacher_forced_batch", "greedy"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
 # the sentinels and the terminator.
@@ -137,6 +140,56 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         # 1, 1 + 1 or 1 + 1 + n requests.
         steps = [[], [BATCH], [BATCH] + ["teacher_forced"] * n][len(refuse)]
         assert scorer.ops() == [SUFFIXES] + steps
+
+
+@st.composite
+def greedy_models(draw):
+    """A TableLM with integer-weighted distributions (so maxima tie often),
+    one or two terminator ids, and contexts on random greedy-reachable
+    prefixes under any source and pinned to the source."""
+    size = draw(st.integers(3, 7))
+    vocab = bare_vocab(size)
+    token = st.integers(0, size - 1)
+    stops = draw(st.sets(token, min_size=1, max_size=2))
+    source = vocab.seq(draw(st.lists(token, max_size=3)))
+    prefix = vocab.seq(draw(st.lists(token, max_size=2)))
+
+    def dist():
+        weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        if not any(weights):
+            weights[-1] = 1
+        return {t: w / sum(weights) for t, w in enumerate(weights) if w}
+
+    def key():
+        context = prefix.ids + tuple(draw(st.lists(token, max_size=4)))
+        return (source.ids, context) if draw(st.booleans()) else context
+
+    contexts = {key(): dist() for _ in range(draw(st.integers(0, 6)))}
+    lm = TableLM(vocab, contexts=contexts, default=dist(), terminator_ids=stops)
+    return vocab, lm, source, prefix
+
+
+@SETTINGS
+@given(greedy_models(), st.data())
+def test_greedy_over_the_wire_equals_in_process(model, data):
+    vocab, lm, source, prefix = model
+    cfg = DecodeConfig(max_greedy_steps=data.draw(st.integers(1, 8)))
+    # One greedy request, with packed or JSON-list float replies; or a
+    # refused greedy request and then one next_dist request per step.
+    refuse = data.draw(st.sampled_from([(), (GREEDY,)]))
+    wire = LoopbackScorer(lm, refuse=refuse, lists=data.draw(st.booleans()))
+    got = greedy_decode(source, prefix, wire, cfg)
+    want = greedy_decode(source, prefix, lm, cfg)
+    assert (got.text, got.token_ids, got.truncated, got.passes_used, got.span_logprob.hex()) == (
+        want.text,
+        want.token_ids,
+        want.truncated,
+        want.passes_used,
+        want.span_logprob.hex(),
+    )
+    k = want.passes_used
+    assert 1 <= k <= cfg.max_greedy_steps and wire.pass_count() == k
+    assert wire.ops() == [GREEDY] + ["next_dist"] * k * len(refuse)
 
 
 @SETTINGS

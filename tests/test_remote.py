@@ -2,6 +2,7 @@ import base64
 import io
 import itertools
 import json
+import math
 import shlex
 import struct
 import subprocess
@@ -37,7 +38,7 @@ CONFIGS = [
     DecodeConfig(max_span_len=cap, allow_empty_span=empty)
     for cap, empty in itertools.product([None, 1, 3, 8, 20], [False, True])
 ]
-SUFFIXES, BATCH = "teacher_forced_suffixes", "teacher_forced_batch"
+SUFFIXES, BATCH, GREEDY = "teacher_forced_suffixes", "teacher_forced_batch", "greedy"
 
 
 def write_fixture_files(tmp_path, vocab, table: dict):
@@ -258,6 +259,8 @@ def in_form(edit, packed):
             # reply field is one entry.
             entries = gold + term if payload["op"] == BATCH else [gold, term]
             assert entries and all(isinstance(e, str) == packed for e in entries)
+        if payload["op"] == GREEDY:
+            assert isinstance(reply["logprob"], str) == packed
         return edit(payload, reply)
 
     return checked
@@ -539,6 +542,213 @@ class TestSuffixes:
         assert wire.ops().count(SUFFIXES) == 2
 
 
+def greedy_edit(change):
+    """A greedy reply tamper: ``change(tokens, logprob, payload)`` returns the
+    new fields, and the log-probs are re-encoded in the form they arrived in."""
+
+    def edit(payload, reply):
+        tokens, logprob = change(list(reply["token_ids"]), list(_floats(reply["logprob"])), payload)
+        return {**reply, "token_ids": tokens, "logprob": reencode(reply["logprob"], logprob)}
+
+    edit.__name__ = change.__name__
+    return edit
+
+
+@greedy_edit
+def id_out_of_range(tokens, logprob, payload):
+    return [999] + tokens[1:], logprob
+
+
+@greedy_edit
+def id_negative(tokens, logprob, payload):
+    return [-1] + tokens[1:], logprob
+
+
+@greedy_edit
+def id_true(tokens, logprob, payload):
+    return [True] + tokens[1:], logprob
+
+
+@greedy_edit
+def early_terminator(tokens, logprob, payload):
+    return [payload["terminator_ids"][0]] + tokens[1:], logprob
+
+
+@greedy_edit
+def too_many_steps(tokens, logprob, payload):
+    k = payload["max_steps"] + 1
+    return tokens[:1] * k, logprob[:1] * k
+
+
+@greedy_edit
+def stops_early(tokens, logprob, payload):
+    return tokens[:-1], logprob[:-1]
+
+
+@greedy_edit
+def no_steps(tokens, logprob, payload):
+    return [], []
+
+
+@greedy_edit
+def short_logprob(tokens, logprob, payload):
+    return tokens, logprob[:-1]
+
+
+@greedy_edit
+def nan_logprob(tokens, logprob, payload):
+    return tokens, [float("nan")] + logprob[1:]
+
+
+@greedy_edit
+def positive_logprob(tokens, logprob, payload):
+    return tokens, [0.5] + logprob[1:]
+
+
+GREEDY_TAMPERS = (
+    id_out_of_range, id_negative, id_true, early_terminator, too_many_steps,
+    stops_early, no_steps, short_logprob, nan_logprob, positive_logprob,
+)
+
+
+def greedy_outcome(result):
+    return (result.text, result.token_ids, result.truncated, result.passes_used, result.span_logprob.hex())
+
+
+class TestGreedy:
+    """The greedy op: the whole loop in one request."""
+
+    def setup_model(self):
+        # Greedy from the empty prefix takes 1, then 2 (tied with the
+        # terminator, the lower id wins), then 3, then the terminator.
+        vocab = bare_vocab(6)
+        term = vocab.terminator_id
+        lm = TableLM(
+            vocab,
+            contexts={
+                (): {1: 0.6, 2: 0.2, term: 0.2},
+                (1,): {2: 0.5, term: 0.5},
+                ((0, 1), (1, 2)): {3: 0.7, term: 0.3},
+                (1, 2, 3): {term: 0.9, 0: 0.1},
+            },
+        )
+        return vocab, lm
+
+    def test_loop_is_one_greedy_request(self):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        cfg = DecodeConfig(max_greedy_steps=10)
+        result = greedy_decode(source, prefix, wire, cfg)
+        (request,) = wire.sent
+        assert request["op"] == GREEDY
+        assert request["source_ids"] == [0, 1]
+        assert request["prefix_ids"] == []
+        assert request["terminator_ids"] == [vocab.terminator_id]
+        assert request["max_steps"] == 10
+        assert "target_ids" not in request
+        assert result.token_ids == (1, 2, 3) and not result.truncated
+        assert result.passes_used == 4 == wire.pass_count()
+        assert greedy_outcome(result) == greedy_outcome(greedy_decode(source, prefix, lm, cfg))
+
+    @pytest.mark.parametrize("lists", [False, True])
+    @pytest.mark.parametrize("max_steps", [1, 2, 3, 4, 10])
+    def test_steps_equal_in_process_steps(self, lists, max_steps):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        got = wire.greedy_steps(source, prefix, max_steps)
+        want = lm.greedy_steps(source, prefix, max_steps)
+        assert [(t, v.hex()) for t, v in got] == [(t, v.hex()) for t, v in want]
+        assert len(got) == min(max_steps, 4) == wire.pass_count()
+        assert wire.ops() == [GREEDY]
+
+    def test_client_terminators_decide_where_the_loop_stops(self):
+        vocab, lm = self.setup_model()
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        for stops, tokens in [({2}, [1, 2]), ({0, 3}, [1, 2, 3]), (set(), [1, 2, 3, 5, 0, 0])]:
+            wire = LoopbackScorer(lm)
+            wire.terminator_ids = frozenset(stops)
+            assert [t for t, _ in wire.greedy_steps(source, prefix, 6)] == tokens
+            assert wire.sent[0]["terminator_ids"] == sorted(stops)
+
+    def test_unknown_op_steps_down_to_next_dist_once(self):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse={GREEDY})
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        want = greedy_decode(source, prefix, lm)
+        for _ in range(2):
+            assert greedy_outcome(greedy_decode(source, prefix, wire)) == greedy_outcome(want)
+        assert wire.ops() == [GREEDY] + ["next_dist"] * 8
+        assert [p["prefix_ids"] for p in wire.sent[1:5]] == [[], [1], [1, 2], [1, 2, 3]]
+
+    def test_other_errors_raise_and_keep_the_op(self):
+        vocab, lm = self.setup_model()
+        calls = []
+
+        def overloaded_once(payload, reply):
+            calls.append(payload["op"])
+            if len(calls) == 1:
+                return {"id": payload["id"], "error": "overloaded, retry later"}
+            return reply
+
+        wire = LoopbackScorer(lm, edit=overloaded_once)
+        empty = vocab.seq(())
+        with pytest.raises(TransportError, match="overloaded, retry later"):
+            greedy_decode(empty, empty, wire)
+        greedy_decode(empty, empty, wire)
+        assert wire.ops() == [GREEDY, GREEDY]
+
+    @pytest.mark.parametrize("edit, packed", both_forms(*GREEDY_TAMPERS))
+    def test_invalid_reply_raises(self, edit, packed):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        with pytest.raises(ScorerError) as caught:
+            greedy_decode(source, prefix, wire, DecodeConfig(max_greedy_steps=10))
+        # Only a field that is not a list of ints fails in decoding the reply.
+        assert isinstance(caught.value, TransportError) == (edit is id_true)
+        assert wire.ops() == [GREEDY] and wire.pass_count() == 0
+
+    @pytest.mark.parametrize("field", ["token_ids", "logprob"])
+    def test_missing_field_is_transport_error(self, field):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=lambda p, r: {k: v for k, v in r.items() if k != field})
+        with pytest.raises(TransportError, match="malformed greedy"):
+            wire.greedy_steps(vocab.seq(()), vocab.seq(()), 3)
+
+    @pytest.mark.parametrize("max_steps", [0, -1, True, 1.0, "3"])
+    def test_bad_step_cap_raises_before_any_request(self, max_steps):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        for scorer in (wire, lm):
+            with pytest.raises(ValueError, match="max_steps"):
+                scorer.greedy_steps(vocab.seq(()), vocab.seq(()), max_steps)
+        assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
+
+    @pytest.mark.parametrize("edit, packed", both_forms(*GREEDY_TAMPERS))
+    def test_invalid_reply_skips_the_example(self, edit, packed):
+        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
+        template = get_template(2)
+        dataset = [
+            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
+            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
+        ]
+        bad = dataset[1]
+        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
+
+        def corrupt_album(payload, reply):
+            if payload["op"] == GREEDY and payload["source_ids"] == bad_source:
+                return edit(payload, reply)
+            return reply
+
+        wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
+        report = run_eval(dataset, wire, template, vocab)
+        assert report.skipped_ids == ("q-album",)
+        assert report.greedy["overall"]["count"] == 1
+        assert wire.ops().count(GREEDY) == 2
+
+
 # Valid log-probs at the edges of binary64: -inf, -0.0, the smallest
 # subnormals and the largest negative subnormal.
 SPECIAL_FLOATS = (float("-inf"), -0.0, -5e-324, 5e-324, -2.225073858507201e-308, -1.0 / 3)
@@ -586,6 +796,9 @@ class TestFloatForms:
             ]
         got_dist = wire.next_token_distribution(source, prefix)
         assert bits(got_dist) == bits(local.next_token_distribution(source, prefix))
+        got_steps, want_steps = wire.greedy_steps(source, prefix, 3), local.greedy_steps(source, prefix, 3)
+        assert [t for t, _ in got_steps] == [t for t, _ in want_steps]
+        assert bits([v for _, v in got_steps]) == bits([v for _, v in want_steps])
 
     @pytest.mark.parametrize(
         "request_",
@@ -699,6 +912,10 @@ class NanTableLM(TableLM):
 
 # A valid suffixes request: an uncapped table of two tokens.
 SUFFIXES_LINE = {"id": 3, "op": SUFFIXES, "source_ids": [0], "prefix_ids": [], "passage_ids": [0, 1], "max_span_len": None}
+
+
+# A valid greedy request: at most three steps, stopping at token 4.
+GREEDY_LINE = {"id": 3, "op": GREEDY, "source_ids": [0], "prefix_ids": [], "terminator_ids": [4], "max_steps": 3}
 
 
 class TestServe:
@@ -831,6 +1048,54 @@ class TestServe:
         assert isinstance(error["error"], str) and error["error"]
         assert answer["id"] == 4
         assert len(answer["gold_logprob"]) == 2 and len(answer["term_logprob"]) == 4
+
+    @pytest.mark.parametrize("stops, tokens", [([5], [1, 2, 3]), ([2], [1, 2]), ([0, 1], [1]), ([], [1, 2, 3])])
+    def test_greedy_reply_shape(self, stops, tokens):
+        vocab, lm = TestGreedy().setup_model()
+        forwarding = ForwardingScorer(lm)
+        request = {**GREEDY_LINE, "source_ids": [0, 1], "terminator_ids": stops}
+        (reply,) = self.run(forwarding, [request])
+        assert reply["id"] == 3
+        assert reply["token_ids"] == tokens
+        # Answered step by step through next_token_distribution alone, so the
+        # request's terminators decide where the loop stops.
+        assert lm.pass_count() == len(tokens) and forwarding.forced_calls == 0
+        want = [max(lm.next_token_distribution(vocab.seq((0, 1)), vocab.seq(tokens[:k]))) for k in range(len(tokens))]
+        assert bits(reply["logprob"]) == bits(want)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {**GREEDY_LINE, "max_steps": 0},
+            {**GREEDY_LINE, "max_steps": -1},
+            {**GREEDY_LINE, "max_steps": True},
+            {**GREEDY_LINE, "max_steps": 1.0},
+            {**GREEDY_LINE, "max_steps": "3"},
+            {**GREEDY_LINE, "max_steps": None},
+            {k: v for k, v in GREEDY_LINE.items() if k != "max_steps"},
+            {**GREEDY_LINE, "terminator_ids": [5]},
+            {**GREEDY_LINE, "terminator_ids": [4, -1]},
+            {**GREEDY_LINE, "terminator_ids": [True]},
+            {**GREEDY_LINE, "terminator_ids": [4.0]},
+            {**GREEDY_LINE, "terminator_ids": 4},
+            {**GREEDY_LINE, "terminator_ids": "4"},
+            {k: v for k, v in GREEDY_LINE.items() if k != "terminator_ids"},
+            {**GREEDY_LINE, "prefix_ids": [0, 999]},
+        ],
+        ids=[
+            "steps-0", "steps-negative", "steps-true", "steps-float", "steps-string", "steps-null",
+            "no-steps", "stop-out-of-range", "stop-negative", "stop-true", "stop-float",
+            "stops-not-a-list", "stops-string", "no-stops", "prefix-out-of-range",
+        ],
+    )
+    def test_bad_greedy_line_gets_an_error_and_serving_goes_on(self, bad):
+        vocab = bare_vocab(5)
+        good = {**GREEDY_LINE, "id": 4}
+        error, answer = self.run(TableLM.uniform(vocab), [bad, good])
+        assert error["id"] == 3
+        assert isinstance(error["error"], str) and error["error"]
+        # All five pieces tie, so every step takes id 0.
+        assert answer == {"id": 4, "token_ids": [0, 0, 0], "logprob": [math.log(0.2)] * 3}
 
     @pytest.mark.parametrize(
         "bad_line, error_id",
