@@ -11,24 +11,20 @@ import os
 import sys
 
 from . import harness, metrics, rss
-from .decoding import (
-    EXACT_EXTRACT,
-    GREEDY,
-    NAIVE,
-    DecodeConfig,
-    exact_extract,
-    greedy_decode,
-    naive_exact,
+from .decoding import GREEDY, NAIVE, DecodeConfig, exact_extract, greedy_decode, naive_exact
+from .mrqa import (
+    DEFAULT_NUM_SAMPLES,
+    DEFAULT_SIZES,
+    DataError,
+    QAExample,
+    load_dataset,
+    paragraph_examples,
+    read_jsonl,
+    subsample,
 )
-from .mrqa import DataError, QAExample, load_dataset, subsample
-from .prompting import (
-    CLOSE_SENTINEL,
-    get_template,
-    render_encoder_input,
-    render_target_prefix_and_terminator,
-)
+from .prompting import CLOSE_SENTINEL, DEFAULT_TEMPLATE_ID, get_template
 from .remote import RemoteScorer, StdioScorer
-from .scorer import ScorerError, TableLM
+from .scorer import ScorerError, TableLM, positive_int
 from .vocab import Vocabulary
 
 SCORER_URL_ENV = "SPANDECODE_SCORER_URL"
@@ -51,12 +47,9 @@ class _Parser(argparse.ArgumentParser):
 def _positive_int(text: str) -> int:
     """An argparse type: an integer >= 1, else a usage error."""
     try:
-        value = int(text)
+        return positive_int(int(text), "value")
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}") from None
 
 
 def _terminator_ids(vocab: Vocabulary, mode: str) -> frozenset[int]:
@@ -91,34 +84,28 @@ def _read_decode_inputs(path: str) -> list[QAExample]:
     """Accept MRQA paragraph lines or flat {"id","context","question"} lines;
     the first object decides which."""
     examples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+    mrqa_lines = None
+    for lineno, obj in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        if mrqa_lines is None:
+            mrqa_lines = "qas" in obj or "header" in obj
+        if mrqa_lines:
+            examples += paragraph_examples(obj, where)
+            continue
+        context, question = obj.get("context"), obj.get("question")
+        if not isinstance(context, str) or not isinstance(question, str):
+            raise DataError(f"{where}: context and question must be strings")
+        try:
+            examples.append(
+                QAExample(
+                    id=str(obj.get("id", lineno)),
+                    context=context,
+                    question=question,
+                    answers=tuple(obj.get("answers") or ("",)),
                 )
-            if not examples and ("qas" in obj or "header" in obj):
-                return load_dataset(path)
-            context, question = obj.get("context"), obj.get("question")
-            if not isinstance(context, str) or not isinstance(question, str):
-                raise DataError(f"{path}:{lineno}: context and question must be strings")
-            try:
-                examples.append(
-                    QAExample(
-                        id=str(obj.get("id", lineno)),
-                        context=context,
-                        question=question,
-                        answers=tuple(obj.get("answers") or ("",)),
-                    )
-                )
-            except (DataError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except (DataError, TypeError) as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return examples
 
 
@@ -145,26 +132,22 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decode", help="decode answers for a JSONL of examples")
-    p.add_argument("--algo", choices=(GREEDY, "exact", NAIVE), default="exact")
-    p.add_argument("--prompt-id", type=int, default=2)
-    p.add_argument("--prompt-file", default=None)
-    p.add_argument("--max-span-len", type=_positive_int, default=None)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-
-    p = sub.add_parser("eval", help="compare greedy and exact decoding on a dataset")
-    p.add_argument("--prompt-id", type=int, default=2)
-    p.add_argument("--prompt-file", default=None)
-    p.add_argument("--max-span-len", type=_positive_int, default=None)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None, help="write the report JSON here")
+    decode = sub.add_parser("decode", help="decode answers for a JSONL of examples")
+    decode.add_argument("--algo", choices=(GREEDY, "exact", NAIVE), default="exact")
+    evaluate = sub.add_parser("eval", help="compare greedy and exact decoding on a dataset")
+    for p in (decode, evaluate):
+        p.add_argument("--prompt-id", type=int, default=DEFAULT_TEMPLATE_ID)
+        p.add_argument("--prompt-file", default=None)
+        p.add_argument("--max-span-len", type=_positive_int, default=None)
+        p.add_argument("--input", required=True)
+    decode.add_argument("--output", required=True)
+    evaluate.add_argument("--output", default=None, help="write the report JSON here")
 
     p = sub.add_parser("subsample", help="draw few-shot training splits")
     p.add_argument("--input", required=True)
     p.add_argument("--validation", default=None)
-    p.add_argument("--sizes", default="16,32,64,128,256,512,1024")
-    p.add_argument("--num-samples", type=int, default=5)
+    p.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)))
+    p.add_argument("--num-samples", type=int, default=DEFAULT_NUM_SAMPLES)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("partition", help="classify examples as S_in / S_out")
@@ -201,20 +184,20 @@ def cmd_decode(args) -> int:
         template = _template(args)
         cfg = DecodeConfig(max_span_len=args.max_span_len)
         examples = _read_decode_inputs(args.input)
+
+        def decode_one(example: QAExample) -> str:
+            source, prefix, passage = harness.prepare_example(example, template, vocab)
+            if args.algo == GREEDY:
+                result = greedy_decode(source, prefix, scorer, cfg, passage=passage)
+            elif args.algo == NAIVE:
+                result = naive_exact(passage, source, prefix, scorer, cfg)
+            else:
+                result = exact_extract(passage, source, prefix, scorer, cfg)
+            return json.dumps({"id": example.id, **result.to_dict()}) + "\n"
+
         with open(args.output, "w", encoding="utf-8") as out:
-            for example in examples:
-                source = vocab.encode(render_encoder_input(template, example.context, example.question))
-                prefix_text, _ = render_target_prefix_and_terminator(template)
-                prefix = vocab.encode(prefix_text)
-                passage = vocab.encode(example.context)
-                if args.algo == GREEDY:
-                    result = greedy_decode(source, prefix, scorer, cfg, passage=passage)
-                elif args.algo == NAIVE:
-                    result = naive_exact(passage, source, prefix, scorer, cfg)
-                else:
-                    result = exact_extract(passage, source, prefix, scorer, cfg)
-                record = {"id": example.id, **result.to_dict()}
-                out.write(json.dumps(record) + "\n")
+            for row in harness.map_examples(decode_one, examples, args.jobs):
+                out.write(row)
     finally:
         scorer.close()
     return EXIT_OK
@@ -226,14 +209,8 @@ def cmd_eval(args) -> int:
     try:
         template = _template(args)
         dataset = load_dataset(args.input)
-        report = harness.run_eval(
-            dataset,
-            scorer,
-            template,
-            vocab,
-            DecodeConfig(max_span_len=args.max_span_len),
-            jobs=args.jobs,
-        )
+        cfg = DecodeConfig(max_span_len=args.max_span_len)
+        report = harness.run_eval(dataset, scorer, template, vocab, cfg, jobs=args.jobs)
     finally:
         scorer.close()
     if args.output:

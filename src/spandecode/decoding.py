@@ -57,6 +57,8 @@ class DecodeResult:
     length: int | None
     span_logprob: float
     text: str
+    # The scorer passes this call made: one per suffix, candidate or greedy
+    # step. Counted here, not read off the scorer, which threads may share.
     passes_used: int
     algorithm: str
     token_ids: tuple[int, ...] = ()
@@ -135,7 +137,6 @@ def exact_extract(
     cfg: DecodeConfig = DecodeConfig(),
 ) -> DecodeResult:
     """Return the passage span maximizing L(i,j) + e(i,j)."""
-    before = scorer.pass_count()
     table = build_span_table(passage, rendered_prompt, prefix, scorer, cfg.max_span_len)
     # Row i holds the lengths 0..K of start i; length 0 is a candidate only
     # at start 0 with the empty span allowed, so elsewhere it reads -inf and
@@ -156,7 +157,7 @@ def exact_extract(
         length=best_j,
         span_logprob=best_score,
         text=scorer.vocab.decode(passage[best_i : best_i + best_j]),
-        passes_used=scorer.pass_count() - before,
+        passes_used=table.n,
         algorithm=EXACT_EXTRACT,
         token_ids=passage.ids[best_i : best_i + best_j],
     )
@@ -173,9 +174,8 @@ def naive_exact(
     n = len(passage)
     if n == 0:
         raise ValueError("passage must contain at least one token")
-    before = scorer.pass_count()
     best = None
-    for i, j in _span_candidates(n, cfg):
+    for passes, (i, j) in enumerate(_span_candidates(n, cfg), start=1):
         scores = scorer.teacher_forced_pass(
             ScoreRequest(rendered_prompt, passage[i : i + j], prefix)
         )
@@ -191,7 +191,7 @@ def naive_exact(
         length=j,
         span_logprob=score,
         text=scorer.vocab.decode(passage[i : i + j]),
-        passes_used=scorer.pass_count() - before,
+        passes_used=passes,
         algorithm=NAIVE,
         token_ids=passage.ids[i : i + j],
     )
@@ -214,7 +214,6 @@ def greedy_decode(
     """
     from .metrics import find_span
 
-    before = scorer.pass_count()
     vocab = scorer.vocab
     steps = scorer.greedy_steps(rendered_prompt, prefix, cfg.max_greedy_steps)
     # Summed in step order from 0.0, as the steps were taken.
@@ -238,7 +237,7 @@ def greedy_decode(
         length=length,
         span_logprob=logprob,
         text=text,
-        passes_used=scorer.pass_count() - before,
+        passes_used=len(steps),
         algorithm=GREEDY,
         token_ids=tuple(emitted),
         extractive=extractive,

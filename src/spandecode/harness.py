@@ -1,27 +1,26 @@
 """End-to-end evaluation runs and hyperparameter selection.
 
-``run_eval`` drives prompt rendering, greedy and exact decoding, and the
-full metric suite for each example, then folds the per-example scores
-into an EvalReport shaped like the performance / extractiveness /
-partition tables.
+``decode`` and ``eval`` take one path from example to decoders: each
+example is encoded by ``prepare_example``, and ``map_examples`` runs the
+per-example work, serially or on a thread pool, in input order. Per
+example, ``run_eval`` runs greedy and exact decoding and the full metric
+suite, then folds the scores into an EvalReport shaped like the
+performance / extractiveness / partition tables.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import metrics
 from .decoding import DecodeConfig, exact_extract, greedy_decode
 from .mrqa import DataError, QAExample
-from .prompting import (
-    PromptTemplate,
-    render_encoder_input,
-    render_target_prefix_and_terminator,
-)
+from .prompting import OPEN_SENTINEL, PromptTemplate, render_encoder_input
 from .scorer import Scorer, ScorerError
-from .vocab import Vocabulary
+from .vocab import TokenSeq, Vocabulary
 
 
 @dataclass
@@ -75,6 +74,27 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def prepare_example(
+    example: QAExample, template: PromptTemplate, vocab: Vocabulary
+) -> tuple[TokenSeq, TokenSeq, TokenSeq]:
+    """The encoder input, forced decoder prefix and passage that every
+    decoder takes for ``example``."""
+    source = vocab.encode(render_encoder_input(template, example.context, example.question))
+    return source, vocab.encode(OPEN_SENTINEL), vocab.encode(example.context)
+
+
+def map_examples(fn: Callable, examples: Iterable, jobs: int = 1) -> Iterator:
+    """``fn`` over ``examples``, yielding results in input order: serially
+    when ``jobs`` is 1, else on a pool of ``jobs`` threads. An exception
+    from ``fn`` is raised where its result would be yielded, and the calls
+    still queued behind it are cancelled."""
+    if jobs == 1:
+        yield from map(fn, examples)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, examples)
+
+
 def evaluate_example(
     example: QAExample,
     scorer: Scorer,
@@ -83,37 +103,29 @@ def evaluate_example(
     cfg: DecodeConfig = DecodeConfig(),
 ) -> dict:
     """Run both decoders on one example and compute all metrics."""
-    prompt_text = render_encoder_input(template, example.context, example.question)
-    prefix_text, _ = render_target_prefix_and_terminator(template)
-    source = vocab.encode(prompt_text)
-    prefix = vocab.encode(prefix_text)
-    passage = vocab.encode(example.context)
+    source, prefix, passage = prepare_example(example, template, vocab)
 
     exact_result = exact_extract(passage, source, prefix, scorer, cfg)
     greedy_result = greedy_decode(source, prefix, scorer, cfg, passage=passage)
 
     partition = metrics.partition_example(example.answers, example.context, vocab)
     agrees = metrics.exactness(greedy_result.text, exact_result.text)
-    greedy_score = metrics.ExampleScore(
-        f1=metrics.token_f1(greedy_result.text, example.answers),
-        exact_match=metrics.exact_match(greedy_result.text, example.answers),
-        extractive=metrics.is_extractive(greedy_result.text, example.context),
-        exactness_match=agrees,
-        partition=partition,
-    )
-    exact_score = metrics.ExampleScore(
-        f1=metrics.token_f1(exact_result.text, example.answers),
-        exact_match=metrics.exact_match(exact_result.text, example.answers),
-        extractive=metrics.is_extractive(exact_result.text, example.context),
-        exactness_match=agrees,
-        partition=partition,
-    )
+
+    def score(text: str) -> metrics.ExampleScore:
+        return metrics.ExampleScore(
+            f1=metrics.token_f1(text, example.answers),
+            exact_match=metrics.exact_match(text, example.answers),
+            extractive=metrics.is_extractive(text, example.context),
+            exactness_match=agrees,
+            partition=partition,
+        )
+
     return {
         "id": example.id,
         "greedy": greedy_result,
         "exact": exact_result,
-        "greedy_score": greedy_score,
-        "exact_score": exact_score,
+        "greedy_score": score(greedy_result.text),
+        "exact_score": score(exact_result.text),
     }
 
 
@@ -130,35 +142,23 @@ def run_eval(
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
 
-    def run_one(example: QAExample):
+    def run_one(example: QAExample) -> dict | None:
         try:
-            return example.id, evaluate_example(example, scorer, template, vocab, cfg), None
-        except ScorerError as exc:
-            return example.id, None, exc
+            return evaluate_example(example, scorer, template, vocab, cfg)
+        except ScorerError:
+            return None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, dataset))
-    else:
-        outcomes = [run_one(ex) for ex in dataset]
-
-    greedy_scores = []
-    exact_scores = []
-    skipped = []
-    for ex_id, result, err in outcomes:
-        if err is not None:
-            skipped.append(ex_id)
-            continue
-        greedy_scores.append(result["greedy_score"])
-        exact_scores.append(result["exact_score"])
-    if not greedy_scores:
+    results = list(map_examples(run_one, dataset, jobs))
+    done = [result for result in results if result is not None]
+    if not done:
         raise DataError("every example failed to score")
+    skipped = tuple(example.id for example, result in zip(dataset, results) if result is None)
     return EvalReport(
         num_examples=len(dataset),
         num_skipped=len(skipped),
-        skipped_ids=tuple(skipped),
-        greedy=metrics.aggregate(greedy_scores),
-        exact=metrics.aggregate(exact_scores),
+        skipped_ids=skipped,
+        greedy=metrics.aggregate([result["greedy_score"] for result in done]),
+        exact=metrics.aggregate([result["exact_score"] for result in done]),
     )
 
 

@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,21 +39,12 @@ class FewShotSplit:
     example_ids: tuple[str, ...]
 
 
-def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
-
-
-def load_dataset(path: str | Path) -> list[QAExample]:
-    """Parse MRQA JSONL: one paragraph per line, each with its "qas" list.
-
-    Header lines (objects with a "header" key) are skipped. Malformed
-    lines are reported with their line number.
-    """
-    path = Path(path)
-    examples: list[QAExample] = []
-    with _open_text(path) as f:
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file, read
+    through gzip when the name ends in .gz. DataError names ``path:line``
+    for a line that is not a JSON object."""
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with opener(path, "rt", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -65,33 +57,54 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 raise DataError(
                     f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
                 )
-            if "header" in obj:
-                continue
-            try:
-                context = obj["context"]
-                qas = obj["qas"]
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-            if not isinstance(context, str) or not isinstance(qas, list):
-                raise DataError(f"{path}:{lineno}: bad context/qas types")
-            for qa in qas:
-                try:
-                    qid = qa["qid"]
-                    question = qa["question"]
-                    answers = qa["answers"]
-                except (KeyError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-                if not isinstance(answers, list) or not answers:
-                    raise DataError(f"{path}:{lineno}: qid {qid}: empty answers")
-                examples.append(
-                    QAExample(
-                        id=str(qid),
-                        context=context,
-                        question=str(question),
-                        answers=tuple(str(a) for a in answers),
-                    )
-                )
+            yield lineno, obj
+
+
+def paragraph_examples(obj: dict, where: str) -> list[QAExample]:
+    """The examples of one MRQA paragraph object (none for a header line);
+    DataError prefixed with ``where`` for a malformed one."""
+    if "header" in obj:
+        return []
+    try:
+        context = obj["context"]
+        qas = obj["qas"]
+    except KeyError as exc:
+        raise DataError(f"{where}: missing field {exc}") from exc
+    if not isinstance(context, str) or not isinstance(qas, list):
+        raise DataError(f"{where}: bad context/qas types")
+    examples = []
+    for qa in qas:
+        try:
+            qid = qa["qid"]
+            question = qa["question"]
+            answers = qa["answers"]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{where}: missing field {exc}") from exc
+        if not isinstance(answers, list) or not answers:
+            raise DataError(f"{where}: qid {qid}: empty answers")
+        examples.append(
+            QAExample(
+                id=str(qid),
+                context=context,
+                question=str(question),
+                answers=tuple(str(a) for a in answers),
+            )
+        )
     return examples
+
+
+def load_dataset(path: str | Path) -> list[QAExample]:
+    """Parse MRQA JSONL: one paragraph per line, each with its "qas" list.
+
+    Header lines (objects with a "header" key) are skipped. Malformed
+    lines are reported with their line number.
+    """
+    path = Path(path)
+    return [
+        example
+        for lineno, obj in read_jsonl(path)
+        for example in paragraph_examples(obj, f"{path}:{lineno}")
+    ]
 
 
 def passage_hash(context: str) -> str:

@@ -4,6 +4,11 @@ Six templates ship as an embedded JSON resource and are kept byte-exact,
 including trailing punctuation around the sentinel: prompt bytes change
 model scores, so fidelity beats aesthetics. Template 2
 ("Text:/Question:/Answer:") is the default.
+
+The decoder side is fixed: every answer is forced after ``OPEN_SENTINEL``
+and ends at a terminator, whose token ids the CLI derives from its
+``--terminator-mode``. ``harness.prepare_example`` is the one place a
+prompt is rendered and encoded for the decoders.
 """
 
 from __future__ import annotations
@@ -15,20 +20,17 @@ from pathlib import Path
 
 OPEN_SENTINEL = "<extra_id_0>"
 CLOSE_SENTINEL = "<extra_id_1>"
-DEFAULT_EOS = "</s>"
 
 DEFAULT_TEMPLATE_ID = 2
 
-# How the answer sequence is considered terminated: by the closing
-# sentinel, by the model's end-of-sequence token, or by either.
-TERMINATOR_MODES = ("sentinel", "eos", "combined")
+# The one target pattern: template files may carry it, as the built-in one does.
+TARGET_PATTERN = OPEN_SENTINEL + "{a}" + CLOSE_SENTINEL
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
     id: int
     encoder_pattern: str
-    target_pattern: str = OPEN_SENTINEL + "{a}" + CLOSE_SENTINEL
 
     def __post_init__(self):
         if not isinstance(self.encoder_pattern, str):
@@ -38,17 +40,20 @@ class PromptTemplate:
                 raise ValueError(
                     f"template {self.id}: {placeholder} must appear exactly once"
                 )
-        if self.target_pattern != OPEN_SENTINEL + "{a}" + CLOSE_SENTINEL:
-            raise ValueError(f"template {self.id}: unexpected target pattern")
 
 
 def _load(raw, where) -> tuple[PromptTemplate, ...]:
-    """Templates from a JSON list of PromptTemplate fields; ValueError names
-    ``where`` and the entry for anything else."""
+    """Templates from a JSON list of PromptTemplate fields, each optionally
+    with ``"target_pattern": TARGET_PATTERN``; ValueError names ``where``
+    and the entry for anything else."""
     if not isinstance(raw, list):
         raise ValueError(f"{where}: expected a JSON list of templates")
     templates = []
     for index, entry in enumerate(raw):
+        if isinstance(entry, dict) and "target_pattern" in entry:
+            if entry["target_pattern"] != TARGET_PATTERN:
+                raise ValueError(f"{where}: template {index}: unexpected target pattern")
+            entry = {key: value for key, value in entry.items() if key != "target_pattern"}
         try:
             templates.append(PromptTemplate(**entry))
         except TypeError as exc:
@@ -77,20 +82,7 @@ def render_encoder_input(tpl: PromptTemplate, passage: str, question: str) -> st
     return tpl.encoder_pattern.replace("{T}", passage).replace("{Q}", question)
 
 
-def render_target(tpl: PromptTemplate, answer: str) -> str:
-    return tpl.target_pattern.replace("{a}", answer)
-
-
-def render_target_prefix_and_terminator(
-    tpl: PromptTemplate, mode: str = "sentinel", eos: str = DEFAULT_EOS
-) -> tuple[str, frozenset[str]]:
-    """The forced decoder prefix and the surfaces that end the answer."""
-    if mode not in TERMINATOR_MODES:
-        raise ValueError(f"unknown terminator mode {mode!r}")
-    if mode == "sentinel":
-        terminators = frozenset({CLOSE_SENTINEL})
-    elif mode == "eos":
-        terminators = frozenset({eos})
-    else:
-        terminators = frozenset({CLOSE_SENTINEL, eos})
-    return OPEN_SENTINEL, terminators
+def render_target_prefix_and_terminator(tpl: PromptTemplate) -> tuple[str, frozenset[str]]:
+    """The forced decoder prefix and the closing sentinel, for callers
+    outside the package; the program itself uses ``OPEN_SENTINEL``."""
+    return OPEN_SENTINEL, frozenset({CLOSE_SENTINEL})

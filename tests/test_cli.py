@@ -1,3 +1,4 @@
+import gzip
 import json
 import shlex
 import sys
@@ -73,6 +74,51 @@ def base_args(ws):
     return ["--vocab", ws["vocab"], "--scorer", ws["table"]]
 
 
+def server_spec(ws, k=None) -> str:
+    """A stdio spec for the reference server over the workspace table; with
+    ``k``, a server that answers k request lines and then exits."""
+    table = ws["table"].removeprefix("table:")
+    close_id = TOY_PIECES.index("<extra_id_1>")
+    if k is None:
+        child = [sys.executable, "-m", "spandecode.remote", "--vocab", ws["vocab"],
+                 "--table", table, "--terminator-ids", str(close_id)]
+    else:
+        child = [
+            sys.executable, "-c",
+            "import itertools, sys\n"
+            "from spandecode.remote import serve\n"
+            "from spandecode.scorer import TableLM\n"
+            "from spandecode.vocab import Vocabulary\n"
+            f"vocab = Vocabulary.from_file({ws['vocab']!r})\n"
+            f"lm = TableLM.from_file({table!r}, vocab, terminator_ids={{{close_id}}})\n"
+            f"serve(lm, itertools.islice(sys.stdin, {k}), sys.stdout)\n",
+        ]
+    return "stdio:" + shlex.join(child)
+
+
+CONTEXTS = [
+    "the IRA was active",
+    "The album released in 1971.",
+    "the album was active",
+    "(1971) the IRA was active.",
+    "The IRA released the album in 1971.",
+]
+
+
+def many_questions(ws):
+    """Ten questions over five passages, as MRQA paragraph lines."""
+    path = ws["dir"] / "many.jsonl"
+    rows = [
+        {"context": context, "qas": [
+            {"qid": f"p{p}q{q}", "question": question, "answers": ["IRA"]}
+            for q, question in enumerate(("who was active?", "what was released?"))
+        ]}
+        for p, context in enumerate(CONTEXTS)
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
 class TestDecode:
     def run_decode(self, ws, algo):
         out = ws["dir"] / f"out_{algo}.jsonl"
@@ -119,6 +165,66 @@ class TestDecode:
         record = json.loads(out.read_text().splitlines()[0])
         assert record["id"] == "x1"
         assert record["text"] == "IRA"
+
+    def decode_file(self, ws, path, *flags, spec=None, jobs="1"):
+        out = ws["dir"] / "out.jsonl"
+        code = main(["--vocab", ws["vocab"], "--scorer", spec or ws["table"], "--jobs", jobs,
+                     "decode", "--input", str(path), "--output", str(out), *flags])
+        return code, out.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["mrqa", "flat"])
+    def test_gzipped_input(self, workspace, layout):
+        plain = many_questions(workspace)
+        if layout == "flat":
+            rows = [{"id": qa["qid"], "context": row["context"], "question": qa["question"]}
+                    for row in map(json.loads, plain.read_text().splitlines()) for qa in row["qas"]]
+            plain.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        packed = workspace["dir"] / "many.jsonl.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        want = self.decode_file(workspace, plain)
+        assert want[0] == 0 and len(want[1].splitlines()) == 10
+        assert self.decode_file(workspace, packed) == want
+
+    @pytest.mark.parametrize("transport", ["table", "stdio"])
+    @pytest.mark.parametrize("algo", ["exact", "naive", "greedy"])
+    def test_jobs_write_the_same_file(self, workspace, monkeypatch, transport, algo):
+        spec = workspace["table"] if transport == "table" else server_spec(workspace)
+        path = many_questions(workspace)
+        serial = self.decode_file(workspace, path, "--algo", algo, spec=spec)
+        assert serial[0] == 0 and len(serial[1].splitlines()) == 10
+        seen = []
+        map_examples = harness.map_examples
+
+        def recording(fn, examples, jobs=1):
+            seen.append(jobs)
+            return map_examples(fn, examples, jobs)
+
+        monkeypatch.setattr(harness, "map_examples", recording)
+        assert self.decode_file(workspace, path, "--algo", algo, spec=spec, jobs="4") == serial
+        assert seen == [4]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jobs_with_a_child_that_exits_after_k_requests(self, workspace, monkeypatch, capsys, k):
+        # An exact decode is one request per example, and examples run two
+        # at a time: at most k rows are written, the serial output's first.
+        path = many_questions(workspace)
+        code, serial = self.decode_file(workspace, path, spec=server_spec(workspace))
+        assert code == 0
+        opened = []
+        make_scorer = cli.make_scorer
+
+        def recording(*args, **kwargs):
+            opened.append(make_scorer(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "make_scorer", recording)
+        code, rows = self.decode_file(workspace, path, spec=server_spec(workspace, k), jobs="2")
+        assert code == 3
+        assert "scorer error: " in capsys.readouterr().err
+        assert len(rows.splitlines()) <= k
+        assert serial.startswith(rows)
+        (scorer,) = opened
+        assert scorer._proc.returncode is not None
 
 
 class TestEval:
@@ -386,13 +492,10 @@ class TestExitCodes:
         # Both servers wait on stdin until it closes; the broken one answers
         # every request with a line that is not JSON.
         if healthy:
-            table = workspace["table"].removeprefix("table:")
-            close_id = TOY_PIECES.index("<extra_id_1>")
-            child = [sys.executable, "-m", "spandecode.remote", "--vocab",
-                     workspace["vocab"], "--table", table, "--terminator-ids", str(close_id)]
+            spec = server_spec(workspace)
         else:
-            child = [sys.executable, "-c",
-                     "import sys\nfor line in sys.stdin: print('not json', flush=True)"]
+            spec = "stdio:" + shlex.join([sys.executable, "-c",
+                                          "import sys\nfor line in sys.stdin: print('not json', flush=True)"])
         opened = []
         make_scorer = cli.make_scorer
 
@@ -402,7 +505,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "make_scorer", recording)
         out = workspace["dir"] / "out.json"
-        argv = ["--vocab", workspace["vocab"], "--scorer", "stdio:" + shlex.join(child),
+        argv = ["--vocab", workspace["vocab"], "--scorer", spec,
                 command, "--input", workspace["dataset"], "--output", str(out)]
         code = main(argv)
         # eval skips the failing example, then finds every example skipped.
@@ -447,18 +550,6 @@ class TestExitCodes:
         dataset = workspace["dir"] / "four.jsonl"
         qas = [{"qid": f"q{i}", "question": "who was active?", "answers": ["IRA"]} for i in range(4)]
         dataset.write_text(json.dumps({"context": "the IRA was active", "qas": qas}) + "\n", encoding="utf-8")
-        table = workspace["table"].removeprefix("table:")
-        close_id = TOY_PIECES.index("<extra_id_1>")
-        child = [
-            sys.executable, "-c",
-            "import itertools, sys\n"
-            "from spandecode.remote import serve\n"
-            "from spandecode.scorer import TableLM\n"
-            "from spandecode.vocab import Vocabulary\n"
-            f"vocab = Vocabulary.from_file({workspace['vocab']!r})\n"
-            f"lm = TableLM.from_file({table!r}, vocab, terminator_ids={{{close_id}}})\n"
-            f"serve(lm, itertools.islice(sys.stdin, {k}), sys.stdout)\n",
-        ]
         # The requests one eval example makes: its suffixes table and its
         # greedy steps (1 + 2 here); decode makes one per example.
         vocab = Vocabulary.from_file(workspace["vocab"])
@@ -477,7 +568,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "make_scorer", recording)
         out = workspace["dir"] / "out.json"
         start = time.monotonic()
-        code = main(["--vocab", workspace["vocab"], "--scorer", "stdio:" + shlex.join(child),
+        code = main(["--vocab", workspace["vocab"], "--scorer", server_spec(workspace, k),
                      command, "--input", str(dataset), "--output", str(out)])
         # Far below the 30 s reply timeout: a dead child is seen at once.
         assert time.monotonic() - start < 20
@@ -566,6 +657,9 @@ class TestMalformedInput:
                          id="file-not-list"),
             pytest.param([{**TEMPLATE_2, "encoder_pattern": 7}], [],
                          "encoder_pattern must be a string", id="pattern-not-string"),
+            pytest.param([TEMPLATE_2, {**TEMPLATE_2, "id": 3, "target_pattern": "{a}"}], [],
+                         "templates.json: template 1: unexpected target pattern",
+                         id="other-target-pattern"),
         ],
     )
     @pytest.mark.parametrize("command", ["decode", "eval"])
@@ -582,6 +676,22 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_prompt_file_may_carry_the_target_pattern(workspace, command):
+    # The built-in templates.json carries it on every entry.
+    prompt_file = workspace["dir"] / "templates.json"
+    prompt_file.write_text(
+        json.dumps([{**TEMPLATE_2, "target_pattern": "<extra_id_0>{a}<extra_id_1>"}]), encoding="utf-8"
+    )
+    outputs = []
+    for flags in ([], ["--prompt-file", str(prompt_file)]):
+        out = workspace["dir"] / "out.json"
+        argv = base_args(workspace) + [command, "--input", workspace["dataset"], "--output", str(out)]
+        assert main(argv + flags) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestTerminatorMode:

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -234,6 +236,27 @@ class TestGreedyDecode:
             if not result.truncated:
                 rescored += scores.term_logprob[-1]
             assert abs(rescored - result.span_logprob) <= 1e-9
+
+
+def test_decoders_sharing_a_scorer_report_their_own_passes():
+    # Threads switch every microsecond, so the decoders' passes interleave
+    # on the one scorer; each result still reports the passes it made.
+    vocab = bare_vocab(6)
+    lm = TableLM.uniform(vocab)
+    passages = [vocab.seq(range(n)) for n in (1, 2, 3, 4, 5)] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            exact = list(pool.map(lambda p: exact_extract(p, p, empty(vocab), lm), passages))
+            naive = list(pool.map(lambda p: naive_exact(p, p, empty(vocab), lm), passages))
+            greedy = list(pool.map(lambda p: greedy_decode(p, empty(vocab), lm), passages))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.passes_used for r in exact] == [len(p) for p in passages]
+    assert [r.passes_used for r in naive] == [len(p) * (len(p) + 1) // 2 for p in passages]
+    assert all(r.passes_used == len(r.token_ids) + (not r.truncated) for r in greedy)
+    assert lm.pass_count() == sum(r.passes_used for r in exact + naive + greedy)
 
 
 class TestConfigValidation:

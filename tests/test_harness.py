@@ -1,6 +1,8 @@
 import gzip
 import json
 import sys
+import threading
+import time
 
 import pytest
 
@@ -9,6 +11,8 @@ from spandecode.harness import (
     EvalReport,
     evaluate_example,
     load_score_table,
+    map_examples,
+    prepare_example,
     run_eval,
     select_hyperparameters,
 )
@@ -205,6 +209,57 @@ def ira_scorer(vocab):
         i: 0.1 / (vocab.size - 1) for i in range(vocab.size) if i != term
     }})
     return lm
+
+
+def test_prepare_example_encodes_prompt_prefix_and_passage():
+    vocab = qa_vocab()
+    example = ira_example()
+    source, prefix, passage = prepare_example(example, get_template(2), vocab)
+    assert source == vocab.encode(render_encoder_input(get_template(2), example.context, example.question))
+    assert prefix == vocab.encode("<extra_id_0>")
+    assert passage == vocab.encode(example.context)
+
+
+class TestMapExamples:
+    def test_serial_runs_in_the_calling_thread(self):
+        threads = []
+
+        def fn(x):
+            threads.append(threading.get_ident())
+            return x * x
+
+        assert list(map_examples(fn, range(5))) == [0, 1, 4, 9, 16]
+        assert set(threads) == {threading.get_ident()}
+
+    def test_pool_keeps_input_order(self):
+        # Earlier items finish later, so completion order is the reverse.
+        def fn(x):
+            time.sleep(0.002 * (8 - x))
+            return threading.get_ident(), x
+
+        results = list(map_examples(fn, range(8), jobs=4))
+        assert [x for _, x in results] == list(range(8))
+        assert threading.get_ident() not in {ident for ident, _ in results}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_is_raised_in_order_and_queued_calls_are_cancelled(self, jobs):
+        started = []
+
+        def fn(x):
+            started.append(x)
+            if x == 3:
+                raise ScorerError("boom")
+            time.sleep(0.01)
+            return x
+
+        done = []
+        with pytest.raises(ScorerError, match="boom"):
+            for x in map_examples(fn, range(60), jobs):
+                done.append(x)
+        assert done == [0, 1, 2]
+        # Serially nothing runs after the failure; on the pool only the
+        # calls already running (a handful) do, not the 56 queued ones.
+        assert len(started) == 4 if jobs == 1 else len(started) < 30
 
 
 class TestEvaluateExample:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from spandecode.prompting import (
     get_template,
     list_templates,
     render_encoder_input,
-    render_target,
     render_target_prefix_and_terminator,
 )
 
@@ -56,27 +56,11 @@ def test_golden_renders(template_id):
     assert rendered == expected
 
 
-def test_target_render():
-    assert render_target(get_template(2), "IRA") == "<extra_id_0>IRA<extra_id_1>"
-
-
 class TestPrefixAndTerminator:
     def test_default_sentinel_mode(self):
         prefix, terminators = render_target_prefix_and_terminator(get_template(2))
         assert prefix == OPEN_SENTINEL
         assert terminators == {CLOSE_SENTINEL}
-
-    def test_eos_mode(self):
-        _, terminators = render_target_prefix_and_terminator(get_template(2), mode="eos")
-        assert terminators == {"</s>"}
-
-    def test_combined_mode(self):
-        _, terminators = render_target_prefix_and_terminator(get_template(2), mode="combined")
-        assert terminators == {CLOSE_SENTINEL, "</s>"}
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            render_target_prefix_and_terminator(get_template(2), mode="sampled")
 
 
 class TestValidation:
@@ -98,6 +82,27 @@ def test_override_file(tmp_path):
     templates = list_templates(path)
     assert len(templates) == 1
     assert render_encoder_input(templates[0], "t", "q") == "X t Y q Z <extra_id_0>"
+
+
+def test_override_file_may_carry_the_target_pattern(tmp_path):
+    # The built-in file carries the one target pattern on every entry.
+    path = tmp_path / "prompts.json"
+    entry = {"id": 1, "encoder_pattern": "X {T} Y {Q} Z <extra_id_0>"}
+    path.write_text(json.dumps([{**entry, "target_pattern": "<extra_id_0>{a}<extra_id_1>"}]),
+                    encoding="utf-8")
+    assert list_templates(path) == (PromptTemplate(**entry),)
+
+
+@pytest.mark.parametrize("pattern", ["{a}", "<extra_id_0>{a}</s>", None, ["<extra_id_0>{a}<extra_id_1>"]])
+def test_override_file_with_another_target_pattern_is_refused(tmp_path, pattern):
+    path = tmp_path / "prompts.json"
+    entries = [
+        {"id": 1, "encoder_pattern": "{T} {Q} <extra_id_0>"},
+        {"id": 2, "encoder_pattern": "{T} {Q} <extra_id_0>", "target_pattern": pattern},
+    ]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: template 1: unexpected target pattern")):
+        list_templates(path)
 
 
 def test_rendering_injective_for_sentinel_free_inputs():
