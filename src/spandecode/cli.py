@@ -245,6 +245,8 @@ def cmd_subsample(args) -> int:
 def cmd_partition(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     dataset = load_dataset(args.input)
+    if not dataset:
+        raise DataError(f"{args.input}: no examples")
     counts = {metrics.S_IN: 0, metrics.S_OUT: 0}
     records = []
     for example in dataset:

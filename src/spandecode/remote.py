@@ -23,13 +23,6 @@ Each reply list holds the n rows joined in order of i: row i has
 m_i = min(n - i, K) gold entries and m_i + 1 terminator entries, so the
 lengths are the sum of m_i and that sum plus n.
 
-A server may also take a batch of arbitrary targets, answered with one
-score list per target, in order:
-
-    request:  {"id": u64, "op": "teacher_forced_batch",
-               "source_ids": [u32], "prefix_ids": [u32], "targets": [[u32], ...]}
-    response: {"id": u64, "gold_logprob": [[f64], ...], "term_logprob": [[f64], ...]}
-
 Greedy decoding's whole loop is one request; the server runs it over
 ``next_dist``'s distributions, taking each step's argmax (the lowest id
 among tied maxima) and stopping after a token in the client's
@@ -46,9 +39,8 @@ before the last step and that the last step is one when k < max_steps, and
 that every value is a log-probability.
 
 A request may carry ``"floats": "b64-f64le"``. A server that knows the
-field then sends every float list of its reply (each ``[f64]`` above, one
-per target in a batch reply, one per field in a suffixes reply) as one
-base64 string of little-endian IEEE-754 binary64 values instead: exact,
+field then sends every float list of its reply (each ``[f64]`` above) as
+one base64 string of little-endian IEEE-754 binary64 values instead: exact,
 like the JSON text, and several times cheaper to write and read. Servers
 may ignore the field and reply with lists of JSON numbers; the client
 always sends it and reads either form.
@@ -58,9 +50,9 @@ A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 ``TransportError`` with the server's text. A server that answers an op
 with an error naming an unknown op does not speak it, and the client steps
 down, once per scorer: from ``teacher_forced_suffixes`` to one
-``teacher_forced_batch`` per table, and from that to one
-``teacher_forced`` request per target; from ``greedy`` to one
-``next_dist`` request per step.
+``teacher_forced`` request per suffix; from ``greedy`` to one ``next_dist``
+request per step. The reference server answers every other op with that
+error, ``teacher_forced_batch`` of earlier versions among them.
 
 This module also provides a reference server (``python -m spandecode.remote``)
 that exposes a TableLM over stdio, used to exercise the protocol end to end.
@@ -78,7 +70,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections.abc import Iterable
 
 import requests
 
@@ -90,9 +81,9 @@ from .scorer import (
     TableLM,
     _check_logprobs,
     argmax_steps,
-    check_step_scores,
     positive_int,
     suffix_cap,
+    suffix_scores,
 )
 from .vocab import TokenSeq, Vocabulary
 
@@ -139,7 +130,6 @@ class _WireScorer(Scorer):
         self._id_lock = threading.Lock()
         # Each False once the server has refused the op as unknown.
         self._suffixes = True
-        self._batches = True
         self._greedy = True
 
     def _take_id(self) -> int:
@@ -195,8 +185,8 @@ class _WireScorer(Scorer):
         max_span_len: int | None = None,
     ) -> list[StepScores]:
         """The whole suffix table in one ``teacher_forced_suffixes`` request,
-        still n counted passes; batched or per-pass requests for a server
-        that does not know the op."""
+        still n counted passes; one ``teacher_forced`` request per suffix for
+        a server that does not know the op."""
         cap = suffix_cap(passage, max_span_len)
         if self._suffixes:
             for seq in (source, prefix, passage):
@@ -231,44 +221,6 @@ class _WireScorer(Scorer):
             g += m
             t += m + 1
         return rows
-
-    def teacher_forced_batch(
-        self, source: TokenSeq, prefix: TokenSeq, targets: Iterable[TokenSeq]
-    ) -> list[StepScores]:
-        """All targets in one ``teacher_forced_batch`` request, still one
-        counted pass per target; per-pass requests for a server that does not
-        know the op."""
-        targets = list(targets)
-        if self._batches:
-            for seq in (source, prefix, *targets):
-                self._check_vocab(seq)
-            reply = self._call_unless_unknown(
-                "teacher_forced_batch", source, prefix, targets=[list(t.ids) for t in targets]
-            )
-            if reply is not None:
-                self._count_pass(len(targets))
-                return self._batch_rows(reply, targets)
-            self._batches = False
-        return super().teacher_forced_batch(source, prefix, targets)
-
-    def _batch_rows(self, reply: dict, targets: list[TokenSeq]) -> list[StepScores]:
-        def rows(field):
-            if type(field) is not list:
-                raise TypeError("expected a list of score lists")
-            return [_floats(row) for row in field]
-
-        gold, term = self._read(
-            reply, "teacher_forced_batch", "gold_logprob", "term_logprob", read=rows
-        )
-        if len(gold) != len(targets) or len(term) != len(targets):
-            raise ScorerError(
-                f"scorer returned {len(gold)}/{len(term)} score lists "
-                f"for {len(targets)} targets"
-            )
-        return [
-            check_step_scores(StepScores(g, t), len(target))
-            for g, t, target in zip(gold, term, targets)
-        ]
 
     def greedy_steps(self, source: TokenSeq, prefix: TokenSeq, max_steps: int) -> list[tuple[int, float]]:
         """The whole greedy loop in one ``greedy`` request, still one counted
@@ -461,26 +413,12 @@ def _answer(scorer: Scorer, req: dict) -> dict:
             "gold_logprob": floats(scores.gold_logprob),
             "term_logprob": floats(scores.term_logprob),
         }
-    # Tables are answered pass by pass: a scorer handed to serve (a wrapper,
-    # say) need implement only teacher_forced_pass and next_token_distribution.
-    if op == "teacher_forced_batch":
-        rows = [
-            scorer.teacher_forced_pass(ScoreRequest(source, vocab.seq(t), prefix))
-            for t in req["targets"]
-        ]
-        return {
-            "id": req["id"],
-            "gold_logprob": [floats(row.gold_logprob) for row in rows],
-            "term_logprob": [floats(row.term_logprob) for row in rows],
-        }
     if op == "teacher_forced_suffixes":
         passage = vocab.seq(req["passage_ids"])
-        cap = suffix_cap(passage, req["max_span_len"])
         # The rows go out joined, row i after row i - 1, in one list each.
         gold: list[float] = []
         term: list[float] = []
-        for i in range(len(passage)):
-            row = scorer.teacher_forced_pass(ScoreRequest(source, passage[i : i + cap], prefix))
+        for row in suffix_scores(scorer, source, prefix, passage, req["max_span_len"]):
             gold += row.gold_logprob
             term += row.term_logprob
         return {"id": req["id"], "gold_logprob": floats(gold), "term_logprob": floats(term)}
@@ -544,11 +482,14 @@ def main(argv=None) -> int:
         help="comma-separated terminator token ids (default: the vocab terminator)",
     )
     args = parser.parse_args(argv)
-    vocab = Vocabulary.from_file(args.vocab)
     term_ids = None
     if args.terminator_ids:
         term_ids = {int(t) for t in args.terminator_ids.split(",")}
-    scorer = TableLM.from_file(args.table, vocab, terminator_ids=term_ids)
+    try:
+        vocab = Vocabulary.from_file(args.vocab)
+        scorer = TableLM.from_file(args.table, vocab, terminator_ids=term_ids)
+    except (OSError, ValueError) as exc:
+        parser.exit(2, f"data error: {exc}\n")
     serve(scorer, sys.stdin, sys.stdout)
     return 0
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,6 +137,23 @@ def argmax_steps(scorer, source: TokenSeq, prefix: TokenSeq, terminator_ids, max
     return steps
 
 
+def suffix_scores(scorer, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len=None):
+    """Exact-extract's table: the scores of every suffix ``passage[i:i + K]``
+    forced after ``prefix``, in order of i, K being ``max_span_len`` or n
+    when uncapped. One pass per suffix.
+
+    ``scorer`` needs only ``teacher_forced_pass``, so that a server can
+    build the table over any scorer handed to it."""
+    cap = suffix_cap(passage, max_span_len)
+    # Each suffix is made as the loop reaches it: holding n suffixes slows
+    # an in-process table by several percent, mostly in the cyclic garbage
+    # collector.
+    return [
+        scorer.teacher_forced_pass(ScoreRequest(source, passage[i : i + cap], prefix))
+        for i in range(len(passage))
+    ]
+
+
 def logsumexp(values) -> float:
     values = [v for v in values]
     hi = max(values, default=NEG_INF)
@@ -184,14 +200,6 @@ class Scorer:
         self._count_pass()
         return check_step_scores(self._score_forced(req), len(req.forced_target))
 
-    def teacher_forced_batch(
-        self, source: TokenSeq, prefix: TokenSeq, targets: Iterable[TokenSeq]
-    ) -> list[StepScores]:
-        """Score each target after the same source and prefix, in order; one
-        counted pass per target. A transport can override this to send the
-        source once for all targets."""
-        return [self.teacher_forced_pass(ScoreRequest(source, t, prefix)) for t in targets]
-
     def teacher_forced_suffixes(
         self,
         source: TokenSeq,
@@ -203,13 +211,7 @@ class Scorer:
         prefix, in order of i, K being ``max_span_len`` or n when uncapped;
         one counted pass per suffix. A transport can override this to send
         the passage once instead of n targets."""
-        cap = suffix_cap(passage, max_span_len)
-        # Suffixes are made as the batch takes them: holding n suffixes
-        # slows an in-process table by several percent, mostly in the
-        # cyclic garbage collector.
-        return self.teacher_forced_batch(
-            source, prefix, (passage[i : i + cap] for i in range(len(passage)))
-        )
+        return suffix_scores(self, source, prefix, passage, max_span_len)
 
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):
         """Full next-token log-distribution after ``prefix``; one counted pass."""
@@ -255,7 +257,7 @@ class TableLM(Scorer):
     of its source therefore extends no registered key, and every later step
     of the pass reads the default.
 
-    The source tuple is hashed once per batch, not once per pass: the
+    The source tuple is hashed once per table, not once per pass: the
     context table of the last source looked up is kept with that source's
     ``ids`` tuple and reused while requests carry the same tuple object.
     """
@@ -322,23 +324,40 @@ class TableLM(Scorer):
 
     @classmethod
     def from_file(cls, path: str | Path, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
-        """Load from a JSON map of "src#p1,p2,..." keys; src "*" matches any source."""
+        """Load from a JSON map of "src#p1,p2,..." keys; src "*" matches any
+        source. ValueError naming ``path`` when the file is not valid JSON or
+        not such a map of distributions."""
+        lm = cls(vocab, terminator_ids=terminator_ids)
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        default = raw.pop("default", None)
-        if default is not None:
-            default = {int(k): float(v) for k, v in default.items()}
-        lm = cls(vocab, default=default, terminator_ids=terminator_ids)
-        for key, dist in raw.items():
+            try:
+                lm._load(json.load(f))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        return lm
+
+    def _load(self, raw) -> None:
+        if not isinstance(raw, dict):
+            raise ValueError(f"table must be a JSON object, not {type(raw).__name__}")
+
+        def distribution(key):
+            dist = raw[key]
+            if not isinstance(dist, dict):
+                raise ValueError(f"distribution {key!r} must be an object, not {type(dist).__name__}")
+            return {int(k): float(v) for k, v in dist.items()}
+
+        if raw.get("default") is not None:
+            self._default = self._entry(distribution("default"))
+        for key in raw:
+            if key == "default":
+                continue
             src_part, _, prefix_part = key.partition("#")
             prefix = tuple(int(t) for t in prefix_part.split(",") if t != "")
-            dist = {int(k): float(v) for k, v in dist.items()}
+            dist = distribution(key)
             if src_part == "*":
-                lm.set_context(prefix, dist)
+                self.set_context(prefix, dist)
             else:
                 source = tuple(int(t) for t in src_part.split(",") if t != "")
-                lm.set_context((source, prefix), dist)
-        return lm
+                self.set_context((source, prefix), dist)
 
     # ------------------------------------------------------------------
     def _full_distribution(self, source: TokenSeq, prefix_ids: tuple[int, ...]):

@@ -82,16 +82,30 @@ class Vocabulary:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, obj: dict) -> "Vocabulary":
-        return cls(
-            pieces=obj["pieces"],
-            terminator=obj["terminator"],
-            sentinels=obj.get("sentinels", []),
-        )
+        """ValueError unless ``obj`` is an object with a ``pieces`` list and a
+        ``terminator`` string, and ``sentinels``, if given, is a list; all
+        pieces are strings."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"vocabulary must be a JSON object, not {type(obj).__name__}")
+        pieces, terminator = obj.get("pieces"), obj.get("terminator")
+        sentinels = obj.get("sentinels", [])
+        if not isinstance(pieces, list) or not all(isinstance(p, str) for p in pieces):
+            raise ValueError("vocabulary needs a 'pieces' list of strings")
+        if not isinstance(terminator, str):
+            raise ValueError("vocabulary needs a 'terminator' string")
+        if not isinstance(sentinels, list):
+            raise ValueError("vocabulary 'sentinels' must be a list")
+        return cls(pieces=pieces, terminator=terminator, sentinels=sentinels)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocabulary":
+        """Load a vocabulary JSON file; ValueError naming ``path`` when it is
+        not valid JSON or not a vocabulary."""
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            try:
+                return cls.from_dict(json.load(f))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
     # ------------------------------------------------------------------
     @property
@@ -102,10 +116,6 @@ class Vocabulary:
     @property
     def terminator_id(self) -> int:
         return self._piece_to_id[self.terminator]
-
-    @property
-    def sentinel_ids(self) -> tuple[int, ...]:
-        return tuple(self._piece_to_id[s] for s in self.sentinels)
 
     def piece_id(self, piece: str) -> int:
         return self._piece_to_id[piece]

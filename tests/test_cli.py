@@ -466,7 +466,7 @@ class TestExitCodes:
         # A well-formed reply whose scores are NaN is refused at the scorer
         # boundary, with the same exit code as a transport fault. The server
         # knows only the one-pass ops, so the client falls back to
-        # teacher_forced after its suffixes and batch requests are refused.
+        # teacher_forced after its suffixes request is refused.
         code = main(
             ["--vocab", workspace["vocab"], "--scorer", f"stdio:{self.nan_server(workspace)}",
              "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
@@ -676,6 +676,69 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[1, 2]", "vocabulary must be a JSON object, not list", id="list"),
+            pytest.param('{"terminator": "</s>"}', "vocabulary needs a 'pieces' list", id="no-pieces"),
+            pytest.param('{"pieces": ["a", "</s>"]}', "vocabulary needs a 'terminator' string", id="no-terminator"),
+            pytest.param('{"pieces": "a</s>", "terminator": "</s>"}', "'pieces' list of strings", id="pieces-string"),
+            pytest.param('{"pieces": ["a", 5], "terminator": "a"}', "'pieces' list of strings", id="piece-int"),
+            pytest.param('{"pieces": ["a"], "terminator": "a", "sentinels": "a"}', "'sentinels' must be a list",
+                         id="sentinels-string"),
+            pytest.param('{"pieces": ["a"], "terminator": "</s>"}', "special token '</s>' missing", id="no-special"),
+            pytest.param("{", "Expecting property name", id="invalid-json"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decode", "eval", "partition"])
+    def test_malformed_vocab(self, workspace, capsys, command, text, message):
+        vocab = workspace["dir"] / "bad_vocab.json"
+        vocab.write_text(text, encoding="utf-8")
+        argv = ["--vocab", str(vocab), "--scorer", workspace["table"], command, "--input", workspace["dataset"]]
+        if command != "partition":
+            argv += ["--output", str(workspace["dir"] / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {vocab}: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[1, 2]", "table must be a JSON object, not list", id="list"),
+            pytest.param('{"*#": [0.5, 0.5]}', "distribution '*#' must be an object, not list", id="dist-list"),
+            pytest.param('{"default": 1}', "distribution 'default' must be an object, not int", id="default-int"),
+            pytest.param('{"*#": {"0": [1]}}', "float() argument", id="prob-list"),
+            pytest.param('{"*#x": {"0": 1}}', "invalid literal for int()", id="bad-key"),
+            pytest.param('{"*#": {"0": 0.5}}', "distribution sums to 0.5", id="sum-below-one"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_malformed_table(self, workspace, capsys, command, text, message):
+        table = workspace["dir"] / "bad_table.json"
+        table.write_text(text, encoding="utf-8")
+        argv = ["--vocab", workspace["vocab"], "--scorer", f"table:{table}", command,
+                "--input", workspace["dataset"], "--output", str(workspace["dir"] / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {table}: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "lines",
+        [[], ['{"header": {"dataset": "dev"}}'], ['{"header": {}}', '{"context": "the IRA", "qas": []}']],
+        ids=["empty-file", "header-only", "no-questions"],
+    )
+    def test_partition_without_examples(self, workspace, capsys, lines):
+        dataset = workspace["dir"] / "empty.jsonl"
+        dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = workspace["dir"] / "parts.jsonl"
+        argv = ["--vocab", workspace["vocab"], "partition", "--input", str(dataset), "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {dataset}: no examples\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["decode", "eval"])

@@ -4,7 +4,8 @@
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
   cap and with and without the empty span, in process and over the wire
   protocol at every op level (one suffixes request, with packed or
-  JSON-list float replies; one batch; one request per pass);
+  JSON-list float replies; a refused suffixes request and one request per
+  pass);
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request, with packed or JSON-list float
   replies; a refused greedy request and one ``next_dist`` per step);
@@ -29,7 +30,7 @@ from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 from conftest import LoopbackScorer, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
-SUFFIXES, BATCH, GREEDY = "teacher_forced_suffixes", "teacher_forced_batch", "greedy"
+SUFFIXES, GREEDY = "teacher_forced_suffixes", "greedy"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
 # the sentinels and the terminator.
@@ -123,9 +124,9 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         allow_empty_span=data.draw(st.booleans()),
     )
     # In process, or over the wire at every op level: one suffixes request,
-    # with packed or JSON-list float replies; a refused suffixes request and
-    # one batch; or both refused and then one request per pass.
-    refuse = data.draw(st.sampled_from([None, (), (SUFFIXES,), (SUFFIXES, BATCH)]))
+    # with packed or JSON-list float replies; or a refused suffixes request
+    # and then one request per pass.
+    refuse = data.draw(st.sampled_from([None, (), (SUFFIXES,)]))
     lists = data.draw(st.booleans())
     scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse, lists=lists)
     fast = exact_extract(passage, source, prefix, scorer, cfg)
@@ -137,8 +138,8 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
     )
     assert fast.passes_used == n
     if refuse is not None:
-        # 1, 1 + 1 or 1 + 1 + n requests.
-        steps = [[], [BATCH], [BATCH] + ["teacher_forced"] * n][len(refuse)]
+        # 1 or 1 + n requests.
+        steps = [[], ["teacher_forced"] * n][len(refuse)]
         assert scorer.ops() == [SUFFIXES] + steps
 
 

@@ -38,7 +38,7 @@ CONFIGS = [
     DecodeConfig(max_span_len=cap, allow_empty_span=empty)
     for cap, empty in itertools.product([None, 1, 3, 8, 20], [False, True])
 ]
-SUFFIXES, BATCH, GREEDY = "teacher_forced_suffixes", "teacher_forced_batch", "greedy"
+SUFFIXES, GREEDY = "teacher_forced_suffixes", "greedy"
 
 
 def write_fixture_files(tmp_path, vocab, table: dict):
@@ -89,7 +89,7 @@ def assert_wire_matches_in_process(wire, local, vocab):
         ), cfg
         assert got.passes_used == len(passage)
     # No op was refused, so every table went as one suffixes request.
-    assert wire._suffixes and wire._batches
+    assert wire._suffixes
 
 
 class RecordingScorer(_WireScorer):
@@ -184,7 +184,7 @@ class TestWireFraming:
         with pytest.raises(ScorerError):
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", BATCH, SUFFIXES])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", SUFFIXES])
     @pytest.mark.parametrize("reply_id", ["same", None])
     def test_server_error_is_raised_verbatim(self, op, reply_id):
         vocab = bare_vocab(4)
@@ -198,7 +198,6 @@ class TestWireFraming:
         calls = {
             "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
             "next_dist": lambda: scorer.next_token_distribution(empty, empty),
-            BATCH: lambda: scorer.teacher_forced_batch(empty, empty, [target]),
             SUFFIXES: lambda: scorer.teacher_forced_suffixes(empty, empty, target),
         }
         with pytest.raises(TransportError, match="model shard 3 is out of memory"):
@@ -212,33 +211,9 @@ class TestWireFraming:
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
 
-# Tamper helpers for batch replies, whose fields hold one score list per
-# target: each decodes the entry it changes and re-encodes it in the form it
-# arrived in, packed or a JSON list.
 def reencode(entry, values):
+    """``values`` in the form ``entry`` arrived in, packed or a JSON list."""
     return _pack(values) if isinstance(entry, str) else list(values)
-
-
-def drop_last_entry(payload, reply):
-    return {**reply, "gold_logprob": reply["gold_logprob"][:-1], "term_logprob": reply["term_logprob"][:-1]}
-
-
-def short_entry(payload, reply):
-    gold = list(reply["gold_logprob"])
-    gold[1] = reencode(gold[1], _floats(gold[1])[:-1])
-    return {**reply, "gold_logprob": gold}
-
-
-def nan_entry(payload, reply):
-    gold = list(reply["gold_logprob"])
-    gold[1] = reencode(gold[1], (float("nan"),) + _floats(gold[1])[1:])
-    return {**reply, "gold_logprob": gold}
-
-
-def positive_entry(payload, reply):
-    term = list(reply["term_logprob"])
-    term[2] = reencode(term[2], (0.5,) + _floats(term[2])[1:])
-    return {**reply, "term_logprob": term}
 
 
 def both_forms(*edits):
@@ -253,150 +228,13 @@ def in_form(edit, packed):
     """``edit``, after checking that every entry arrived packed or as a list."""
 
     def checked(payload, reply):
-        if payload["op"] in (BATCH, SUFFIXES):
-            gold, term = reply["gold_logprob"], reply["term_logprob"]
-            # A batch reply field holds one entry per target; a suffixes
-            # reply field is one entry.
-            entries = gold + term if payload["op"] == BATCH else [gold, term]
-            assert entries and all(isinstance(e, str) == packed for e in entries)
+        if payload["op"] == SUFFIXES:
+            assert all(isinstance(reply[f], str) == packed for f in ("gold_logprob", "term_logprob"))
         if payload["op"] == GREEDY:
             assert isinstance(reply["logprob"], str) == packed
         return edit(payload, reply)
 
     return checked
-
-
-class TestBatch:
-    """The batch op, which a server that refuses the suffixes op gets."""
-
-    def setup_model(self):
-        vocab = bare_vocab(6)
-        term = vocab.terminator_id
-        lm = TableLM(
-            vocab,
-            contexts={
-                (): {1: 0.6, 2: 0.2, term: 0.2},
-                (1,): {2: 0.5, term: 0.5},
-                ((0, 1), (2,)): {3: 0.7, term: 0.3},
-            },
-        )
-        return vocab, lm
-
-    def test_table_is_one_batch_request(self):
-        vocab, lm = self.setup_model()
-
-        def answer(payload):
-            rows = lm.teacher_forced_batch(
-                vocab.seq(payload["source_ids"]),
-                vocab.seq(payload["prefix_ids"]),
-                [vocab.seq(t) for t in payload["targets"]],
-            )
-            return {
-                "id": payload["id"],
-                "gold_logprob": [list(row.gold_logprob) for row in rows],
-                "term_logprob": [list(row.term_logprob) for row in rows],
-            }
-
-        def refuse(payload):
-            return {"id": payload["id"], "error": f"unknown op {payload['op']!r}"}
-
-        # The suffixes request refused, then one batch: a third request
-        # would find no scripted reply.
-        wire = RecordingScorer(vocab, [refuse, answer])
-        passage = vocab.seq((1, 2, 3, 0, 1))
-        source, prefix = vocab.seq((0, 1)), vocab.seq(())
-        result = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=3))
-        refused, request = wire.sent
-        assert refused["op"] == SUFFIXES
-        assert request["op"] == "teacher_forced_batch"
-        assert request["source_ids"] == [0, 1]
-        assert request["prefix_ids"] == []
-        assert request["targets"] == [list(passage.ids[i : i + 3]) for i in range(5)]
-        assert "target_ids" not in request
-        assert result.passes_used == 5 == wire.pass_count()
-
-    def test_batch_entries_equal_single_passes(self):
-        vocab, lm = self.setup_model()
-        source, prefix = vocab.seq((0, 1)), vocab.seq(())
-        targets = [vocab.seq(t) for t in [(), (1,), (1, 2), (2, 3, 0), (4, 4)]]
-        got = LoopbackScorer(lm).teacher_forced_batch(source, prefix, targets)
-        want = [lm.teacher_forced_pass(ScoreRequest(source, t, prefix)) for t in targets]
-        assert got == want
-
-    def test_unknown_op_falls_back_to_single_passes_once(self):
-        vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={SUFFIXES, BATCH})
-        passage = vocab.seq((1, 2, 3, 0))
-        source, prefix = vocab.seq((0, 1)), vocab.seq(())
-        want = exact_extract(passage, source, prefix, lm)
-        for _ in range(2):
-            got = exact_extract(passage, source, prefix, wire)
-            assert (got.start, got.length, got.span_logprob.hex()) == (
-                want.start,
-                want.length,
-                want.span_logprob.hex(),
-            )
-            assert got.passes_used == 4
-        assert wire.ops() == [SUFFIXES, BATCH] + ["teacher_forced"] * 8
-        assert [p["target_ids"] for p in wire.sent[2:6]] == [[1, 2, 3, 0], [2, 3, 0], [3, 0], [0]]
-
-    def test_other_errors_raise_and_keep_batching(self):
-        vocab, lm = self.setup_model()
-        calls = []
-
-        def overloaded_once(payload, reply):
-            calls.append(payload["op"])
-            if len(calls) == 1:
-                return {"id": payload["id"], "error": "overloaded, retry later"}
-            return reply
-
-        wire = LoopbackScorer(lm, refuse={SUFFIXES}, edit=overloaded_once)
-        passage, empty = vocab.seq((1, 2)), vocab.seq(())
-        with pytest.raises(TransportError, match="overloaded, retry later"):
-            exact_extract(passage, empty, empty, wire)
-        exact_extract(passage, empty, empty, wire)
-        assert wire.ops() == [SUFFIXES, BATCH, BATCH]
-
-    @pytest.mark.parametrize(
-        "edit, packed", both_forms(drop_last_entry, short_entry, nan_entry, positive_entry)
-    )
-    def test_invalid_entry_raises_scorer_error(self, edit, packed):
-        vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={SUFFIXES}, edit=in_form(edit, packed), lists=not packed)
-        passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
-        with pytest.raises(ScorerError) as caught:
-            exact_extract(passage, empty, empty, wire)
-        # The check of the scores caught it, not the decoding of the reply.
-        assert not isinstance(caught.value, TransportError)
-
-    def test_missing_field_is_transport_error(self):
-        vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=lambda p, r: {"id": r["id"], "gold_logprob": r["gold_logprob"]})
-        with pytest.raises(TransportError, match="malformed teacher_forced_batch"):
-            wire.teacher_forced_batch(vocab.seq(()), vocab.seq(()), [vocab.seq((1,))])
-
-    @pytest.mark.parametrize("edit, packed", both_forms(drop_last_entry, nan_entry))
-    def test_invalid_batch_reply_skips_the_example(self, edit, packed):
-        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
-        template = get_template(2)
-        dataset = [
-            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
-            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
-        ]
-        bad = dataset[1]
-        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
-
-        def corrupt_album(payload, reply):
-            if payload["op"] == "teacher_forced_batch" and payload["source_ids"] == bad_source:
-                return edit(payload, reply)
-            return reply
-
-        wire = LoopbackScorer(
-            TableLM.uniform(vocab), refuse={SUFFIXES}, edit=in_form(corrupt_album, packed), lists=not packed
-        )
-        report = run_eval(dataset, wire, template, vocab)
-        assert report.skipped_ids == ("q-album",)
-        assert report.exact["overall"]["count"] == 1
 
 
 # Tamper helpers for suffixes replies, whose fields each hold every row
@@ -424,7 +262,18 @@ def positive_value(payload, reply):
 class TestSuffixes:
     """The suffixes op: one request per table, the passage sent once."""
 
-    setup_model = TestBatch.setup_model
+    def setup_model(self):
+        vocab = bare_vocab(6)
+        term = vocab.terminator_id
+        lm = TableLM(
+            vocab,
+            contexts={
+                (): {1: 0.6, 2: 0.2, term: 0.2},
+                (1,): {2: 0.5, term: 0.5},
+                ((0, 1), (2,)): {3: 0.7, term: 0.3},
+            },
+        )
+        return vocab, lm
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_table_is_one_suffixes_request(self, cap):
@@ -453,21 +302,26 @@ class TestSuffixes:
         assert [len(row.gold_logprob) for row in got] == [min(5 - i, cap or 5) for i in range(5)]
         assert wire.pass_count() == 5 and wire.ops() == [SUFFIXES]
 
-    def test_unknown_op_steps_down_to_batch_once(self):
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_unknown_op_steps_down_to_single_passes_once(self, cap):
         vocab, lm = self.setup_model()
         wire = LoopbackScorer(lm, refuse={SUFFIXES})
         passage, source, prefix = vocab.seq((1, 2, 3, 0)), vocab.seq((0, 1)), vocab.seq(())
-        want = exact_extract(passage, source, prefix, lm, DecodeConfig(max_span_len=2))
+        want = exact_extract(passage, source, prefix, lm, DecodeConfig(max_span_len=cap))
         for _ in range(2):
-            got = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=2))
+            got = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=cap))
             assert (got.start, got.length, got.span_logprob.hex()) == (
                 want.start,
                 want.length,
                 want.span_logprob.hex(),
             )
-            assert got.passes_used == 4
-        assert wire.ops() == [SUFFIXES, BATCH, BATCH]
-        assert wire.sent[1]["targets"] == [[1, 2], [2, 3], [3, 0], [0]]
+            assert got.passes_used == 4 and not wire._suffixes
+        # One refused suffixes request, then one teacher_forced request per
+        # suffix for both tables: the scorer does not ask again.
+        assert wire.ops() == [SUFFIXES] + ["teacher_forced"] * 8
+        suffixes = [list(passage.ids[i : i + (cap or 4)]) for i in range(4)]
+        assert [p["target_ids"] for p in wire.sent[1:]] == suffixes * 2
+        assert wire.pass_count() == 8
 
     def test_other_errors_raise_and_keep_the_op(self):
         vocab, lm = self.setup_model()
@@ -786,8 +640,6 @@ class TestFloatForms:
         want = local.teacher_forced_pass(ScoreRequest(source, target, prefix))
         got = wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
         assert bits(got.gold_logprob + got.term_logprob) == bits(want.gold_logprob + want.term_logprob)
-        (row,) = wire.teacher_forced_batch(source, prefix, [target])
-        assert bits(row.gold_logprob + row.term_logprob) == bits(want.gold_logprob + want.term_logprob)
         for cap in (None, 2):
             rows = wire.teacher_forced_suffixes(source, prefix, target, cap)
             wanted = local.teacher_forced_suffixes(source, prefix, target, cap)
@@ -804,7 +656,7 @@ class TestFloatForms:
         "request_",
         [
             {"op": "teacher_forced", "target_ids": [1, 2]},
-            {"op": "teacher_forced_batch", "targets": [[1, 2], [], [3]]},
+            {"op": GREEDY, "terminator_ids": [5], "max_steps": 3},
             {"op": "next_dist", "target_ids": []},
             {"op": SUFFIXES, "passage_ids": [1, 2, 3], "max_span_len": 2},
         ],
@@ -819,20 +671,18 @@ class TestFloatForms:
         )
         assert unknown == as_lists
         assert as_lists.keys() == packed.keys()
-        for field in as_lists.keys() - {"id"}:
+        # Token ids are never packed.
+        assert as_lists.get("token_ids") == packed.get("token_ids")
+        for field in as_lists.keys() - {"id", "token_ids"}:
             lists, strings = as_lists[field], packed[field]
-            if request_["op"] == "teacher_forced_batch":
-                assert all(isinstance(e, list) for e in lists)
-                assert [bits(_floats(e)) for e in strings] == [bits(e) for e in lists]
-            else:
-                assert isinstance(lists, list)
-                assert bits(_floats(strings)) == bits(lists)
+            assert isinstance(lists, list) and isinstance(strings, str)
+            assert bits(_floats(strings)) == bits(lists)
 
     @pytest.mark.parametrize(
         "bad",
         ["not base64!", base64.b64encode(bytes(12)).decode("ascii"), "AAAAAAAAAAA", "é" * 8],
     )
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", BATCH, SUFFIXES])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", SUFFIXES])
     def test_malformed_packed_floats_raise_transport_error(self, bad, op):
         with pytest.raises(TransportError, match=f"malformed {op} response"):
             call_with_reply(op, gold=bad, term=_pack((-1.0, -1.0)), dist=bad)
@@ -851,7 +701,7 @@ class TestFloatForms:
         ],
         ids=["false", "numeric-string", "dict", "null", "nested-list", "huge-int"],
     )
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", BATCH, SUFFIXES])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", SUFFIXES])
     def test_non_numbers_raise_transport_error(self, bad, op):
         # One gold and two terminator log-probs, or four in a distribution.
         call_with_reply(op, gold=[-1], term=[-1.0, -1.0], dist=[-1.0] * 4)
@@ -860,20 +710,14 @@ class TestFloatForms:
         with pytest.raises(TransportError, match=f"malformed {op} response"):
             call_with_reply(op, gold=[-1.0], term=bad(2), dist=bad(4))
 
-    @pytest.mark.parametrize("field", [{"AAAAAAAA8L8=": 1}, _pack((-1.0,)), None, 3])
-    def test_batch_reply_that_is_not_a_list_of_rows_raises(self, field):
-        with pytest.raises(TransportError, match=f"malformed {BATCH} response"):
-            call_with_reply(BATCH, gold=field, term=[_pack((-1.0, -1.0))], nest=False)
 
-
-def call_with_reply(op, gold, term, dist=None, nest=True):
+def call_with_reply(op, gold, term, dist=None):
     """Make a one-token ``op`` call on a wire scorer over a 4-piece vocabulary
-    whose server replies with ``gold`` and ``term`` (one row of a batch
-    reply, with ``nest``) or the distribution ``dist``."""
+    whose server replies with ``gold`` and ``term`` or the distribution
+    ``dist``."""
     vocab = bare_vocab(4)
     fields = {
         "teacher_forced": {"gold_logprob": gold, "term_logprob": term},
-        BATCH: {"gold_logprob": [gold] if nest else gold, "term_logprob": [term] if nest else term},
         SUFFIXES: {"gold_logprob": gold, "term_logprob": term},
         "next_dist": {"logits_logprob": dist},
     }
@@ -882,7 +726,6 @@ def call_with_reply(op, gold, term, dist=None, nest=True):
     calls = {
         "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
         "next_dist": lambda: scorer.next_token_distribution(empty, empty),
-        BATCH: lambda: scorer.teacher_forced_batch(empty, empty, [target]),
         SUFFIXES: lambda: scorer.teacher_forced_suffixes(empty, empty, target),
     }
     return calls[op]()
@@ -972,29 +815,16 @@ class TestServe:
         serve(lm, in_stream, out_stream)
         assert out_stream.getvalue() == ""
 
-    def test_teacher_forced_batch_reply_shape(self):
+    def test_teacher_forced_batch_is_an_unknown_op(self):
+        # The op of earlier versions gets the unknown-op error that makes a
+        # client step down, and serving goes on.
         vocab = bare_vocab(5)
         lm = TableLM.uniform(vocab)
-        forwarding = ForwardingScorer(lm)
-        replies = self.run(
-            forwarding,
-            [
-                {
-                    "id": 9,
-                    "op": "teacher_forced_batch",
-                    "source_ids": [0],
-                    "prefix_ids": [1],
-                    "targets": [[1, 2, 3], [], [2]],
-                }
-            ],
-        )
-        (reply,) = replies
-        assert reply["id"] == 9
-        assert [len(g) for g in reply["gold_logprob"]] == [3, 0, 1]
-        assert [len(t) for t in reply["term_logprob"]] == [4, 1, 2]
-        # Answered pass by pass through teacher_forced_pass.
-        assert forwarding.forced_calls == 3
-        assert lm.pass_count() == 3
+        batch = {"id": 9, "op": "teacher_forced_batch", "source_ids": [0], "prefix_ids": [1], "targets": [[1, 2], [3]]}
+        error, answer = self.run(lm, [batch, {**SUFFIXES_LINE, "id": 10}])
+        assert error == {"id": 9, "error": "unknown op 'teacher_forced_batch'"}
+        assert answer["id"] == 10 and len(answer["gold_logprob"]) == 3
+        assert lm.pass_count() == 2
 
     @pytest.mark.parametrize("cap", [None, 2, 3, 7])
     def test_teacher_forced_suffixes_reply_shape(self, cap):
@@ -1106,8 +936,8 @@ class TestServe:
             ('{"id": 6, "source_ids": [], "prefix_ids": []}', 6),
             ('{"op": "next_dist", "source_ids": [], "prefix_ids": []}', None),
             ('{"id": 7, "op": "teacher_forced", "source_ids": [999], "prefix_ids": [], "target_ids": []}', 7),
-            ('{"id": 8, "op": "teacher_forced_batch", "source_ids": [], "prefix_ids": [], "targets": [[0, -1]]}', 8),
-            ('{"id": 9, "op": "teacher_forced_batch", "source_ids": [], "prefix_ids": [], "targets": 3}', 9),
+            ('{"id": 8, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [0, -1]}', 8),
+            ('{"id": 9, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": 3}', 9),
             ('{"id": 11, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [1.0]}', 11),
             ('{"id": 12, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [true]}', 12),
         ],
@@ -1130,7 +960,7 @@ class TestServe:
             NanTableLM.uniform(vocab),
             [
                 {"id": 1, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [0]},
-                {"id": 2, "op": "teacher_forced_batch", "source_ids": [], "prefix_ids": [], "targets": [[0]]},
+                {"id": 2, "op": SUFFIXES, "source_ids": [], "prefix_ids": [], "passage_ids": [0], "max_span_len": None},
                 {"id": 3, "op": "next_dist", "source_ids": [], "prefix_ids": [], "target_ids": []},
             ],
         )
@@ -1138,11 +968,6 @@ class TestServe:
         assert "NaN" in replies[0]["error"]
         assert "NaN" in replies[1]["error"]
         assert len(replies[2]["logits_logprob"]) == 5
-        (reply,) = self.run(
-            NanTableLM.uniform(vocab),
-            [{"id": 4, "op": SUFFIXES, "source_ids": [], "prefix_ids": [], "passage_ids": [0], "max_span_len": None}],
-        )
-        assert reply["id"] == 4 and "NaN" in reply["error"]
 
 
 class TestStdioScorer:
@@ -1214,6 +1039,15 @@ class TestStdioScorer:
         assert error["id"] is None and "invalid JSON" in error["error"]
         assert answer["id"] == 2 and len(answer["logits_logprob"]) == 6
 
+    @pytest.mark.parametrize("table", ["[1, 2]", '{"*#": 5}'], ids=["list", "dist-int"])
+    def test_server_rejects_a_malformed_table(self, tmp_path, table):
+        _, vocab_path, table_path, _ = reference_setup(tmp_path)
+        table_path.write_text(table, encoding="utf-8")
+        command = [sys.executable, "-m", "spandecode.remote", "--vocab", str(vocab_path), "--table", str(table_path)]
+        proc = subprocess.run(command, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"data error: {table_path}: ") and proc.stderr.count("\n") == 1
+
     def test_process_that_exits_immediately(self):
         vocab = bare_vocab(4)
         scorer = StdioScorer(f"{sys.executable} -c pass", vocab)
@@ -1256,15 +1090,15 @@ class TestStdioScorer:
             scorer.close()
 
     def test_request_write_timeout_kills_the_child(self):
-        # A child that reads nothing, and a request of about 200 kB, more
+        # A child that reads nothing, and a request of about 300 kB, more
         # than a pipe holds: the write itself must give up.
         vocab = bare_vocab(4)
-        empty, passage = vocab.seq(()), vocab.seq([1] * 360)
+        empty, source = vocab.seq(()), vocab.seq([1] * 100_000)
         scorer = StdioScorer(shlex.join([sys.executable, "-c", "import time; time.sleep(60)"]), vocab, timeout=0.5)
         try:
             start = time.monotonic()
             with pytest.raises(TransportError, match="did not answer within 0.5 s"):
-                scorer.teacher_forced_batch(empty, empty, [passage[i:] for i in range(len(passage))])
+                scorer.next_token_distribution(source, empty)
             assert time.monotonic() - start < 5
             assert scorer._proc.returncode is not None
         finally:

@@ -147,10 +147,6 @@ class TestPieceSurface:
 class TestVocabulary:
     def test_special_ids_present(self, toy_vocab):
         assert toy_vocab.pieces[toy_vocab.terminator_id] == "</s>"
-        assert [toy_vocab.pieces[i] for i in toy_vocab.sentinel_ids] == [
-            "<extra_id_0>",
-            "<extra_id_1>",
-        ]
 
     def test_missing_special_rejected(self):
         with pytest.raises(ValueError):
