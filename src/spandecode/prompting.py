@@ -62,10 +62,15 @@ def _load(raw, where) -> tuple[PromptTemplate, ...]:
 
 
 def list_templates(path: str | Path | None = None) -> tuple[PromptTemplate, ...]:
-    """The built-in template library, or one loaded from an override file."""
+    """The built-in template library, or one loaded from an override file;
+    ValueError naming ``path`` when that file is not a valid library."""
     if path is not None:
         with open(path, encoding="utf-8") as f:
-            return _load(json.load(f), path)
+            try:
+                raw = json.load(f)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        return _load(raw, path)
     data = resources.files("spandecode.data").joinpath("templates.json")
     return _load(json.loads(data.read_text(encoding="utf-8")), "templates.json")
 

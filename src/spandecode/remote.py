@@ -60,6 +60,7 @@ that exposes a TableLM over stdio, used to exercise the protocol end to end.
 
 from __future__ import annotations
 
+import argparse
 import base64
 import json
 import os
@@ -70,8 +71,6 @@ import subprocess
 import sys
 import threading
 import time
-
-import requests
 
 from .scorer import (
     ScoreRequest,
@@ -286,10 +285,17 @@ class RemoteScorer(_WireScorer):
     """Scores via HTTP POST /score, one JSON object per request."""
 
     def __init__(self, url: str, vocab: Vocabulary, terminator_ids=None, timeout: float = 30.0):
+        # Imported here, the one place HTTP is used: loading requests costs
+        # every other command and the stdio server tens of milliseconds and
+        # megabytes at start-up.
+        import requests
+
         super().__init__(vocab, terminator_ids)
         self.url = url.rstrip("/") + "/score"
         self.timeout = timeout
         self._session = requests.Session()
+        # What a round trip raises for an unreachable server or a bad reply.
+        self._failures = (requests.RequestException, ValueError)
 
     def close(self) -> None:
         self._session.close()
@@ -299,7 +305,7 @@ class RemoteScorer(_WireScorer):
             resp = self._session.post(self.url, json=payload, timeout=self.timeout)
             resp.raise_for_status()
             return resp.json()
-        except (requests.RequestException, ValueError) as exc:
+        except self._failures as exc:
             raise TransportError(f"remote scorer at {self.url}: {exc}") from exc
 
 
@@ -467,9 +473,16 @@ def serve(scorer: Scorer, in_stream, out_stream) -> None:
         out_stream.flush()
 
 
-def main(argv=None) -> int:
-    import argparse
+def _token_ids(text: str) -> set[int] | None:
+    """The ids of a comma-separated list, for ``--terminator-ids``; an
+    empty list means the vocabulary's terminator."""
+    try:
+        return {int(t) for t in text.split(",")} if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of token ids: {text!r}") from None
 
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spandecode.remote",
         description="Serve a TableLM over the stdio scoring protocol.",
@@ -478,16 +491,14 @@ def main(argv=None) -> int:
     parser.add_argument("--table", required=True, help="TableLM JSON file")
     parser.add_argument(
         "--terminator-ids",
+        type=_token_ids,
         default=None,
         help="comma-separated terminator token ids (default: the vocab terminator)",
     )
     args = parser.parse_args(argv)
-    term_ids = None
-    if args.terminator_ids:
-        term_ids = {int(t) for t in args.terminator_ids.split(",")}
     try:
         vocab = Vocabulary.from_file(args.vocab)
-        scorer = TableLM.from_file(args.table, vocab, terminator_ids=term_ids)
+        scorer = TableLM.from_file(args.table, vocab, terminator_ids=args.terminator_ids)
     except (OSError, ValueError) as exc:
         parser.exit(2, f"data error: {exc}\n")
     serve(scorer, sys.stdin, sys.stdout)

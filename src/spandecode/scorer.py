@@ -279,26 +279,47 @@ class TableLM(Scorer):
             self.set_context(key, dist)
 
     # ------------------------------------------------------------------
-    def _to_logdist(self, dist: dict[int, float]) -> list[float]:
-        total = sum(dist.values())
+    def _to_logdist(self, dist: dict) -> list[float]:
+        """``dist``'s log-probabilities over the piece vocabulary. ``dist``
+        maps token ids to probabilities; either may be a string, as in a
+        table file. ValueError unless the probabilities are finite and sum
+        to 1 within DIST_SUM_TOL, and every id is a piece id, listed once,
+        with a probability of at least 0.
+
+        Each id and probability is converted once, and the checks are
+        C-level reductions over the converted lists."""
+        size = self.vocab.size
+        ids = list(map(int, dist))
+        probs = list(map(float, dist.values()))
+        total = sum(probs)
+        # A NaN or an infinity anywhere makes the sum NaN or infinite.
+        if not math.isfinite(total):
+            for token_id, prob in zip(ids, probs):
+                if not math.isfinite(prob):
+                    raise ValueError(f"probability {prob!r} of token {token_id} is not finite")
         if abs(total - 1.0) > DIST_SUM_TOL:
             raise ValueError(f"distribution sums to {total!r}, expected 1.0")
-        out = [NEG_INF] * self.vocab.size
-        for token_id, prob in dist.items():
-            token_id = int(token_id)
-            if not 0 <= token_id < self.vocab.size:
-                raise ValueError(f"token id {token_id} outside piece vocabulary")
-            if prob < 0:
-                raise ValueError("negative probability")
+        if min(ids) < 0 or max(ids) >= size:
+            token_id = next(t for t in ids if not 0 <= t < size)
+            raise ValueError(f"token id {token_id} outside piece vocabulary")
+        if min(probs) < 0:
+            raise ValueError("negative probability")
+        if len(set(ids)) < len(ids):
+            ordered = sorted(ids)
+            token_id = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise ValueError(f"token id {token_id} listed twice")
+        out = [NEG_INF] * size
+        log = math.log
+        for token_id, prob in zip(ids, probs):
             if prob > 0:
-                out[token_id] = math.log(prob)
+                out[token_id] = log(prob)
         return out
 
-    def _entry(self, dist: dict[int, float]) -> tuple[list[float], float]:
+    def _entry(self, dist: dict) -> tuple[list[float], float]:
         logdist = self._to_logdist(dist)
         return logdist, logsumexp(logdist[t] for t in self.terminator_ids)
 
-    def set_context(self, key, dist: dict[int, float]) -> None:
+    def set_context(self, key, dist: dict) -> None:
         """Register a context distribution.
 
         ``key`` is either a prefix id tuple (matches any source) or a
@@ -343,7 +364,7 @@ class TableLM(Scorer):
             dist = raw[key]
             if not isinstance(dist, dict):
                 raise ValueError(f"distribution {key!r} must be an object, not {type(dist).__name__}")
-            return {int(k): float(v) for k, v in dist.items()}
+            return dist
 
         if raw.get("default") is not None:
             self._default = self._entry(distribution("default"))

@@ -713,6 +713,11 @@ class TestMalformedInput:
             pytest.param('{"*#": {"0": [1]}}', "float() argument", id="prob-list"),
             pytest.param('{"*#x": {"0": 1}}', "invalid literal for int()", id="bad-key"),
             pytest.param('{"*#": {"0": 0.5}}', "distribution sums to 0.5", id="sum-below-one"),
+            pytest.param('{"*#": {"0": NaN, "1": 0.5, "2": 0.5}}', "probability nan of token 0 is not finite",
+                         id="prob-nan"),
+            pytest.param('{"*#": {"0": Infinity}}', "probability inf of token 0 is not finite", id="prob-infinity"),
+            # "0" and "00" are two keys but one token id.
+            pytest.param('{"*#": {"0": 0.5, "00": 0.5}}', "token id 0 listed twice", id="id-twice"),
         ],
     )
     @pytest.mark.parametrize("command", ["decode", "eval"])
@@ -739,6 +744,18 @@ class TestMalformedInput:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"data error: {dataset}: no examples\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_prompt_file_that_is_not_json_is_a_data_error_naming_it(workspace, capsys, command):
+    prompt_file = workspace["dir"] / "templates.json"
+    prompt_file.write_text("{\n", encoding="utf-8")
+    argv = base_args(workspace) + [command, "--input", workspace["dataset"],
+                                   "--output", str(workspace["dir"] / "out.json"), "--prompt-file", str(prompt_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {prompt_file}: Expecting property name")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["decode", "eval"])

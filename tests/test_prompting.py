@@ -105,6 +105,13 @@ def test_override_file_with_another_target_pattern_is_refused(tmp_path, pattern)
         list_templates(path)
 
 
+def test_override_file_that_is_not_json_is_refused_naming_it(tmp_path):
+    path = tmp_path / "prompts.json"
+    path.write_text("{\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: Expecting property name")):
+        list_templates(path)
+
+
 def test_rendering_injective_for_sentinel_free_inputs():
     rng = random.Random(2)
     tpl = get_template(2)

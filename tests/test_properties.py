@@ -11,20 +11,23 @@
   replies; a refused greedy request and one ``next_dist`` per step);
 - ``TableLM`` forced scores against a per-step lookup of the full
   distribution, also across sources and ``set_context`` calls;
+- ``TableLM.from_file`` entries against ``math.log`` of each probability
+  in the file, and ``logsumexp`` over the terminators;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
   only ever begins a piece, against greedy longest match over the whole
   string.
 """
 
+import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
-from spandecode.scorer import NEG_INF, ScoreRequest, TableLM, logsumexp
+from spandecode.scorer import DIST_SUM_TOL, NEG_INF, ScoreRequest, TableLM, logsumexp
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
 from conftest import LoopbackScorer, bare_vocab
@@ -242,6 +245,58 @@ def test_table_lm_source_lookup_follows_the_source_and_set_context(a_ids, b_ids)
     )
     lm.set_context((b_ids, (0, 1)), {2: 0.5, 3: 0.5})
     assert_per_step(lm, b, prefix, target)
+
+
+@st.composite
+def table_files(draw):
+    """A vocabulary, a terminator set and the JSON object of a table file:
+    a default, contexts under any source and pinned contexts. Each
+    distribution lists every id, or only those above 0, and sums to 1
+    within DIST_SUM_TOL."""
+    size = draw(st.integers(2, 8))
+    vocab = bare_vocab(size)
+    token = st.integers(0, size - 1)
+    stops = draw(st.sets(token, min_size=1, max_size=3))
+
+    def ids():
+        return ",".join(map(str, draw(st.lists(token, max_size=3))))
+
+    def dist():
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        if not any(weights):
+            weights[-1] = 1.0
+        probs = [w / sum(weights) for w in weights]
+        assume(abs(sum(probs) - 1.0) <= DIST_SUM_TOL)
+        zeros = draw(st.booleans())
+        return {str(t): p for t, p in enumerate(probs) if p or zeros}
+
+    keys = ["default"] + [f"*#{ids()}" for _ in range(draw(st.integers(0, 3)))]
+    keys += [f"{ids()}#{ids()}" for _ in range(draw(st.integers(0, 3)))]
+    return vocab, stops, {key: dist() for key in keys}
+
+
+@SETTINGS
+@given(table_files())
+def test_table_file_entries_are_the_logs_of_its_probabilities(tmp_path_factory, case):
+    vocab, stops, table = case
+    path = tmp_path_factory.getbasetemp() / "table.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    lm = TableLM.from_file(path, vocab, terminator_ids=stops)
+
+    def ids(part):
+        return tuple(int(t) for t in part.split(",") if t)
+
+    for key, dist in table.items():
+        if key == "default":
+            logdist, term = lm._default
+        else:
+            source, _, prefix = key.partition("#")
+            contexts = lm._any_source if source == "*" else lm._by_source[ids(source)]
+            logdist, term = contexts[ids(prefix)]
+        probs = [dist.get(str(t), 0.0) for t in range(vocab.size)]
+        want = [math.log(p) if p > 0 else NEG_INF for p in probs]
+        assert [v.hex() for v in logdist] == [v.hex() for v in want]
+        assert term.hex() == logsumexp(want[t] for t in lm.terminator_ids).hex()
 
 
 def probe_encode(vocab, text):

@@ -1039,7 +1039,9 @@ class TestStdioScorer:
         assert error["id"] is None and "invalid JSON" in error["error"]
         assert answer["id"] == 2 and len(answer["logits_logprob"]) == 6
 
-    @pytest.mark.parametrize("table", ["[1, 2]", '{"*#": 5}'], ids=["list", "dist-int"])
+    @pytest.mark.parametrize(
+        "table", ["[1, 2]", '{"*#": 5}', '{"*#": {"0": NaN, "1": 1.0}}'], ids=["list", "dist-int", "prob-nan"]
+    )
     def test_server_rejects_a_malformed_table(self, tmp_path, table):
         _, vocab_path, table_path, _ = reference_setup(tmp_path)
         table_path.write_text(table, encoding="utf-8")
@@ -1047,6 +1049,16 @@ class TestStdioScorer:
         proc = subprocess.run(command, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"data error: {table_path}: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("ids", ["x", "1,,2", "1.0"])
+    def test_server_rejects_terminator_ids_that_are_not_ids_as_a_usage_error(self, tmp_path, ids):
+        _, vocab_path, table_path, _ = reference_setup(tmp_path)
+        command = [sys.executable, "-m", "spandecode.remote", "--vocab", str(vocab_path), "--table", str(table_path),
+                   "--terminator-ids", ids]
+        proc = subprocess.run(command, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert f"argument --terminator-ids: not a comma-separated list of token ids: {ids!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_process_that_exits_immediately(self):
         vocab = bare_vocab(4)
@@ -1167,6 +1179,13 @@ def http_server():
     for server in started:
         server.shutdown()
         server.server_close()
+
+
+def test_cli_and_stdio_server_start_without_the_http_library():
+    # Only RemoteScorer needs requests; it imports it when built.
+    code = "import sys, spandecode, spandecode.cli, spandecode.remote; print('requests' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestRemoteScorer:

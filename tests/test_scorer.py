@@ -144,6 +144,27 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             TableLM(vocab, contexts={(): {7: 1.0}})
 
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            # NaN passes the sum check: abs(nan - 1.0) > tol is False.
+            ({0: math.nan, 1: 0.5, 2: 0.5}, "probability nan of token 0 is not finite"),
+            ({1: 0.5, 2: math.inf}, "probability inf of token 2 is not finite"),
+            ({0: -math.inf, 1: 1.0}, "probability -inf of token 0 is not finite"),
+        ],
+    )
+    def test_non_finite_probability_rejected(self, dist, message):
+        vocab = bare_vocab(4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TableLM(vocab, default=dist)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TableLM(vocab, contexts={(0,): dist})
+
+    def test_negative_probability_rejected(self):
+        vocab = bare_vocab(4)
+        with pytest.raises(ValueError, match="^negative probability$"):
+            TableLM(vocab, default={0: 1.5, 1: -0.5})
+
 
 class TestFileFormat:
     def test_load_table_file(self, tmp_path):
