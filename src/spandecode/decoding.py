@@ -4,16 +4,17 @@ per-span scorer it is checked against, and greedy autoregressive decoding.
 The exact decoder exploits the fact that every passage span of length j
 starting at i is the j-th prefix of the suffix starting at i, so one
 teacher-forced pass per suffix yields the scores of all its prefixes:
-n passes total instead of one pass per span.
+n passes total instead of one pass per span. The passes and the argmax
+over them happen wherever the scorer answers ``Scorer.best_span``: in
+process, or on a remote server that replies with the span alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 
-from .scorer import NEG_INF, ScoreRequest, Scorer, positive_int
+from .scorer import ScoreRequest, Scorer, positive_int
 from .vocab import TokenSeq
 
 GREEDY = "greedy"
@@ -136,30 +137,22 @@ def exact_extract(
     scorer: Scorer,
     cfg: DecodeConfig = DecodeConfig(),
 ) -> DecodeResult:
-    """Return the passage span maximizing L(i,j) + e(i,j)."""
-    table = build_span_table(passage, rendered_prompt, prefix, scorer, cfg.max_span_len)
-    # Row i holds the lengths 0..K of start i; length 0 is a candidate only
-    # at start 0 with the empty span allowed, so elsewhere it reads -inf and
-    # index() searches from length 1. Rows are visited by start and
-    # max()/index() take a row's first (shortest) maximum, so a strict >
-    # across rows keeps the shared tie-break.
-    best_score = None
-    for i in range(table.n):
-        first = 0 if cfg.allow_empty_span and i == 0 else 1
-        row = list(map(add, table.L[i], table.eterm[i]))
-        if first:
-            row[0] = NEG_INF
-        top = max(row)
-        if best_score is None or top > best_score:
-            best_score, best_i, best_j = top, i, row.index(top, first)
+    """Return the passage span maximizing L(i,j) + e(i,j).
+
+    The span comes from one ``scorer.best_span`` call, which makes the n
+    passes, one per suffix, and takes the argmax under the shared
+    tie-break; a remote scorer answers it with one request."""
+    start, length, logprob = scorer.best_span(
+        rendered_prompt, prefix, passage, cfg.max_span_len, cfg.allow_empty_span
+    )
     return DecodeResult(
-        start=best_i,
-        length=best_j,
-        span_logprob=best_score,
-        text=scorer.vocab.decode(passage[best_i : best_i + best_j]),
-        passes_used=table.n,
+        start=start,
+        length=length,
+        span_logprob=logprob,
+        text=scorer.vocab.decode(passage[start : start + length]),
+        passes_used=len(passage),
         algorithm=EXACT_EXTRACT,
-        token_ids=passage.ids[best_i : best_i + best_j],
+        token_ids=passage.ids[start : start + length],
     )
 
 

@@ -23,6 +23,27 @@ Each reply list holds the n rows joined in order of i: row i has
 m_i = min(n - i, K) gold entries and m_i + 1 terminator entries, so the
 lengths are the sum of m_i and that sum plus n.
 
+Exact-extract itself, the n passes and the argmax over their table, is
+one ``extract`` request; the server builds the suffix table as for
+``teacher_forced_suffixes``, checks every row, and replies with the best
+span alone:
+
+    request:  {"id": u64, "op": "extract", "source_ids": [u32], "prefix_ids": [u32],
+               "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null,
+               "allow_empty_span": bool}
+    response: {"id": u64, "start": u32, "length": u32, "logprob": [f64 of 1]}
+
+The span maximizes L(i, j) + e(i, j): the gold log-probs of its j tokens
+summed in order from 0.0, plus the terminator log-prob after them. Ties go
+to the earliest start, then the shortest span, and the empty span (0, 0)
+is a candidate only with ``allow_empty_span``. The client checks that
+``start`` and ``length`` are integers with 0 <= start < n and
+1 <= length <= min(n - start, K), or length 0 at start 0 with the empty
+span allowed, and that ``logprob`` holds one log-probability (-inf is
+valid), then counts n passes. The trade: the client no longer sees the
+rows, so it relies on the server's check of each of them, as it relies on
+the server for every distribution of a greedy loop.
+
 Greedy decoding's whole loop is one request; the server runs it over
 ``next_dist``'s distributions, taking each step's argmax (the lowest id
 among tied maxima) and stopping after a token in the client's
@@ -49,10 +70,12 @@ A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 (``null`` when the request's id could not be read), and the client raises
 ``TransportError`` with the server's text. A server that answers an op
 with an error naming an unknown op does not speak it, and the client steps
-down, once per scorer: from ``teacher_forced_suffixes`` to one
-``teacher_forced`` request per suffix; from ``greedy`` to one ``next_dist``
-request per step. The reference server answers every other op with that
-error, ``teacher_forced_batch`` of earlier versions among them.
+down, once per scorer: from ``extract`` to one ``teacher_forced_suffixes``
+request and the argmax in the client; from ``teacher_forced_suffixes`` to
+one ``teacher_forced`` request per suffix; from ``greedy`` to one
+``next_dist`` request per step. The reference server answers every other
+op with that error, ``teacher_forced_batch`` of earlier versions among
+them.
 
 This module also provides a reference server (``python -m spandecode.remote``)
 that exposes a TableLM over stdio, used to exercise the protocol end to end.
@@ -80,6 +103,7 @@ from .scorer import (
     TableLM,
     _check_logprobs,
     argmax_steps,
+    best_span_of,
     positive_int,
     suffix_cap,
     suffix_scores,
@@ -128,6 +152,7 @@ class _WireScorer(Scorer):
         self._next_id = 0
         self._id_lock = threading.Lock()
         # Each False once the server has refused the op as unknown.
+        self._extract = True
         self._suffixes = True
         self._greedy = True
 
@@ -220,6 +245,55 @@ class _WireScorer(Scorer):
             g += m
             t += m + 1
         return rows
+
+    def best_span(
+        self,
+        source: TokenSeq,
+        prefix: TokenSeq,
+        passage: TokenSeq,
+        max_span_len: int | None = None,
+        allow_empty_span: bool = False,
+    ) -> tuple[int, int, float]:
+        """The best span in one ``extract`` request, still n counted passes;
+        the suffix table and the argmax in the client for a server that does
+        not know the op."""
+        cap = suffix_cap(passage, max_span_len)
+        if self._extract:
+            for seq in (source, prefix, passage):
+                self._check_vocab(seq)
+            allow = bool(allow_empty_span)
+            reply = self._call_unless_unknown(
+                "extract", source, prefix,
+                passage_ids=list(passage.ids), max_span_len=max_span_len, allow_empty_span=allow,
+            )
+            if reply is not None:
+                span = self._span(reply, len(passage), cap, allow)
+                self._count_pass(len(passage))
+                return span
+            self._extract = False
+        return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
+
+    def _span(self, reply: dict, n: int, cap: int, allow_empty_span: bool) -> tuple[int, int, float]:
+        """The span of an extract reply, checked: integer start and length
+        naming a candidate of the table, one log-probability."""
+        start, length = self._read(reply, "extract", "start", "length", read=lambda v: v)
+        (logprob,) = self._read(reply, "extract", "logprob")
+        shortest = 0 if allow_empty_span and start == 0 else 1
+        # Exact types: JSON's true and false are ints to Python.
+        if not (
+            type(start) is int
+            and type(length) is int
+            and 0 <= start < n
+            and shortest <= length <= min(n - start, cap)
+        ):
+            raise ScorerError(
+                f"extract span ({start!r:.20}, {length!r:.20}) is not a candidate "
+                f"in a passage of {n} tokens under a cap of {cap}"
+            )
+        if len(logprob) != 1:
+            raise ScorerError(f"scorer returned {len(logprob)} log-probs for one span")
+        _check_logprobs(logprob, "extract log-probs")
+        return start, length, logprob[0]
 
     def greedy_steps(self, source: TokenSeq, prefix: TokenSeq, max_steps: int) -> list[tuple[int, float]]:
         """The whole greedy loop in one ``greedy`` request, still one counted
@@ -428,6 +502,14 @@ def _answer(scorer: Scorer, req: dict) -> dict:
             gold += row.gold_logprob
             term += row.term_logprob
         return {"id": req["id"], "gold_logprob": floats(gold), "term_logprob": floats(term)}
+    if op == "extract":
+        allow = req["allow_empty_span"]
+        if type(allow) is not bool:
+            raise ValueError(f"allow_empty_span must be true or false, not {allow!r:.40}")
+        passage = vocab.seq(req["passage_ids"])
+        rows = suffix_scores(scorer, source, prefix, passage, req["max_span_len"])
+        start, length, logprob = best_span_of(rows, allow)
+        return {"id": req["id"], "start": start, "length": length, "logprob": floats([logprob])}
     if op == "next_dist":
         dist = scorer.next_token_distribution(source, prefix)
         return {"id": req["id"], "logits_logprob": floats(dist)}

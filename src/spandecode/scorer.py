@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from .vocab import TokenSeq, Vocabulary, VocabularyMismatchError
@@ -154,6 +156,31 @@ def suffix_scores(scorer, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq,
     ]
 
 
+def best_span_of(rows, allow_empty_span: bool) -> tuple[int, int, float]:
+    """Exact-extract's argmax over a suffix table: the (start, length,
+    log-probability) of the span maximizing L(i, j) + e(i, j), where row i
+    of ``rows`` holds the StepScores of the suffix starting at i, L(i, j)
+    is the sum of its first j gold log-probs, taken in order from 0.0, and
+    e(i, j) its terminator log-prob after j tokens.
+
+    Length 0 is a candidate only at start 0 with ``allow_empty_span``.
+    Ties go to the earliest start, then the shortest span: rows are visited
+    by start, ``max()``/``index()`` take a row's first maximum, and a strict
+    ``>`` across rows keeps the earlier one. When every span scores -inf,
+    the first candidate wins: (0, 1, -inf), or (0, 0, -inf) with the empty
+    span allowed."""
+    best_score = None
+    for i, scores in enumerate(rows):
+        first = 0 if allow_empty_span and i == 0 else 1
+        row = list(map(add, accumulate(scores.gold_logprob, initial=0.0), scores.term_logprob))
+        if first:
+            row[0] = NEG_INF
+        top = max(row)
+        if best_score is None or top > best_score:
+            best_score, best_i, best_j = top, i, row.index(top, first)
+    return best_i, best_j, best_score
+
+
 def logsumexp(values) -> float:
     values = [v for v in values]
     hi = max(values, default=NEG_INF)
@@ -213,6 +240,21 @@ class Scorer:
         the passage once instead of n targets."""
         return suffix_scores(self, source, prefix, passage, max_span_len)
 
+    def best_span(
+        self,
+        source: TokenSeq,
+        prefix: TokenSeq,
+        passage: TokenSeq,
+        max_span_len: int | None = None,
+        allow_empty_span: bool = False,
+    ) -> tuple[int, int, float]:
+        """Exact-extract's (start, length, log-probability) over ``passage``:
+        ``best_span_of`` the suffix table, whose n counted passes are
+        checked row by row. A transport can override this to have the
+        server take the argmax and send back only the span."""
+        rows = self.teacher_forced_suffixes(source, prefix, passage, max_span_len)
+        return best_span_of(rows, allow_empty_span)
+
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):
         """Full next-token log-distribution after ``prefix``; one counted pass."""
         self._check_vocab(source)
@@ -241,6 +283,16 @@ class Scorer:
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):
         raise NotImplementedError
+
+
+class _LogMemo(dict):
+    """``math.log`` of each probability looked up, computed once per distinct
+    value: a table's distributions mostly repeat a few probabilities, so
+    their entries share the floats instead of each holding its own."""
+
+    def __missing__(self, prob: float) -> float:
+        value = self[prob] = math.log(prob)
+        return value
 
 
 class TableLM(Scorer):
@@ -272,6 +324,7 @@ class TableLM(Scorer):
         # read and replace the pair at once; None holds nothing. Not an
         # empty tuple: () is a singleton, the ids of every empty source.
         self._last_source = None
+        self._logs = _LogMemo()
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
         self._default = self._entry(default)
@@ -287,7 +340,9 @@ class TableLM(Scorer):
         with a probability of at least 0.
 
         Each id and probability is converted once, and the checks are
-        C-level reductions over the converted lists."""
+        C-level reductions over the converted lists. The log of each
+        distinct probability is taken once per model and its float shared
+        by every entry that holds it."""
         size = self.vocab.size
         ids = list(map(int, dist))
         probs = list(map(float, dist.values()))
@@ -309,10 +364,10 @@ class TableLM(Scorer):
             token_id = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
             raise ValueError(f"token id {token_id} listed twice")
         out = [NEG_INF] * size
-        log = math.log
+        logs = self._logs
         for token_id, prob in zip(ids, probs):
             if prob > 0:
-                out[token_id] = log(prob)
+                out[token_id] = logs[prob]
         return out
 
     def _entry(self, dist: dict) -> tuple[list[float], float]:

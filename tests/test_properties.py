@@ -3,9 +3,9 @@
 - ``find_span`` against the O(n^3) scan that decodes every (i, j) slice;
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
   cap and with and without the empty span, in process and over the wire
-  protocol at every op level (one suffixes request, with packed or
-  JSON-list float replies; a refused suffixes request and one request per
-  pass);
+  protocol at every op level (one extract request, with packed or
+  JSON-list float replies; a refused extract request and one suffixes
+  request; both refused and one request per pass);
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request, with packed or JSON-list float
   replies; a refused greedy request and one ``next_dist`` per step);
@@ -33,7 +33,7 @@ from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 from conftest import LoopbackScorer, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
-SUFFIXES, GREEDY = "teacher_forced_suffixes", "greedy"
+EXTRACT, SUFFIXES, GREEDY = "extract", "teacher_forced_suffixes", "greedy"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
 # the sentinels and the terminator.
@@ -126,10 +126,11 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         max_span_len=data.draw(st.sampled_from([None, *range(1, n + 2)])),
         allow_empty_span=data.draw(st.booleans()),
     )
-    # In process, or over the wire at every op level: one suffixes request,
-    # with packed or JSON-list float replies; or a refused suffixes request
-    # and then one request per pass.
-    refuse = data.draw(st.sampled_from([None, (), (SUFFIXES,)]))
+    # In process, or over the wire at every op level: one extract request,
+    # with packed or JSON-list float replies; a refused extract request and
+    # then one suffixes request; or both refused and then one request per
+    # pass.
+    refuse = data.draw(st.sampled_from([None, (), (EXTRACT,), (EXTRACT, SUFFIXES)]))
     lists = data.draw(st.booleans())
     scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse, lists=lists)
     fast = exact_extract(passage, source, prefix, scorer, cfg)
@@ -141,9 +142,10 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
     )
     assert fast.passes_used == n
     if refuse is not None:
-        # 1 or 1 + n requests.
-        steps = [[], ["teacher_forced"] * n][len(refuse)]
-        assert scorer.ops() == [SUFFIXES] + steps
+        # 1, 2 or 2 + n requests.
+        ops = [[EXTRACT], [EXTRACT, SUFFIXES], [EXTRACT, SUFFIXES] + ["teacher_forced"] * n][len(refuse)]
+        assert scorer.ops() == ops
+        assert scorer.pass_count() == n
 
 
 @st.composite

@@ -27,7 +27,7 @@ from spandecode.remote import (
     _WireScorer,
     serve,
 )
-from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM
+from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
 from spandecode.vocab import Vocabulary
 
 from conftest import TOY_PIECES, LoopbackScorer, bare_vocab
@@ -38,7 +38,7 @@ CONFIGS = [
     DecodeConfig(max_span_len=cap, allow_empty_span=empty)
     for cap, empty in itertools.product([None, 1, 3, 8, 20], [False, True])
 ]
-SUFFIXES, GREEDY = "teacher_forced_suffixes", "greedy"
+EXTRACT, SUFFIXES, GREEDY = "extract", "teacher_forced_suffixes", "greedy"
 
 
 def write_fixture_files(tmp_path, vocab, table: dict):
@@ -75,7 +75,7 @@ def reference_setup(tmp_path):
 
 def assert_wire_matches_in_process(wire, local, vocab):
     """exact_extract over ``wire`` equals ``local``'s bit for bit, in n passes,
-    with every table sent as one suffixes request."""
+    with every span asked for in one extract request."""
     passage = vocab.seq((1, 2, 0, 1, 2, 3, 4, 1))
     source = vocab.seq((0, 1))
     prefix = vocab.seq(())
@@ -88,8 +88,8 @@ def assert_wire_matches_in_process(wire, local, vocab):
             want.span_logprob.hex(),
         ), cfg
         assert got.passes_used == len(passage)
-    # No op was refused, so every table went as one suffixes request.
-    assert wire._suffixes
+    # No op was refused, so every span came from one extract request.
+    assert wire._extract and wire._suffixes
 
 
 class RecordingScorer(_WireScorer):
@@ -230,7 +230,7 @@ def in_form(edit, packed):
     def checked(payload, reply):
         if payload["op"] == SUFFIXES:
             assert all(isinstance(reply[f], str) == packed for f in ("gold_logprob", "term_logprob"))
-        if payload["op"] == GREEDY:
+        if payload["op"] in (EXTRACT, GREEDY):
             assert isinstance(reply["logprob"], str) == packed
         return edit(payload, reply)
 
@@ -260,7 +260,8 @@ def positive_value(payload, reply):
 
 
 class TestSuffixes:
-    """The suffixes op: one request per table, the passage sent once."""
+    """The suffixes op: one request per table, the passage sent once. A
+    server that refuses ``extract`` gets it from exact_extract."""
 
     def setup_model(self):
         vocab = bare_vocab(6)
@@ -278,11 +279,12 @@ class TestSuffixes:
     @pytest.mark.parametrize("cap", [None, 3])
     def test_table_is_one_suffixes_request(self, cap):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm)
+        wire = LoopbackScorer(lm, refuse={EXTRACT})
         passage = vocab.seq((1, 2, 3, 0, 1))
         source, prefix = vocab.seq((0, 1)), vocab.seq(())
         result = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=cap))
-        (request,) = wire.sent
+        refused, request = wire.sent
+        assert refused["op"] == EXTRACT
         assert request["op"] == SUFFIXES
         assert request["source_ids"] == [0, 1]
         assert request["prefix_ids"] == []
@@ -305,7 +307,7 @@ class TestSuffixes:
     @pytest.mark.parametrize("cap", [None, 2])
     def test_unknown_op_steps_down_to_single_passes_once(self, cap):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={SUFFIXES})
+        wire = LoopbackScorer(lm, refuse={EXTRACT, SUFFIXES})
         passage, source, prefix = vocab.seq((1, 2, 3, 0)), vocab.seq((0, 1)), vocab.seq(())
         want = exact_extract(passage, source, prefix, lm, DecodeConfig(max_span_len=cap))
         for _ in range(2):
@@ -315,12 +317,13 @@ class TestSuffixes:
                 want.length,
                 want.span_logprob.hex(),
             )
-            assert got.passes_used == 4 and not wire._suffixes
-        # One refused suffixes request, then one teacher_forced request per
-        # suffix for both tables: the scorer does not ask again.
-        assert wire.ops() == [SUFFIXES] + ["teacher_forced"] * 8
+            assert got.passes_used == 4 and not wire._extract and not wire._suffixes
+        # One refused extract and one refused suffixes request, then one
+        # teacher_forced request per suffix for both tables: the scorer asks
+        # for neither op again.
+        assert wire.ops() == [EXTRACT, SUFFIXES] + ["teacher_forced"] * 8
         suffixes = [list(passage.ids[i : i + (cap or 4)]) for i in range(4)]
-        assert [p["target_ids"] for p in wire.sent[1:]] == suffixes * 2
+        assert [p["target_ids"] for p in wire.sent[2:]] == suffixes * 2
         assert wire.pass_count() == 8
 
     def test_other_errors_raise_and_keep_the_op(self):
@@ -333,12 +336,12 @@ class TestSuffixes:
                 return {"id": payload["id"], "error": "overloaded, retry later"}
             return reply
 
-        wire = LoopbackScorer(lm, edit=overloaded_once)
+        wire = LoopbackScorer(lm, refuse={EXTRACT}, edit=overloaded_once)
         passage, empty = vocab.seq((1, 2)), vocab.seq(())
         with pytest.raises(TransportError, match="overloaded, retry later"):
             exact_extract(passage, empty, empty, wire)
         exact_extract(passage, empty, empty, wire)
-        assert wire.ops() == [SUFFIXES, SUFFIXES]
+        assert wire.ops() == [EXTRACT, SUFFIXES, SUFFIXES]
 
     @pytest.mark.parametrize(
         "edit, packed", both_forms(short_total, long_total, nan_value, positive_value)
@@ -346,13 +349,13 @@ class TestSuffixes:
     @pytest.mark.parametrize("cap", [None, 2])
     def test_invalid_reply_raises_scorer_error(self, edit, packed, cap):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        wire = LoopbackScorer(lm, refuse={EXTRACT}, edit=in_form(edit, packed), lists=not packed)
         passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
         with pytest.raises(ScorerError) as caught:
             exact_extract(passage, empty, empty, wire, DecodeConfig(max_span_len=cap))
         # The check of the scores caught it, not the decoding of the reply.
         assert not isinstance(caught.value, TransportError)
-        assert wire.ops() == [SUFFIXES]
+        assert wire.ops() == [EXTRACT, SUFFIXES]
 
     @pytest.mark.parametrize("field", ["gold_logprob", "term_logprob"])
     def test_missing_field_is_transport_error(self, field):
@@ -389,11 +392,227 @@ class TestSuffixes:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
+        wire = LoopbackScorer(
+            TableLM.uniform(vocab), refuse={EXTRACT}, edit=in_form(corrupt_album, packed), lists=not packed
+        )
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
         assert wire.ops().count(SUFFIXES) == 2
+
+
+def span_edit(change):
+    """An extract reply tamper: ``change(start, length, logprob, payload)``
+    returns the new fields, and the log-probs are re-encoded in the form
+    they arrived in."""
+
+    def edit(payload, reply):
+        start, length, logprob = change(reply["start"], reply["length"], list(_floats(reply["logprob"])), payload)
+        return {**reply, "start": start, "length": length, "logprob": reencode(reply["logprob"], logprob)}
+
+    edit.__name__ = change.__name__
+    return edit
+
+
+@span_edit
+def start_negative(start, length, logprob, payload):
+    return -1, 1, logprob
+
+
+@span_edit
+def start_past_end(start, length, logprob, payload):
+    return len(payload["passage_ids"]), 1, logprob
+
+
+@span_edit
+def empty_span(start, length, logprob, payload):
+    return 0, 0, logprob
+
+
+@span_edit
+def length_past_cap(start, length, logprob, payload):
+    return 0, (payload["max_span_len"] or len(payload["passage_ids"])) + 1, logprob
+
+
+@span_edit
+def length_past_end(start, length, logprob, payload):
+    return len(payload["passage_ids"]) - 1, 2, logprob
+
+
+@span_edit
+def start_true(start, length, logprob, payload):
+    return True, 1, logprob
+
+
+@span_edit
+def length_float(start, length, logprob, payload):
+    return start, float(length), logprob
+
+
+@span_edit
+def two_logprobs(start, length, logprob, payload):
+    return start, length, logprob * 2
+
+
+@span_edit
+def no_logprob(start, length, logprob, payload):
+    return start, length, []
+
+
+@span_edit
+def nan_span_logprob(start, length, logprob, payload):
+    return start, length, [float("nan")]
+
+
+@span_edit
+def positive_span_logprob(start, length, logprob, payload):
+    return start, length, [0.5]
+
+
+SPAN_TAMPERS = (
+    start_negative, start_past_end, empty_span, length_past_cap, length_past_end, start_true,
+    length_float, two_logprobs, no_logprob, nan_span_logprob, positive_span_logprob,
+)
+
+
+def span_outcome(result):
+    return (result.start, result.length, result.span_logprob.hex(), result.text, result.token_ids, result.passes_used)
+
+
+class TestExtract:
+    """The extract op: one request per exact decode, the span alone replied."""
+
+    setup_model = TestSuffixes.setup_model
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_span_is_one_extract_request(self, cap, empty):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        passage = vocab.seq((1, 2, 3, 0, 1))
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        cfg = DecodeConfig(max_span_len=cap, allow_empty_span=empty)
+        result = exact_extract(passage, source, prefix, wire, cfg)
+        (request,) = wire.sent
+        assert request["op"] == EXTRACT
+        assert request["source_ids"] == [0, 1]
+        assert request["prefix_ids"] == []
+        assert request["passage_ids"] == [1, 2, 3, 0, 1]
+        assert request["max_span_len"] == cap
+        assert request["allow_empty_span"] is empty
+        assert "targets" not in request and "target_ids" not in request
+        assert result.passes_used == 5 == wire.pass_count()
+        assert span_outcome(result) == span_outcome(exact_extract(passage, source, prefix, lm, cfg))
+
+    @pytest.mark.parametrize("lists", [False, True])
+    @pytest.mark.parametrize("cap", [None, 1, 2, 5, 6, 9])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_span_equals_in_process_span(self, lists, cap, empty):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
+        source, prefix, passage = vocab.seq((0, 1)), vocab.seq((2,)), vocab.seq((1, 2, 3, 0, 1))
+        start, length, logprob = wire.best_span(source, prefix, passage, cap, empty)
+        want = lm.best_span(source, prefix, passage, cap, empty)
+        assert (start, length, logprob.hex()) == (want[0], want[1], want[2].hex())
+        assert wire.pass_count() == 5 and wire.ops() == [EXTRACT]
+
+    def test_unknown_op_steps_down_to_the_suffixes_op_once(self):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse={EXTRACT})
+        passage, source, prefix = vocab.seq((1, 2, 3, 0)), vocab.seq((0, 1)), vocab.seq(())
+        want = exact_extract(passage, source, prefix, lm)
+        for _ in range(2):
+            assert span_outcome(exact_extract(passage, source, prefix, wire)) == span_outcome(want)
+            assert not wire._extract and wire._suffixes
+        # One refused extract request, then one suffixes request per table:
+        # the scorer does not ask again.
+        assert wire.ops() == [EXTRACT, SUFFIXES, SUFFIXES]
+        assert wire.pass_count() == 8
+
+    def test_other_errors_raise_and_keep_the_op(self):
+        vocab, lm = self.setup_model()
+        calls = []
+
+        def overloaded_once(payload, reply):
+            calls.append(payload["op"])
+            if len(calls) == 1:
+                return {"id": payload["id"], "error": "overloaded, retry later"}
+            return reply
+
+        wire = LoopbackScorer(lm, edit=overloaded_once)
+        passage, empty = vocab.seq((1, 2)), vocab.seq(())
+        with pytest.raises(TransportError, match="overloaded, retry later"):
+            exact_extract(passage, empty, empty, wire)
+        exact_extract(passage, empty, empty, wire)
+        assert wire.ops() == [EXTRACT, EXTRACT]
+        assert wire.pass_count() == 2
+
+    @pytest.mark.parametrize("edit, packed", both_forms(*SPAN_TAMPERS))
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_invalid_reply_raises_scorer_error(self, edit, packed, cap):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
+        with pytest.raises(ScorerError) as caught:
+            exact_extract(passage, empty, empty, wire, DecodeConfig(max_span_len=cap))
+        # The check of the span caught it, not the decoding of the reply.
+        assert not isinstance(caught.value, TransportError)
+        assert wire.ops() == [EXTRACT] and wire.pass_count() == 0
+
+    def test_the_empty_span_at_a_later_start_raises(self):
+        # Allowed, the empty span is one candidate, (0, 0), not n.
+        vocab, lm = self.setup_model()
+        later = span_edit(lambda start, length, logprob, payload: (1, 0, logprob))
+        wire = LoopbackScorer(lm, edit=later)
+        with pytest.raises(ScorerError, match=r"\(1, 0\) is not a candidate"):
+            wire.best_span(vocab.seq(()), vocab.seq(()), vocab.seq((1, 2, 3, 0)), None, True)
+        assert wire.pass_count() == 0
+
+    @pytest.mark.parametrize("field", ["start", "length", "logprob"])
+    def test_missing_field_is_transport_error(self, field):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=lambda p, r: {k: v for k, v in r.items() if k != field})
+        with pytest.raises(TransportError, match="malformed extract"):
+            wire.best_span(vocab.seq(()), vocab.seq(()), vocab.seq((1,)))
+        assert wire.pass_count() == 0
+
+    @pytest.mark.parametrize("bad", ["not base64!", base64.b64encode(bytes(12)).decode("ascii"), [True], ["-0.5"], None])
+    def test_malformed_logprob_is_transport_error(self, bad):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=lambda p, r: {**r, "logprob": bad})
+        with pytest.raises(TransportError, match="malformed extract"):
+            wire.best_span(vocab.seq(()), vocab.seq(()), vocab.seq((1,)))
+
+    @pytest.mark.parametrize("cap, passage", [(0, (1,)), (-1, (1,)), (True, (1,)), (None, ())])
+    def test_bad_span_search_raises_before_any_request(self, cap, passage):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        for scorer in (wire, lm):
+            with pytest.raises(ValueError):
+                scorer.best_span(vocab.seq(()), vocab.seq(()), vocab.seq(passage), cap)
+        assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
+
+    @pytest.mark.parametrize("edit, packed", both_forms(start_past_end, two_logprobs, nan_span_logprob))
+    def test_invalid_reply_skips_the_example(self, edit, packed):
+        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
+        template = get_template(2)
+        dataset = [
+            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
+            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
+        ]
+        bad = dataset[1]
+        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
+
+        def corrupt_album(payload, reply):
+            if payload["op"] == EXTRACT and payload["source_ids"] == bad_source:
+                return edit(payload, reply)
+            return reply
+
+        wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
+        report = run_eval(dataset, wire, template, vocab)
+        assert report.skipped_ids == ("q-album",)
+        assert report.exact["overall"]["count"] == 1
+        assert wire.ops().count(EXTRACT) == 2
 
 
 def greedy_edit(change):
@@ -646,6 +865,10 @@ class TestFloatForms:
             assert [bits(r.gold_logprob + r.term_logprob) for r in rows] == [
                 bits(r.gold_logprob + r.term_logprob) for r in wanted
             ]
+        for cap, empty in itertools.product((None, 2), (False, True)):
+            got_span = wire.best_span(source, prefix, target, cap, empty)
+            want_span = local.best_span(source, prefix, target, cap, empty)
+            assert got_span[:2] == want_span[:2] and bits(got_span[2:]) == bits(want_span[2:])
         got_dist = wire.next_token_distribution(source, prefix)
         assert bits(got_dist) == bits(local.next_token_distribution(source, prefix))
         got_steps, want_steps = wire.greedy_steps(source, prefix, 3), local.greedy_steps(source, prefix, 3)
@@ -659,6 +882,7 @@ class TestFloatForms:
             {"op": GREEDY, "terminator_ids": [5], "max_steps": 3},
             {"op": "next_dist", "target_ids": []},
             {"op": SUFFIXES, "passage_ids": [1, 2, 3], "max_span_len": 2},
+            {"op": EXTRACT, "passage_ids": [1, 2, 3], "max_span_len": 2, "allow_empty_span": True},
         ],
     )
     def test_server_packs_only_when_asked(self, request_):
@@ -671,9 +895,10 @@ class TestFloatForms:
         )
         assert unknown == as_lists
         assert as_lists.keys() == packed.keys()
-        # Token ids are never packed.
-        assert as_lists.get("token_ids") == packed.get("token_ids")
-        for field in as_lists.keys() - {"id", "token_ids"}:
+        # Token ids and span positions are never packed.
+        for field in ("token_ids", "start", "length"):
+            assert as_lists.get(field) == packed.get(field)
+        for field in as_lists.keys() - {"id", "token_ids", "start", "length"}:
             lists, strings = as_lists[field], packed[field]
             assert isinstance(lists, list) and isinstance(strings, str)
             assert bits(_floats(strings)) == bits(lists)
@@ -755,6 +980,10 @@ class NanTableLM(TableLM):
 
 # A valid suffixes request: an uncapped table of two tokens.
 SUFFIXES_LINE = {"id": 3, "op": SUFFIXES, "source_ids": [0], "prefix_ids": [], "passage_ids": [0, 1], "max_span_len": None}
+
+
+# A valid extract request: an uncapped span search over two tokens.
+EXTRACT_LINE = {**SUFFIXES_LINE, "op": EXTRACT, "allow_empty_span": False}
 
 
 # A valid greedy request: at most three steps, stopping at token 4.
@@ -879,6 +1108,77 @@ class TestServe:
         assert answer["id"] == 4
         assert len(answer["gold_logprob"]) == 2 and len(answer["term_logprob"]) == 4
 
+    @pytest.mark.parametrize("cap", [None, 1, 2, 7])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_extract_reply_shape(self, cap, empty):
+        vocab, lm = TestSuffixes().setup_model()
+        forwarding = ForwardingScorer(lm)
+        source, prefix, passage = vocab.seq((0, 1)), vocab.seq(()), vocab.seq((1, 2, 3))
+        request = {
+            "id": 9, "op": EXTRACT, "source_ids": [0, 1], "prefix_ids": [],
+            "passage_ids": [1, 2, 3], "max_span_len": cap, "allow_empty_span": empty,
+        }
+        (reply,) = self.run(forwarding, [request])
+        assert reply.keys() == {"id", "start", "length", "logprob"}
+        assert reply["id"] == 9
+        rows = lm.teacher_forced_suffixes(source, prefix, passage, cap)
+        start, length, logprob = best_span_of(rows, empty)
+        assert (reply["start"], reply["length"]) == (start, length)
+        assert bits(reply["logprob"]) == bits([logprob])
+        # Answered pass by pass through teacher_forced_pass.
+        assert forwarding.forced_calls == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {**EXTRACT_LINE, "allow_empty_span": 1},
+            {**EXTRACT_LINE, "allow_empty_span": 0},
+            {**EXTRACT_LINE, "allow_empty_span": "true"},
+            {**EXTRACT_LINE, "allow_empty_span": None},
+            {k: v for k, v in EXTRACT_LINE.items() if k != "allow_empty_span"},
+            {**EXTRACT_LINE, "max_span_len": 0},
+            {**EXTRACT_LINE, "max_span_len": True},
+            {**EXTRACT_LINE, "max_span_len": 1.0},
+            {**EXTRACT_LINE, "max_span_len": "3"},
+            {k: v for k, v in EXTRACT_LINE.items() if k != "max_span_len"},
+            {**EXTRACT_LINE, "passage_ids": []},
+            {k: v for k, v in EXTRACT_LINE.items() if k != "passage_ids"},
+            {**EXTRACT_LINE, "passage_ids": [0, 999]},
+            {**EXTRACT_LINE, "passage_ids": [0, True]},
+        ],
+        ids=[
+            "allow-1", "allow-0", "allow-string", "allow-null", "no-allow", "cap-0", "cap-true",
+            "cap-float", "cap-string", "no-cap", "empty-passage", "no-passage", "id-out-of-range", "id-true",
+        ],
+    )
+    def test_bad_extract_line_gets_an_error_and_serving_goes_on(self, bad):
+        vocab = bare_vocab(5)
+        lm = TableLM.uniform(vocab)
+        error, answer = self.run(lm, [bad, {**EXTRACT_LINE, "id": 4}])
+        assert error["id"] == 3
+        assert isinstance(error["error"], str) and error["error"]
+        # Every piece has probability 0.2: the first one-token span wins.
+        assert answer == {"id": 4, "start": 0, "length": 1, "logprob": [2 * math.log(0.2)]}
+        assert lm.pass_count() == 2
+
+    def test_every_op_is_answered_over_the_calls_a_forwarding_scorer_has(self):
+        # ForwardingScorer has only vocab, teacher_forced_pass and
+        # next_token_distribution, as a scorer wrapper that times them does;
+        # any other attribute ``serve`` reached for would raise.
+        vocab = bare_vocab(5)
+        forwarding = ForwardingScorer(TableLM.uniform(vocab))
+        lines = [
+            {"id": 1, "op": "teacher_forced", "source_ids": [0], "prefix_ids": [], "target_ids": [1, 2]},
+            {"id": 2, "op": "next_dist", "source_ids": [0], "prefix_ids": [], "target_ids": []},
+            {**SUFFIXES_LINE, "id": 3},
+            {**EXTRACT_LINE, "id": 4},
+            {**GREEDY_LINE, "id": 5},
+        ]
+        replies = self.run(forwarding, lines)
+        assert [r["id"] for r in replies] == [1, 2, 3, 4, 5]
+        assert not any("error" in r for r in replies)
+        assert forwarding.forced_calls == 1 + 2 + 2
+
     @pytest.mark.parametrize("stops, tokens", [([5], [1, 2, 3]), ([2], [1, 2]), ([0, 1], [1]), ([], [1, 2, 3])])
     def test_greedy_reply_shape(self, stops, tokens):
         vocab, lm = TestGreedy().setup_model()
@@ -962,12 +1262,15 @@ class TestServe:
                 {"id": 1, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [0]},
                 {"id": 2, "op": SUFFIXES, "source_ids": [], "prefix_ids": [], "passage_ids": [0], "max_span_len": None},
                 {"id": 3, "op": "next_dist", "source_ids": [], "prefix_ids": [], "target_ids": []},
+                {**EXTRACT_LINE, "id": 4, "source_ids": []},
             ],
         )
-        assert [r["id"] for r in replies] == [1, 2, 3]
+        assert [r["id"] for r in replies] == [1, 2, 3, 4]
         assert "NaN" in replies[0]["error"]
         assert "NaN" in replies[1]["error"]
         assert len(replies[2]["logits_logprob"]) == 5
+        # The server checks every row before it takes the argmax.
+        assert "NaN" in replies[3]["error"]
 
 
 class TestStdioScorer:

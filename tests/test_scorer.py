@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from spandecode.scorer import NEG_INF, ScoreRequest, ScorerError, StepScores, TableLM
+from spandecode.scorer import NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
-from conftest import bare_vocab, random_distribution
+from conftest import LoopbackScorer, bare_vocab, random_distribution
 
 
 def make_request(vocab, target_ids, prefix_ids=(), source_ids=()):
@@ -257,3 +257,75 @@ class TestScorerBoundary:
         vocab = bare_vocab(4)
         with pytest.raises(ValueError):
             TableLM(vocab, terminator_ids={vocab.byte_id(0)})
+
+
+class ScriptedRows(Scorer):
+    """Answers the pass of the suffix starting at token i, of a passage
+    0, 1, ..., n - 1, with the first m gold and m + 1 terminator entries
+    of ``rows[i]``."""
+
+    def __init__(self, vocab, rows):
+        super().__init__(vocab)
+        self.rows = rows
+
+    def _score_forced(self, req):
+        target = req.forced_target.ids
+        gold, term = self.rows[target[0]]
+        return StepScores(gold[: len(target)], term[: len(target) + 1])
+
+
+X = NEG_INF
+# Each case: the rows of a passage of three tokens, whether the empty span
+# is allowed, and the (start, length, log-prob) that must win.
+BEST_SPAN_CASES = {
+    "all-minus-inf": ([((X, X, X), (X, X, X, X)), ((X, X), (X, X, X)), ((X,), (X, X))], False, (0, 1, X)),
+    "all-minus-inf-empty-allowed": (
+        [((X, X, X), (X, X, X, X)), ((X, X), (X, X, X)), ((X,), (X, X))], True, (0, 0, X)
+    ),
+    # (0, 0) and (0, 1) both score -2.
+    "empty-span-wins-its-tie": (
+        [((-1.0, -1.0, -1.0), (-2.0, -1.0, -9.0, -9.0)), ((-9.0, -9.0), (-9.0,) * 3), ((-9.0,), (-9.0,) * 2)],
+        True,
+        (0, 0, -2.0),
+    ),
+    "empty-span-not-allowed": (
+        [((-1.0, -1.0, -1.0), (-2.0, -1.0, -9.0, -9.0)), ((-9.0, -9.0), (-9.0,) * 3), ((-9.0,), (-9.0,) * 2)],
+        False,
+        (0, 1, -2.0),
+    ),
+    # (1, 1) and (2, 1) both score -2.
+    "earlier-start-wins-a-tie": (
+        [((-5.0, -5.0, -5.0), (X, -5.0, -9.0, -9.0)), ((-1.0, -5.0), (X, -1.0, -9.0)), ((-1.0,), (X, -1.0))],
+        False,
+        (1, 1, -2.0),
+    ),
+    # (0, 1) and (0, 2) both score -1.
+    "shorter-span-wins-a-tie": (
+        [((0.0, 0.0, -1.0), (X, -1.0, -1.0, -1.0)), ((-5.0, -5.0), (X, -5.0, -5.0)), ((-5.0,), (X, -5.0))],
+        False,
+        (0, 1, -1.0),
+    ),
+}
+
+
+class TestBestSpanOf:
+    @pytest.mark.parametrize("case", BEST_SPAN_CASES.values(), ids=BEST_SPAN_CASES.keys())
+    def test_rows(self, case):
+        rows, allow, want = case
+        got = best_span_of([StepScores(*row) for row in rows], allow)
+        assert got[:2] == want[:2] and got[2].hex() == want[2].hex()
+
+    @pytest.mark.parametrize("wire", ["in-process", "packed", "lists"])
+    @pytest.mark.parametrize("case", BEST_SPAN_CASES.values(), ids=BEST_SPAN_CASES.keys())
+    def test_scorer_best_span(self, case, wire):
+        rows, allow, want = case
+        vocab = bare_vocab(5)
+        scorer = ScriptedRows(vocab, rows)
+        if wire != "in-process":
+            scorer = LoopbackScorer(scorer, lists=wire == "lists")
+        empty = vocab.seq(())
+        got = scorer.best_span(empty, empty, vocab.seq((0, 1, 2)), None, allow)
+        assert got[:2] == want[:2] and got[2].hex() == want[2].hex()
+        assert scorer.pass_count() == 3
+        if wire != "in-process":
+            assert scorer.ops() == ["extract"]
