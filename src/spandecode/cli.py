@@ -52,6 +52,11 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}") from None
 
 
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """An argparse type: a comma-separated list of integers >= 1."""
+    return tuple(map(_positive_int, text.split(",")))
+
+
 def _terminator_ids(vocab: Vocabulary, mode: str) -> frozenset[int]:
     sentinel = vocab.piece_id(CLOSE_SENTINEL) if CLOSE_SENTINEL in vocab.pieces else None
     if mode == "sentinel":
@@ -146,8 +151,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("subsample", help="draw few-shot training splits")
     p.add_argument("--input", required=True)
     p.add_argument("--validation", default=None)
-    p.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)))
-    p.add_argument("--num-samples", type=int, default=DEFAULT_NUM_SAMPLES)
+    p.add_argument("--sizes", type=_positive_ints, default=DEFAULT_SIZES)
+    p.add_argument("--num-samples", type=_positive_int, default=DEFAULT_NUM_SAMPLES)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("partition", help="classify examples as S_in / S_out")
@@ -160,10 +165,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rss-gen", help="generate recurring-span pretraining data")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--limit", type=int, default=100000)
+    p.add_argument("--limit", type=_positive_int, default=100000)
     p.add_argument("--stopwords", default=None)
-    p.add_argument("--min-span", type=int, default=1)
-    p.add_argument("--max-span", type=int, default=10)
+    p.add_argument("--min-span", type=_positive_int, default=1)
+    p.add_argument("--max-span", type=_positive_int, default=10)
 
     p = sub.add_parser("report", help="render an EvalReport JSON as a table")
     p.add_argument("--input", required=True)
@@ -223,8 +228,7 @@ def cmd_eval(args) -> int:
 def cmd_subsample(args) -> int:
     dataset = load_dataset(args.input)
     validation = load_dataset(args.validation) if args.validation else None
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    splits = subsample(dataset, sizes, args.num_samples, args.seed, validation)
+    splits = subsample(dataset, args.sizes, args.num_samples, args.seed, validation)
     with open(args.output, "w", encoding="utf-8") as f:
         json.dump(
             [

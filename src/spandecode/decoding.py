@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .scorer import ScoreRequest, Scorer, positive_int
+from .scorer import ScoreRequest, Scorer, positive_int, suffix_scores
 from .vocab import TokenSeq
 
 GREEDY = "greedy"
@@ -89,19 +89,20 @@ def build_span_table(
 ) -> SpanScoreTable:
     """Fill the score table with exactly one teacher-forced pass per suffix.
 
-    The n passes share the source, prefix and passage, so they go to the
-    scorer as one call, which a remote scorer sends as one request carrying
-    the passage once. With ``max_span_len`` K, the pass for suffix i forces
-    only its first K tokens, the longest span starting at i: still n
-    passes, but about n*K forced tokens instead of n(n+1)/2, and rows of at
-    most K + 1 entries.
+    Each pass is one ``scorer.teacher_forced_pass``, so over a wire scorer
+    the table is one ``teacher_forced`` request per suffix; no command
+    builds it that way, as ``exact_extract`` asks ``scorer.best_span``
+    instead. With ``max_span_len`` K, the pass for suffix i forces only its
+    first K tokens, the longest span starting at i: still n passes, but
+    about n*K forced tokens instead of n(n+1)/2, and rows of at most K + 1
+    entries.
     """
     ell: list[tuple[float, ...]] = []
     eterm: list[tuple[float, ...]] = []
     L: list[list[float]] = []
     # Rows keep the scorer's tuples: copying every row slows an in-process
     # table by several percent.
-    for scores in scorer.teacher_forced_suffixes(rendered_prompt, prefix, passage, max_span_len):
+    for scores in suffix_scores(scorer, rendered_prompt, prefix, passage, max_span_len):
         ell.append(scores.gold_logprob)
         eterm.append(scores.term_logprob)
         L.append(list(accumulate(scores.gold_logprob, initial=0.0)))

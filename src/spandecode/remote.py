@@ -9,24 +9,11 @@ endpoint. One scoring pass per request:
     response: {"id": u64, "gold_logprob": [f64], "term_logprob": [f64]}
               or {"id": u64, "logits_logprob": [f64 of |V|]}
 
-Exact-extract's n passes force the n suffixes of one passage after one
-source and prefix, so they are sent as one request that carries the
-passage once; the server builds the suffixes ``passage[i:i + K]`` itself,
-K being ``max_span_len`` or n when it is null:
-
-    request:  {"id": u64, "op": "teacher_forced_suffixes",
-               "source_ids": [u32], "prefix_ids": [u32],
-               "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null}
-    response: {"id": u64, "gold_logprob": [f64], "term_logprob": [f64]}
-
-Each reply list holds the n rows joined in order of i: row i has
-m_i = min(n - i, K) gold entries and m_i + 1 terminator entries, so the
-lengths are the sum of m_i and that sum plus n.
-
-Exact-extract itself, the n passes and the argmax over their table, is
-one ``extract`` request; the server builds the suffix table as for
-``teacher_forced_suffixes``, checks every row, and replies with the best
-span alone:
+Exact-extract, the n passes and the argmax over their table, is one
+``extract`` request that carries the passage once. The server builds the
+n suffixes ``passage[i:i + K]`` itself, K being ``max_span_len`` or n when
+it is null, forces each after the source and prefix, checks every row, and
+replies with the best span alone:
 
     request:  {"id": u64, "op": "extract", "source_ids": [u32], "prefix_ids": [u32],
                "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null,
@@ -70,12 +57,11 @@ A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 (``null`` when the request's id could not be read), and the client raises
 ``TransportError`` with the server's text. A server that answers an op
 with an error naming an unknown op does not speak it, and the client steps
-down, once per scorer: from ``extract`` to one ``teacher_forced_suffixes``
-request and the argmax in the client; from ``teacher_forced_suffixes`` to
-one ``teacher_forced`` request per suffix; from ``greedy`` to one
+down, once per scorer: from ``extract`` to one ``teacher_forced`` request
+per suffix and the argmax in the client; from ``greedy`` to one
 ``next_dist`` request per step. The reference server answers every other
-op with that error, ``teacher_forced_batch`` of earlier versions among
-them.
+op with that error, ``teacher_forced_batch`` and ``teacher_forced_suffixes``
+of earlier versions among them.
 
 This module also provides a reference server (``python -m spandecode.remote``)
 that exposes a TableLM over stdio, used to exercise the protocol end to end.
@@ -153,7 +139,6 @@ class _WireScorer(Scorer):
         self._id_lock = threading.Lock()
         # Each False once the server has refused the op as unknown.
         self._extract = True
-        self._suffixes = True
         self._greedy = True
 
     def _take_id(self) -> int:
@@ -201,51 +186,6 @@ class _WireScorer(Scorer):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TransportError(f"malformed {op} response: {exc}") from exc
 
-    def teacher_forced_suffixes(
-        self,
-        source: TokenSeq,
-        prefix: TokenSeq,
-        passage: TokenSeq,
-        max_span_len: int | None = None,
-    ) -> list[StepScores]:
-        """The whole suffix table in one ``teacher_forced_suffixes`` request,
-        still n counted passes; one ``teacher_forced`` request per suffix for
-        a server that does not know the op."""
-        cap = suffix_cap(passage, max_span_len)
-        if self._suffixes:
-            for seq in (source, prefix, passage):
-                self._check_vocab(seq)
-            reply = self._call_unless_unknown(
-                "teacher_forced_suffixes", source, prefix,
-                passage_ids=list(passage.ids), max_span_len=max_span_len,
-            )
-            if reply is not None:
-                self._count_pass(len(passage))
-                return self._suffix_rows(reply, len(passage), cap)
-            self._suffixes = False
-        return super().teacher_forced_suffixes(source, prefix, passage, max_span_len)
-
-    def _suffix_rows(self, reply: dict, n: int, cap: int) -> list[StepScores]:
-        """The n rows of a suffixes reply, checked as a whole: the total
-        lengths, then every value."""
-        gold, term = self._read(reply, "teacher_forced_suffixes", "gold_logprob", "term_logprob")
-        lengths = [min(n - i, cap) for i in range(n)]
-        golds = sum(lengths)
-        if len(gold) != golds or len(term) != golds + n:
-            raise ScorerError(
-                f"scorer returned {len(gold)}/{len(term)} scores "
-                f"for a table of {golds}/{golds + n}"
-            )
-        _check_logprobs(gold, "forced log-probs")
-        _check_logprobs(term, "forced log-probs")
-        rows = []
-        g = t = 0
-        for m in lengths:
-            rows.append(StepScores(gold[g : g + m], term[t : t + m + 1]))
-            g += m
-            t += m + 1
-        return rows
-
     def best_span(
         self,
         source: TokenSeq,
@@ -255,8 +195,8 @@ class _WireScorer(Scorer):
         allow_empty_span: bool = False,
     ) -> tuple[int, int, float]:
         """The best span in one ``extract`` request, still n counted passes;
-        the suffix table and the argmax in the client for a server that does
-        not know the op."""
+        one ``teacher_forced`` request per suffix and the argmax in the
+        client for a server that does not know the op."""
         cap = suffix_cap(passage, max_span_len)
         if self._extract:
             for seq in (source, prefix, passage):
@@ -493,15 +433,6 @@ def _answer(scorer: Scorer, req: dict) -> dict:
             "gold_logprob": floats(scores.gold_logprob),
             "term_logprob": floats(scores.term_logprob),
         }
-    if op == "teacher_forced_suffixes":
-        passage = vocab.seq(req["passage_ids"])
-        # The rows go out joined, row i after row i - 1, in one list each.
-        gold: list[float] = []
-        term: list[float] = []
-        for row in suffix_scores(scorer, source, prefix, passage, req["max_span_len"]):
-            gold += row.gold_logprob
-            term += row.term_logprob
-        return {"id": req["id"], "gold_logprob": floats(gold), "term_logprob": floats(term)}
     if op == "extract":
         allow = req["allow_empty_span"]
         if type(allow) is not bool:

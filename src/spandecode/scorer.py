@@ -227,19 +227,6 @@ class Scorer:
         self._count_pass()
         return check_step_scores(self._score_forced(req), len(req.forced_target))
 
-    def teacher_forced_suffixes(
-        self,
-        source: TokenSeq,
-        prefix: TokenSeq,
-        passage: TokenSeq,
-        max_span_len: int | None = None,
-    ) -> list[StepScores]:
-        """Score every suffix ``passage[i:i + K]`` after the same source and
-        prefix, in order of i, K being ``max_span_len`` or n when uncapped;
-        one counted pass per suffix. A transport can override this to send
-        the passage once instead of n targets."""
-        return suffix_scores(self, source, prefix, passage, max_span_len)
-
     def best_span(
         self,
         source: TokenSeq,
@@ -252,7 +239,7 @@ class Scorer:
         ``best_span_of`` the suffix table, whose n counted passes are
         checked row by row. A transport can override this to have the
         server take the argmax and send back only the span."""
-        rows = self.teacher_forced_suffixes(source, prefix, passage, max_span_len)
+        rows = suffix_scores(self, source, prefix, passage, max_span_len)
         return best_span_of(rows, allow_empty_span)
 
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):

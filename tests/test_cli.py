@@ -319,6 +319,20 @@ class TestSubsample:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sizes", "x"], ["--sizes", "-1"], ["--sizes", "4,0"], ["--sizes", "4,,8"], ["--num-samples", "0"]],
+        ids=" ".join,
+    )
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.json"
+        code = main(["subsample", "--input", self.dataset(tmp_path, 20), *flags, "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: argument {flags[0]}: must be an integer >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPartition:
     def test_counts_and_records(self, workspace, capsys):
@@ -395,6 +409,24 @@ class TestRssGen:
             assert record["masked_passage"].count("<extra_id_0>") == 1
             assert record["target"].startswith("<extra_id_0>")
             assert record["target"].endswith("<extra_id_1>")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--limit", "0"], ["--limit", "x"], ["--min-span", "0"], ["--max-span", "-1"]],
+        ids=" ".join,
+    )
+    def test_count_below_one_is_usage_error_and_keeps_the_output(self, tmp_path, capsys, flags):
+        # Rejected while parsing, before the output file is opened.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("blue bird saw blue bird\n", encoding="utf-8")
+        out = tmp_path / "rss.jsonl"
+        out.write_bytes(b"kept\nhere")
+        code = main(["rss-gen", "--input", str(corpus), "--output", str(out), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: argument {flags[0]}: must be an integer >= 1" in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"kept\nhere"
 
 
 class TestExitCodes:
@@ -550,8 +582,8 @@ class TestExitCodes:
         dataset = workspace["dir"] / "four.jsonl"
         qas = [{"qid": f"q{i}", "question": "who was active?", "answers": ["IRA"]} for i in range(4)]
         dataset.write_text(json.dumps({"context": "the IRA was active", "qas": qas}) + "\n", encoding="utf-8")
-        # The requests one eval example makes: its suffixes table and its
-        # greedy steps (1 + 2 here); decode makes one per example.
+        # The requests one eval example makes: its extract request and its
+        # greedy loop (1 + 1 here); decode makes one per example.
         vocab = Vocabulary.from_file(workspace["vocab"])
         wire = LoopbackScorer(cli.make_scorer(workspace["table"], vocab))
         example = load_dataset(str(dataset))[0]

@@ -4,8 +4,8 @@
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
   cap and with and without the empty span, in process and over the wire
   protocol at every op level (one extract request, with packed or
-  JSON-list float replies; a refused extract request and one suffixes
-  request; both refused and one request per pass);
+  JSON-list float replies; a refused extract request and one
+  ``teacher_forced`` request per pass);
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request, with packed or JSON-list float
   replies; a refused greedy request and one ``next_dist`` per step);
@@ -33,7 +33,7 @@ from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 from conftest import LoopbackScorer, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
-EXTRACT, SUFFIXES, GREEDY = "extract", "teacher_forced_suffixes", "greedy"
+EXTRACT, GREEDY = "extract", "greedy"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
 # the sentinels and the terminator.
@@ -127,10 +127,9 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         allow_empty_span=data.draw(st.booleans()),
     )
     # In process, or over the wire at every op level: one extract request,
-    # with packed or JSON-list float replies; a refused extract request and
-    # then one suffixes request; or both refused and then one request per
-    # pass.
-    refuse = data.draw(st.sampled_from([None, (), (EXTRACT,), (EXTRACT, SUFFIXES)]))
+    # with packed or JSON-list float replies; or a refused extract request
+    # and then one request per pass.
+    refuse = data.draw(st.sampled_from([None, (), (EXTRACT,)]))
     lists = data.draw(st.booleans())
     scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse, lists=lists)
     fast = exact_extract(passage, source, prefix, scorer, cfg)
@@ -142,9 +141,8 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
     )
     assert fast.passes_used == n
     if refuse is not None:
-        # 1, 2 or 2 + n requests.
-        ops = [[EXTRACT], [EXTRACT, SUFFIXES], [EXTRACT, SUFFIXES] + ["teacher_forced"] * n][len(refuse)]
-        assert scorer.ops() == ops
+        # 1 or 1 + n requests.
+        assert scorer.ops() == [EXTRACT] + ["teacher_forced"] * n * len(refuse)
         assert scorer.pass_count() == n
 
 

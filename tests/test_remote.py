@@ -1,8 +1,10 @@
 import base64
+import inspect
 import io
 import itertools
 import json
 import math
+import re
 import shlex
 import struct
 import subprocess
@@ -13,7 +15,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode
+from spandecode import remote
+from spandecode.decoding import DecodeConfig, build_span_table, exact_extract, greedy_decode
 from spandecode.harness import run_eval
 from spandecode.mrqa import QAExample
 from spandecode.prompting import get_template, render_encoder_input
@@ -27,7 +30,7 @@ from spandecode.remote import (
     _WireScorer,
     serve,
 )
-from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
+from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of, suffix_scores
 from spandecode.vocab import Vocabulary
 
 from conftest import TOY_PIECES, LoopbackScorer, bare_vocab
@@ -38,7 +41,7 @@ CONFIGS = [
     DecodeConfig(max_span_len=cap, allow_empty_span=empty)
     for cap, empty in itertools.product([None, 1, 3, 8, 20], [False, True])
 ]
-EXTRACT, SUFFIXES, GREEDY = "extract", "teacher_forced_suffixes", "greedy"
+EXTRACT, GREEDY = "extract", "greedy"
 
 
 def write_fixture_files(tmp_path, vocab, table: dict):
@@ -88,8 +91,8 @@ def assert_wire_matches_in_process(wire, local, vocab):
             want.span_logprob.hex(),
         ), cfg
         assert got.passes_used == len(passage)
-    # No op was refused, so every span came from one extract request.
-    assert wire._extract and wire._suffixes
+    # The op was not refused, so every span came from one extract request.
+    assert wire._extract
 
 
 class RecordingScorer(_WireScorer):
@@ -184,7 +187,7 @@ class TestWireFraming:
         with pytest.raises(ScorerError):
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", SUFFIXES])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", EXTRACT])
     @pytest.mark.parametrize("reply_id", ["same", None])
     def test_server_error_is_raised_verbatim(self, op, reply_id):
         vocab = bare_vocab(4)
@@ -198,7 +201,7 @@ class TestWireFraming:
         calls = {
             "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
             "next_dist": lambda: scorer.next_token_distribution(empty, empty),
-            SUFFIXES: lambda: scorer.teacher_forced_suffixes(empty, empty, target),
+            EXTRACT: lambda: scorer.best_span(empty, empty, target),
         }
         with pytest.raises(TransportError, match="model shard 3 is out of memory"):
             calls[op]()
@@ -228,7 +231,7 @@ def in_form(edit, packed):
     """``edit``, after checking that every entry arrived packed or as a list."""
 
     def checked(payload, reply):
-        if payload["op"] == SUFFIXES:
+        if payload["op"] == "teacher_forced":
             assert all(isinstance(reply[f], str) == packed for f in ("gold_logprob", "term_logprob"))
         if payload["op"] in (EXTRACT, GREEDY):
             assert isinstance(reply["logprob"], str) == packed
@@ -237,8 +240,8 @@ def in_form(edit, packed):
     return checked
 
 
-# Tamper helpers for suffixes replies, whose fields each hold every row
-# joined: each re-encodes the field it changes in the form it arrived in.
+# Tamper helpers for teacher_forced replies: each re-encodes the field it
+# changes in the form it arrived in.
 def short_total(payload, reply):
     gold = reply["gold_logprob"]
     return {**reply, "gold_logprob": reencode(gold, _floats(gold)[:-1])}
@@ -260,8 +263,9 @@ def positive_value(payload, reply):
 
 
 class TestSuffixes:
-    """The suffixes op: one request per table, the passage sent once. A
-    server that refuses ``extract`` gets it from exact_extract."""
+    """The suffix table over the wire: one teacher_forced request per
+    suffix, as build_span_table asks for it and as exact_extract does from
+    a server that refuses ``extract``."""
 
     def setup_model(self):
         vocab = bare_vocab(6)
@@ -276,55 +280,17 @@ class TestSuffixes:
         )
         return vocab, lm
 
-    @pytest.mark.parametrize("cap", [None, 3])
-    def test_table_is_one_suffixes_request(self, cap):
-        vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={EXTRACT})
-        passage = vocab.seq((1, 2, 3, 0, 1))
-        source, prefix = vocab.seq((0, 1)), vocab.seq(())
-        result = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=cap))
-        refused, request = wire.sent
-        assert refused["op"] == EXTRACT
-        assert request["op"] == SUFFIXES
-        assert request["source_ids"] == [0, 1]
-        assert request["prefix_ids"] == []
-        assert request["passage_ids"] == [1, 2, 3, 0, 1]
-        assert request["max_span_len"] == cap
-        assert "targets" not in request and "target_ids" not in request
-        assert result.passes_used == 5 == wire.pass_count()
-
     @pytest.mark.parametrize("lists", [False, True])
     @pytest.mark.parametrize("cap", [None, 1, 2, 5, 6, 9])
     def test_rows_equal_in_process_rows(self, lists, cap):
         vocab, lm = self.setup_model()
         wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
         source, prefix, passage = vocab.seq((0, 1)), vocab.seq((2,)), vocab.seq((1, 2, 3, 0, 1))
-        got = wire.teacher_forced_suffixes(source, prefix, passage, cap)
-        assert got == lm.teacher_forced_suffixes(source, prefix, passage, cap)
-        assert [len(row.gold_logprob) for row in got] == [min(5 - i, cap or 5) for i in range(5)]
-        assert wire.pass_count() == 5 and wire.ops() == [SUFFIXES]
-
-    @pytest.mark.parametrize("cap", [None, 2])
-    def test_unknown_op_steps_down_to_single_passes_once(self, cap):
-        vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={EXTRACT, SUFFIXES})
-        passage, source, prefix = vocab.seq((1, 2, 3, 0)), vocab.seq((0, 1)), vocab.seq(())
-        want = exact_extract(passage, source, prefix, lm, DecodeConfig(max_span_len=cap))
-        for _ in range(2):
-            got = exact_extract(passage, source, prefix, wire, DecodeConfig(max_span_len=cap))
-            assert (got.start, got.length, got.span_logprob.hex()) == (
-                want.start,
-                want.length,
-                want.span_logprob.hex(),
-            )
-            assert got.passes_used == 4 and not wire._extract and not wire._suffixes
-        # One refused extract and one refused suffixes request, then one
-        # teacher_forced request per suffix for both tables: the scorer asks
-        # for neither op again.
-        assert wire.ops() == [EXTRACT, SUFFIXES] + ["teacher_forced"] * 8
-        suffixes = [list(passage.ids[i : i + (cap or 4)]) for i in range(4)]
-        assert [p["target_ids"] for p in wire.sent[2:]] == suffixes * 2
-        assert wire.pass_count() == 8
+        got = build_span_table(passage, source, prefix, wire, cap)
+        assert got == build_span_table(passage, source, prefix, lm, cap)
+        assert [len(row) for row in got.ell] == [min(5 - i, cap or 5) for i in range(5)]
+        assert wire.pass_count() == 5 and wire.ops() == ["teacher_forced"] * 5
+        assert [p["target_ids"] for p in wire.sent] == [list(passage.ids[i : i + (cap or 5)]) for i in range(5)]
 
     def test_other_errors_raise_and_keep_the_op(self):
         vocab, lm = self.setup_model()
@@ -341,7 +307,8 @@ class TestSuffixes:
         with pytest.raises(TransportError, match="overloaded, retry later"):
             exact_extract(passage, empty, empty, wire)
         exact_extract(passage, empty, empty, wire)
-        assert wire.ops() == [EXTRACT, SUFFIXES, SUFFIXES]
+        assert wire.ops() == [EXTRACT] + ["teacher_forced"] * 3
+        assert not wire._extract
 
     @pytest.mark.parametrize(
         "edit, packed", both_forms(short_total, long_total, nan_value, positive_value)
@@ -355,23 +322,22 @@ class TestSuffixes:
             exact_extract(passage, empty, empty, wire, DecodeConfig(max_span_len=cap))
         # The check of the scores caught it, not the decoding of the reply.
         assert not isinstance(caught.value, TransportError)
-        assert wire.ops() == [EXTRACT, SUFFIXES]
+        assert wire.ops() == [EXTRACT, "teacher_forced"]
 
     @pytest.mark.parametrize("field", ["gold_logprob", "term_logprob"])
     def test_missing_field_is_transport_error(self, field):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=lambda p, r: {k: v for k, v in r.items() if k != field})
-        with pytest.raises(TransportError, match="malformed teacher_forced_suffixes"):
-            wire.teacher_forced_suffixes(vocab.seq(()), vocab.seq(()), vocab.seq((1,)))
+        wire = LoopbackScorer(lm, refuse={EXTRACT}, edit=lambda p, r: {k: v for k, v in r.items() if k != field})
+        with pytest.raises(TransportError, match="malformed teacher_forced"):
+            wire.best_span(vocab.seq(()), vocab.seq(()), vocab.seq((1,)))
 
     @pytest.mark.parametrize("cap, passage", [(0, (1,)), (-1, (1,)), (None, ())])
     def test_bad_table_raises_before_any_request(self, cap, passage):
         vocab, lm = self.setup_model()
         wire = LoopbackScorer(lm)
-        with pytest.raises(ValueError):
-            wire.teacher_forced_suffixes(vocab.seq(()), vocab.seq(()), vocab.seq(passage), cap)
-        with pytest.raises(ValueError):
-            lm.teacher_forced_suffixes(vocab.seq(()), vocab.seq(()), vocab.seq(passage), cap)
+        for scorer in (wire, lm):
+            with pytest.raises(ValueError):
+                build_span_table(vocab.seq(passage), vocab.seq(()), vocab.seq(()), scorer, cap)
         assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
 
     @pytest.mark.parametrize(
@@ -388,7 +354,7 @@ class TestSuffixes:
         bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
 
         def corrupt_album(payload, reply):
-            if payload["op"] == SUFFIXES and payload["source_ids"] == bad_source:
+            if payload["op"] == "teacher_forced" and payload["source_ids"] == bad_source:
                 return edit(payload, reply)
             return reply
 
@@ -398,7 +364,7 @@ class TestSuffixes:
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
-        assert wire.ops().count(SUFFIXES) == 2
+        assert wire.ops().count(EXTRACT) == 1
 
 
 def span_edit(change):
@@ -523,10 +489,11 @@ class TestExtract:
         want = exact_extract(passage, source, prefix, lm)
         for _ in range(2):
             assert span_outcome(exact_extract(passage, source, prefix, wire)) == span_outcome(want)
-            assert not wire._extract and wire._suffixes
-        # One refused extract request, then one suffixes request per table:
-        # the scorer does not ask again.
-        assert wire.ops() == [EXTRACT, SUFFIXES, SUFFIXES]
+            assert not wire._extract
+        # One refused extract request, then one teacher_forced request per
+        # suffix for both decodes: the scorer does not ask again.
+        assert wire.ops() == [EXTRACT] + ["teacher_forced"] * 8
+        assert [p["target_ids"] for p in wire.sent[1:]] == [list(passage.ids[i:]) for i in range(4)] * 2
         assert wire.pass_count() == 8
 
     def test_other_errors_raise_and_keep_the_op(self):
@@ -860,11 +827,10 @@ class TestFloatForms:
         got = wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
         assert bits(got.gold_logprob + got.term_logprob) == bits(want.gold_logprob + want.term_logprob)
         for cap in (None, 2):
-            rows = wire.teacher_forced_suffixes(source, prefix, target, cap)
-            wanted = local.teacher_forced_suffixes(source, prefix, target, cap)
-            assert [bits(r.gold_logprob + r.term_logprob) for r in rows] == [
-                bits(r.gold_logprob + r.term_logprob) for r in wanted
-            ]
+            rows = build_span_table(target, source, prefix, wire, cap)
+            wanted = build_span_table(target, source, prefix, local, cap)
+            assert list(map(bits, rows.ell)) == list(map(bits, wanted.ell))
+            assert list(map(bits, rows.eterm)) == list(map(bits, wanted.eterm))
         for cap, empty in itertools.product((None, 2), (False, True)):
             got_span = wire.best_span(source, prefix, target, cap, empty)
             want_span = local.best_span(source, prefix, target, cap, empty)
@@ -881,7 +847,6 @@ class TestFloatForms:
             {"op": "teacher_forced", "target_ids": [1, 2]},
             {"op": GREEDY, "terminator_ids": [5], "max_steps": 3},
             {"op": "next_dist", "target_ids": []},
-            {"op": SUFFIXES, "passage_ids": [1, 2, 3], "max_span_len": 2},
             {"op": EXTRACT, "passage_ids": [1, 2, 3], "max_span_len": 2, "allow_empty_span": True},
         ],
     )
@@ -907,7 +872,7 @@ class TestFloatForms:
         "bad",
         ["not base64!", base64.b64encode(bytes(12)).decode("ascii"), "AAAAAAAAAAA", "é" * 8],
     )
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", SUFFIXES])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist"])
     def test_malformed_packed_floats_raise_transport_error(self, bad, op):
         with pytest.raises(TransportError, match=f"malformed {op} response"):
             call_with_reply(op, gold=bad, term=_pack((-1.0, -1.0)), dist=bad)
@@ -926,7 +891,7 @@ class TestFloatForms:
         ],
         ids=["false", "numeric-string", "dict", "null", "nested-list", "huge-int"],
     )
-    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist", SUFFIXES])
+    @pytest.mark.parametrize("op", ["teacher_forced", "next_dist"])
     def test_non_numbers_raise_transport_error(self, bad, op):
         # One gold and two terminator log-probs, or four in a distribution.
         call_with_reply(op, gold=[-1], term=[-1.0, -1.0], dist=[-1.0] * 4)
@@ -943,7 +908,6 @@ def call_with_reply(op, gold, term, dist=None):
     vocab = bare_vocab(4)
     fields = {
         "teacher_forced": {"gold_logprob": gold, "term_logprob": term},
-        SUFFIXES: {"gold_logprob": gold, "term_logprob": term},
         "next_dist": {"logits_logprob": dist},
     }
     scorer = RecordingScorer(vocab, [lambda p: {"id": p["id"], **fields[op]}])
@@ -951,7 +915,6 @@ def call_with_reply(op, gold, term, dist=None):
     calls = {
         "teacher_forced": lambda: scorer.teacher_forced_pass(ScoreRequest(empty, target, empty)),
         "next_dist": lambda: scorer.next_token_distribution(empty, empty),
-        SUFFIXES: lambda: scorer.teacher_forced_suffixes(empty, empty, target),
     }
     return calls[op]()
 
@@ -978,12 +941,11 @@ class NanTableLM(TableLM):
         return StepScores((float("nan"),) * len(scores.gold_logprob), scores.term_logprob)
 
 
-# A valid suffixes request: an uncapped table of two tokens.
-SUFFIXES_LINE = {"id": 3, "op": SUFFIXES, "source_ids": [0], "prefix_ids": [], "passage_ids": [0, 1], "max_span_len": None}
-
-
 # A valid extract request: an uncapped span search over two tokens.
-EXTRACT_LINE = {**SUFFIXES_LINE, "op": EXTRACT, "allow_empty_span": False}
+EXTRACT_LINE = {
+    "id": 3, "op": EXTRACT, "source_ids": [0], "prefix_ids": [], "passage_ids": [0, 1], "max_span_len": None,
+    "allow_empty_span": False,
+}
 
 
 # A valid greedy request: at most three steps, stopping at token 4.
@@ -1044,69 +1006,35 @@ class TestServe:
         serve(lm, in_stream, out_stream)
         assert out_stream.getvalue() == ""
 
-    def test_teacher_forced_batch_is_an_unknown_op(self):
-        # The op of earlier versions gets the unknown-op error that makes a
+    def test_docstring_names_exactly_the_ops_the_server_answers(self):
+        # The ops of the protocol docstring's request lines ("op": ...)
+        # against those `_answer` compares a request's op with; a line of
+        # each documented op gets some other error than the unknown-op one.
+        documented = {
+            op
+            for ops in re.findall(r'"op": ((?:"\w+"(?: \| )?)+)', remote.__doc__)
+            for op in re.findall(r"\w+", ops)
+        }
+        answered = set(re.findall(r'\bop == "(\w+)"', inspect.getsource(remote._answer)))
+        assert documented == answered
+        lines = [{"id": i, "op": op, "source_ids": [], "prefix_ids": []} for i, op in enumerate(sorted(documented))]
+        for reply in self.run(TableLM.uniform(bare_vocab(5)), lines):
+            assert remote.UNKNOWN_OP not in reply.get("error", "")
+
+    @pytest.mark.parametrize("op", ["teacher_forced_batch", "teacher_forced_suffixes"])
+    def test_retired_op_is_an_unknown_op(self, op):
+        # An op of earlier versions gets the unknown-op error that makes a
         # client step down, and serving goes on.
         vocab = bare_vocab(5)
         lm = TableLM.uniform(vocab)
-        batch = {"id": 9, "op": "teacher_forced_batch", "source_ids": [0], "prefix_ids": [1], "targets": [[1, 2], [3]]}
-        error, answer = self.run(lm, [batch, {**SUFFIXES_LINE, "id": 10}])
-        assert error == {"id": 9, "error": "unknown op 'teacher_forced_batch'"}
-        assert answer["id"] == 10 and len(answer["gold_logprob"]) == 3
-        assert lm.pass_count() == 2
-
-    @pytest.mark.parametrize("cap", [None, 2, 3, 7])
-    def test_teacher_forced_suffixes_reply_shape(self, cap):
-        vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
-        forwarding = ForwardingScorer(lm)
-        request = {
-            "id": 9, "op": SUFFIXES, "source_ids": [0], "prefix_ids": [1],
-            "passage_ids": [1, 2, 3], "max_span_len": cap,
+        retired = {
+            "id": 9, "op": op, "source_ids": [0], "prefix_ids": [1], "targets": [[1, 2], [3]],
+            "passage_ids": [1, 2, 3], "max_span_len": None,
         }
-        (reply,) = self.run(forwarding, [request])
-        assert reply["id"] == 9
-        k = cap or 3
-        rows = [lm.teacher_forced_pass(ScoreRequest(vocab.seq((0,)), vocab.seq((1, 2, 3)[i : i + k]), vocab.seq((1,)))) for i in range(3)]
-        # The rows joined in order: min(3 - i, K) gold entries, one more terminator.
-        assert reply["gold_logprob"] == [v for row in rows for v in row.gold_logprob]
-        assert reply["term_logprob"] == [v for row in rows for v in row.term_logprob]
-        assert len(reply["gold_logprob"]) == sum(min(3 - i, k) for i in range(3))
-        # Answered pass by pass through teacher_forced_pass.
-        assert forwarding.forced_calls == 3
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {**SUFFIXES_LINE, "max_span_len": 0},
-            {**SUFFIXES_LINE, "max_span_len": -1},
-            {**SUFFIXES_LINE, "max_span_len": True},
-            {**SUFFIXES_LINE, "max_span_len": 1.0},
-            {**SUFFIXES_LINE, "max_span_len": "3"},
-            {**SUFFIXES_LINE, "max_span_len": [2]},
-            {k: v for k, v in SUFFIXES_LINE.items() if k != "passage_ids"},
-            {k: v for k, v in SUFFIXES_LINE.items() if k != "max_span_len"},
-            {**SUFFIXES_LINE, "passage_ids": []},
-            {**SUFFIXES_LINE, "passage_ids": [0, 999]},
-            {**SUFFIXES_LINE, "passage_ids": [0, -1]},
-            {**SUFFIXES_LINE, "passage_ids": [0, True]},
-            {**SUFFIXES_LINE, "passage_ids": [0, 1.0]},
-            {**SUFFIXES_LINE, "passage_ids": 3},
-        ],
-        ids=[
-            "cap-0", "cap-negative", "cap-true", "cap-float", "cap-string", "cap-list",
-            "no-passage", "no-cap", "empty-passage", "id-out-of-range", "id-negative",
-            "id-true", "id-float", "passage-not-a-list",
-        ],
-    )
-    def test_bad_suffixes_line_gets_an_error_and_serving_goes_on(self, bad):
-        vocab = bare_vocab(5)
-        good = {**SUFFIXES_LINE, "id": 4, "max_span_len": 1}
-        error, answer = self.run(TableLM.uniform(vocab), [bad, good])
-        assert error["id"] == 3
-        assert isinstance(error["error"], str) and error["error"]
-        assert answer["id"] == 4
-        assert len(answer["gold_logprob"]) == 2 and len(answer["term_logprob"]) == 4
+        error, answer = self.run(lm, [retired, {**EXTRACT_LINE, "id": 10}])
+        assert error == {"id": 9, "error": f"unknown op {op!r}"}
+        assert answer["id"] == 10 and answer.keys() == {"id", "start", "length", "logprob"}
+        assert lm.pass_count() == 2
 
     @pytest.mark.parametrize("cap", [None, 1, 2, 7])
     @pytest.mark.parametrize("empty", [False, True])
@@ -1121,7 +1049,7 @@ class TestServe:
         (reply,) = self.run(forwarding, [request])
         assert reply.keys() == {"id", "start", "length", "logprob"}
         assert reply["id"] == 9
-        rows = lm.teacher_forced_suffixes(source, prefix, passage, cap)
+        rows = suffix_scores(lm, source, prefix, passage, cap)
         start, length, logprob = best_span_of(rows, empty)
         assert (reply["start"], reply["length"]) == (start, length)
         assert bits(reply["logprob"]) == bits([logprob])
@@ -1137,18 +1065,24 @@ class TestServe:
             {**EXTRACT_LINE, "allow_empty_span": None},
             {k: v for k, v in EXTRACT_LINE.items() if k != "allow_empty_span"},
             {**EXTRACT_LINE, "max_span_len": 0},
+            {**EXTRACT_LINE, "max_span_len": -1},
             {**EXTRACT_LINE, "max_span_len": True},
             {**EXTRACT_LINE, "max_span_len": 1.0},
             {**EXTRACT_LINE, "max_span_len": "3"},
+            {**EXTRACT_LINE, "max_span_len": [2]},
             {k: v for k, v in EXTRACT_LINE.items() if k != "max_span_len"},
             {**EXTRACT_LINE, "passage_ids": []},
             {k: v for k, v in EXTRACT_LINE.items() if k != "passage_ids"},
             {**EXTRACT_LINE, "passage_ids": [0, 999]},
+            {**EXTRACT_LINE, "passage_ids": [0, -1]},
             {**EXTRACT_LINE, "passage_ids": [0, True]},
+            {**EXTRACT_LINE, "passage_ids": [0, 1.0]},
+            {**EXTRACT_LINE, "passage_ids": 3},
         ],
         ids=[
-            "allow-1", "allow-0", "allow-string", "allow-null", "no-allow", "cap-0", "cap-true",
-            "cap-float", "cap-string", "no-cap", "empty-passage", "no-passage", "id-out-of-range", "id-true",
+            "allow-1", "allow-0", "allow-string", "allow-null", "no-allow", "cap-0", "cap-negative",
+            "cap-true", "cap-float", "cap-string", "cap-list", "no-cap", "empty-passage", "no-passage",
+            "id-out-of-range", "id-negative", "id-true", "id-float", "passage-not-a-list",
         ],
     )
     def test_bad_extract_line_gets_an_error_and_serving_goes_on(self, bad):
@@ -1170,14 +1104,13 @@ class TestServe:
         lines = [
             {"id": 1, "op": "teacher_forced", "source_ids": [0], "prefix_ids": [], "target_ids": [1, 2]},
             {"id": 2, "op": "next_dist", "source_ids": [0], "prefix_ids": [], "target_ids": []},
-            {**SUFFIXES_LINE, "id": 3},
-            {**EXTRACT_LINE, "id": 4},
-            {**GREEDY_LINE, "id": 5},
+            {**EXTRACT_LINE, "id": 3},
+            {**GREEDY_LINE, "id": 4},
         ]
         replies = self.run(forwarding, lines)
-        assert [r["id"] for r in replies] == [1, 2, 3, 4, 5]
+        assert [r["id"] for r in replies] == [1, 2, 3, 4]
         assert not any("error" in r for r in replies)
-        assert forwarding.forced_calls == 1 + 2 + 2
+        assert forwarding.forced_calls == 1 + 2
 
     @pytest.mark.parametrize("stops, tokens", [([5], [1, 2, 3]), ([2], [1, 2]), ([0, 1], [1]), ([], [1, 2, 3])])
     def test_greedy_reply_shape(self, stops, tokens):
@@ -1260,17 +1193,15 @@ class TestServe:
             NanTableLM.uniform(vocab),
             [
                 {"id": 1, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [0]},
-                {"id": 2, "op": SUFFIXES, "source_ids": [], "prefix_ids": [], "passage_ids": [0], "max_span_len": None},
-                {"id": 3, "op": "next_dist", "source_ids": [], "prefix_ids": [], "target_ids": []},
-                {**EXTRACT_LINE, "id": 4, "source_ids": []},
+                {"id": 2, "op": "next_dist", "source_ids": [], "prefix_ids": [], "target_ids": []},
+                {**EXTRACT_LINE, "id": 3, "source_ids": []},
             ],
         )
-        assert [r["id"] for r in replies] == [1, 2, 3, 4]
+        assert [r["id"] for r in replies] == [1, 2, 3]
         assert "NaN" in replies[0]["error"]
-        assert "NaN" in replies[1]["error"]
-        assert len(replies[2]["logits_logprob"]) == 5
+        assert len(replies[1]["logits_logprob"]) == 5
         # The server checks every row before it takes the argmax.
-        assert "NaN" in replies[3]["error"]
+        assert "NaN" in replies[2]["error"]
 
 
 class TestStdioScorer:
