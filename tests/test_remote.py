@@ -847,6 +847,7 @@ class TestFloatForms:
             {"op": "teacher_forced", "target_ids": [1, 2]},
             {"op": GREEDY, "terminator_ids": [5], "max_steps": 3},
             {"op": "next_dist", "target_ids": []},
+            {"op": EXTRACT, "passage_ids": [1, 2], "max_span_len": None, "allow_empty_span": False},
             {"op": EXTRACT, "passage_ids": [1, 2, 3], "max_span_len": 2, "allow_empty_span": True},
         ],
     )
