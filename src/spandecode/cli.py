@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import harness, metrics, rss
 from .decoding import GREEDY, NAIVE, DecodeConfig, exact_extract, greedy_decode, naive_exact
@@ -285,11 +286,21 @@ def cmd_rss_gen(args) -> int:
         max_span_words=args.max_span,
         rng_seed=args.seed,
     )
+    # Written beside --output and moved over it only when complete, so that
+    # a run that fails leaves an existing --output as it was.
+    output = Path(args.output)
+    partial = output.with_name(f".{output.name}.{os.getpid()}.partial")
     count = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for example in rss.generate_corpus(rss.read_passages(args.input), cfg, args.limit):
-            out.write(json.dumps(example.to_dict(), ensure_ascii=False) + "\n")
-            count += 1
+    with open(partial, "x", encoding="utf-8") as out:
+        try:
+            for example in rss.generate_corpus(rss.read_passages(args.input), cfg, args.limit):
+                out.write(json.dumps(example.to_dict(), ensure_ascii=False) + "\n")
+                count += 1
+        except BaseException:
+            out.close()
+            partial.unlink()
+            raise
+    os.replace(partial, output)
     print(f"wrote {count} examples")
     return EXIT_OK
 

@@ -6,7 +6,9 @@ starting at i is the j-th prefix of the suffix starting at i, so one
 teacher-forced pass per suffix yields the scores of all its prefixes:
 n passes total instead of one pass per span. The passes and the argmax
 over them happen wherever the scorer answers ``Scorer.best_span``: in
-process, or on a remote server that replies with the span alone.
+process, or on a remote server that replies with the span alone. A scorer
+may force each suffix only as far as can change the argmax, as ``TableLM``
+does: still n passes, fewer forced tokens and the same span and score.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ endpoint. One scoring pass per request:
               or {"id": u64, "logits_logprob": [f64 of |V|]}
 
 Exact-extract, the n passes and the argmax over their table, is one
-``extract`` request that carries the passage once. The server builds the
-n suffixes ``passage[i:i + K]`` itself, K being ``max_span_len`` or n when
-it is null, forces each after the source and prefix, checks every row, and
-replies with the best span alone:
+``extract`` request that carries the passage once. The server makes the n
+passes itself, one per suffix ``passage[i:i + K]``, K being ``max_span_len``
+or n when it is null. It forces each suffix after the source and prefix as
+far as can change the answer, checks every row it forces, and replies with
+the best span alone; the reply is the same as forcing every suffix to its
+end. The reference server's ``TableLM`` stops a suffix where its contexts
+leave the tables (``TableLM.best_span``):
 
     request:  {"id": u64, "op": "extract", "source_ids": [u32], "prefix_ids": [u32],
                "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null,
@@ -89,10 +92,8 @@ from .scorer import (
     TableLM,
     _check_logprobs,
     argmax_steps,
-    best_span_of,
     positive_int,
     suffix_cap,
-    suffix_scores,
 )
 from .vocab import TokenSeq, Vocabulary
 
@@ -438,8 +439,11 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         if type(allow) is not bool:
             raise ValueError(f"allow_empty_span must be true or false, not {allow!r:.40}")
         passage = vocab.seq(req["passage_ids"])
-        rows = suffix_scores(scorer, source, prefix, passage, req["max_span_len"])
-        start, length, logprob = best_span_of(rows, allow)
+        # The scorer's own best_span where it has one (a TableLM forces each
+        # suffix only as far as can change the answer); Scorer's otherwise,
+        # which needs only teacher_forced_pass.
+        best_span = getattr(type(scorer), "best_span", Scorer.best_span)
+        start, length, logprob = best_span(scorer, source, prefix, passage, req["max_span_len"], allow)
         return {"id": req["id"], "start": start, "length": length, "logprob": floats([logprob])}
     if op == "next_dist":
         dist = scorer.next_token_distribution(source, prefix)

@@ -9,13 +9,13 @@ is produced per passage.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .mrqa import DataError, read_jsonl
 from .prompting import CLOSE_SENTINEL, OPEN_SENTINEL
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
@@ -195,14 +195,20 @@ def generate_corpus(passages, cfg: RssConfig, limit: int):
 
 
 def read_passages(path: str | Path):
-    """One passage per line; .jsonl lines are WikiExtractor-style {"text": ...}."""
+    """One passage per line; .jsonl lines are WikiExtractor-style {"text": ...}.
+    DataError names ``path:line`` for a .jsonl line that is not a JSON object
+    with a string ``text``."""
     path = Path(path)
+    if path.suffix == ".jsonl":
+        for lineno, obj in read_jsonl(path):
+            if "text" not in obj:
+                raise DataError(f"{path}:{lineno}: missing field 'text'")
+            if not isinstance(obj["text"], str):
+                raise DataError(f"{path}:{lineno}: text must be a string, not {type(obj['text']).__name__}")
+            yield obj["text"]
+        return
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if path.suffix == ".jsonl":
-                yield json.loads(line)["text"]
-            else:
+            if line.strip():
                 yield line

@@ -299,6 +299,10 @@ class TableLM(Scorer):
     The source tuple is hashed once per table, not once per pass: the
     context table of the last source looked up is kept with that source's
     ``ids`` tuple and reused while requests carry the same tuple object.
+
+    ``best_span`` forces each suffix only as far as its contexts reach into
+    the tables (see there): the same n counted, checked passes and the same
+    span, score included, as forcing every suffix to its end.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
@@ -314,7 +318,7 @@ class TableLM(Scorer):
         self._logs = _LogMemo()
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
-        self._default = self._entry(default)
+        self._set_default(default)
         for key, dist in (contexts or {}).items():
             self.set_context(key, dist)
 
@@ -360,6 +364,12 @@ class TableLM(Scorer):
     def _entry(self, dist: dict) -> tuple[list[float], float]:
         logdist = self._to_logdist(dist)
         return logdist, logsumexp(logdist[t] for t in self.terminator_ids)
+
+    def _set_default(self, dist: dict) -> None:
+        self._default = self._entry(dist)
+        # A distribution may sum to 1 + DIST_SUM_TOL, so one log-prob of the
+        # default can lie above 0; then a span can grow past a table's reach.
+        self._default_rises = max(self._default[0]) > 0
 
     def set_context(self, key, dist: dict) -> None:
         """Register a context distribution.
@@ -409,7 +419,7 @@ class TableLM(Scorer):
             return dist
 
         if raw.get("default") is not None:
-            self._default = self._entry(distribution("default"))
+            self._set_default(distribution("default"))
         for key in raw:
             if key == "default":
                 continue
@@ -427,14 +437,69 @@ class TableLM(Scorer):
         entry = self._by_source.get(source.ids, _NO_CONTEXTS).get(prefix_ids)
         return (entry or self._any_source.get(prefix_ids) or self._default)[0]
 
-    def _score_forced(self, req: ScoreRequest) -> StepScores:
-        source = req.source.ids
+    def _source_contexts(self, source: tuple[int, ...]) -> dict:
+        """The context table pinned to ``source``, hashed once per table."""
         last = self._last_source
         if last is not None and last[0] is source:
-            by_source = last[1]
-        else:
-            by_source = self._by_source.get(source, _NO_CONTEXTS)
-            self._last_source = (source, by_source)
+            return last[1]
+        by_source = self._by_source.get(source, _NO_CONTEXTS)
+        self._last_source = (source, by_source)
+        return by_source
+
+    def best_span(
+        self,
+        source: TokenSeq,
+        prefix: TokenSeq,
+        passage: TokenSeq,
+        max_span_len: int | None = None,
+        allow_empty_span: bool = False,
+    ) -> tuple[int, int, float]:
+        """``Scorer.best_span``, with each suffix forced only as far as its
+        contexts reach into the tables: still one counted, checked
+        ``teacher_forced_pass`` per suffix, and the same span and score.
+
+        The pass for start i forces max(k, 1) tokens, k being the number of
+        contexts ``prefix + passage[i:i + j]``, j < min(K, n - i), that lie
+        in a table. Every later step reads the default entry: a constant
+        terminator log-prob and gold log-probs <= 0, so L(i, j) + e(i, j)
+        cannot grow for j >= k, the row's first maximum lies at
+        j <= max(k, 1), and the forced part holds it, summed in the same
+        order. A default with a log-prob above 0, or a subclass that
+        rescores (overrides ``_score_forced``), forces full suffixes.
+
+        Each table holds every prefix of its keys, so the k contexts that
+        lie in one come first: k is found by galloping over j, then
+        bisecting, in O(log k) lookups."""
+        if self._default_rises or type(self)._score_forced is not TableLM._score_forced:
+            return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
+        cap = suffix_cap(passage, max_span_len)
+        by_source = self._source_contexts(source.ids)
+        any_source = self._any_source
+        base = prefix.ids
+        ids = passage.ids
+        n = len(ids)
+        # Context 0, the prefix itself, is the same for every start: when it
+        # lies in no table, k is 0 throughout.
+        prefix_in = base in by_source or base in any_source
+        rows = []
+        for i in range(n):
+            # Contexts j < lo lie in a table, j >= hi do not; step is 0 once
+            # a context outside has been found, and the search bisects.
+            lo, hi, step = (1, min(cap, n - i), 1) if prefix_in else (0, 0, 0)
+            while lo < hi:
+                j = min(lo + step, hi) - 1 if step else (lo + hi) // 2
+                context = base + ids[i : i + j]
+                if context in by_source or context in any_source:
+                    lo = j + 1
+                    step *= 2
+                else:
+                    hi = j
+                    step = 0
+            rows.append(self.teacher_forced_pass(ScoreRequest(source, passage[i : i + (lo or 1)], prefix)))
+        return best_span_of(rows, allow_empty_span)
+
+    def _score_forced(self, req: ScoreRequest) -> StepScores:
+        by_source = self._source_contexts(req.source.ids)
         any_source = self._any_source
         context = req.forced_prefix.ids
         target = req.forced_target.ids

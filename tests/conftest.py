@@ -75,6 +75,20 @@ def random_table_lm(rng: random.Random, max_vocab: int = 16, max_len: int = 12):
     return vocab, lm, passage
 
 
+class RecordingTableLM(TableLM):
+    """A TableLM that keeps, in order, the length of each target it is
+    asked to force. It records in ``teacher_forced_pass`` and leaves
+    ``_score_forced`` alone, so ``best_span`` keeps TableLM's cut."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.forced = []
+
+    def teacher_forced_pass(self, req):
+        self.forced.append(len(req.forced_target))
+        return super().teacher_forced_pass(req)
+
+
 class LoopbackScorer(_WireScorer):
     """A wire scorer whose requests ``remote.serve`` answers in memory over
     ``backend``, for the protocol without a process or a socket.

@@ -428,6 +428,40 @@ class TestRssGen:
         assert "Traceback" not in err
         assert out.read_bytes() == b"kept\nhere"
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("missing.txt", None, "No such file or directory"),
+            ("corpus.jsonl", '{"text": "blue bird saw blue bird"}\nnot json\n', "corpus.jsonl:2: invalid JSON"),
+            ("corpus.jsonl", '{"text": "blue bird saw blue bird"}\n{"txt": "x"}\n', "corpus.jsonl:2: missing field 'text'"),
+        ],
+        ids=["missing-input", "not-json", "no-text"],
+    )
+    def test_bad_input_is_data_error_and_keeps_the_output(self, tmp_path, capsys, name, text, message):
+        # The first line of the malformed inputs makes an example before
+        # the bad line is read.
+        corpus = tmp_path / name
+        if text is not None:
+            corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "rss.jsonl"
+        out.write_bytes(b"kept\nhere")
+        code = main(["rss-gen", "--input", str(corpus), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"kept\nhere"
+        assert not list(tmp_path.glob(".*.partial"))
+
+    def test_output_is_replaced_only_when_complete(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"text": "blue bird saw blue bird"}\n', encoding="utf-8")
+        out = tmp_path / "rss.jsonl"
+        out.write_bytes(b"old")
+        assert main(["rss-gen", "--input", str(corpus), "--output", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["target"].endswith("<extra_id_1>")
+        assert not list(tmp_path.glob(".*.partial"))
+
 
 class TestExitCodes:
     def test_unknown_scorer_spec_is_usage_error(self, workspace):

@@ -6,6 +6,9 @@
   protocol at every op level (one extract request, with packed or
   JSON-list float replies; a refused extract request and one
   ``teacher_forced`` request per pass);
+- ``TableLM.best_span``, which forces each suffix only as far as its
+  contexts reach into the tables, against ``Scorer.best_span`` (every
+  suffix forced to its end) and ``naive_exact``, bit for bit;
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request, with packed or JSON-list float
   replies; a refused greedy request and one ``next_dist`` per step);
@@ -27,10 +30,10 @@ from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
-from spandecode.scorer import DIST_SUM_TOL, NEG_INF, ScoreRequest, TableLM, logsumexp
+from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, logsumexp
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
-from conftest import LoopbackScorer, bare_vocab
+from conftest import LoopbackScorer, RecordingTableLM, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
 EXTRACT, GREEDY = "extract", "greedy"
@@ -144,6 +147,69 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         # 1 or 1 + n requests.
         assert scorer.ops() == [EXTRACT] + ["teacher_forced"] * n * len(refuse)
         assert scorer.pass_count() == n
+
+
+@st.composite
+def reach_models(draw, max_len=10):
+    """A RecordingTableLM whose contexts follow the passage from random
+    starts, under any source and pinned to the source, with flat, peaked or
+    tied distributions that may leave tokens at probability 0; a default
+    whose terminator may have probability 0; and a passage that may hold
+    byte-fallback ids."""
+    size = draw(st.integers(3, 7))
+    vocab = bare_vocab(size)
+    token = st.integers(0, size - 2)
+    if draw(st.booleans()):
+        token = token | st.sampled_from([vocab.byte_id(b) for b in BYTE_VALUES])
+    passage = vocab.seq(draw(st.lists(token, min_size=1, max_size=max_len)))
+    source = vocab.seq(draw(st.lists(st.integers(0, size - 1), max_size=3)))
+    prefix = vocab.seq(draw(st.lists(st.integers(0, size - 1), max_size=2)))
+
+    def dist(can_stop=True):
+        shape = draw(st.sampled_from(["flat", "peaked", "tied"]))
+        if shape == "flat":
+            weights = [1] * size
+        elif shape == "peaked":
+            weights = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+            weights[draw(st.integers(0, size - 1))] = 1000
+        else:
+            weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        if not can_stop:
+            weights[vocab.terminator_id] = 0
+        if not any(weights):
+            weights[0] = 1
+        return {t: w / sum(weights) for t, w in enumerate(weights) if w}
+
+    def key():
+        n = len(passage)
+        i = draw(st.integers(0, n - 1))
+        context = prefix.ids + passage.ids[i : i + draw(st.integers(0, n - i))]
+        return (source.ids, context) if draw(st.booleans()) else context
+
+    contexts = {key(): dist() for _ in range(draw(st.integers(0, 6)))}
+    lm = RecordingTableLM(vocab, contexts=contexts, default=dist(can_stop=draw(st.booleans())))
+    return vocab, lm, source, prefix, passage
+
+
+@SETTINGS
+@given(reach_models(), st.data())
+def test_table_lm_best_span_equals_full_suffixes_and_naive(model, data):
+    vocab, lm, source, prefix, passage = model
+    n = len(passage)
+    cap = data.draw(st.sampled_from([None, 1, 2, 3, n, n + 1]))
+    allow = data.draw(st.booleans())
+    start, length, logprob = lm.best_span(source, prefix, passage, cap, allow)
+    # One counted pass per suffix, each forcing at most what a span from
+    # its start can cover.
+    assert lm.pass_count() == n
+    limits = [min(cap or n, n - i) for i in range(n)]
+    assert len(lm.forced) == n and all(1 <= m <= limit for m, limit in zip(lm.forced, limits))
+    lm.forced.clear()
+    full = Scorer.best_span(lm, source, prefix, passage, cap, allow)
+    assert lm.forced == limits
+    slow = naive_exact(passage, source, prefix, lm, DecodeConfig(max_span_len=cap, allow_empty_span=allow))
+    assert (start, length, logprob.hex()) == (full[0], full[1], full[2].hex())
+    assert (start, length, logprob.hex()) == (slow.start, slow.length, slow.span_logprob.hex())
 
 
 @st.composite

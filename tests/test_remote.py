@@ -33,7 +33,7 @@ from spandecode.remote import (
 from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of, suffix_scores
 from spandecode.vocab import Vocabulary
 
-from conftest import TOY_PIECES, LoopbackScorer, bare_vocab
+from conftest import TOY_PIECES, LoopbackScorer, RecordingTableLM, bare_vocab
 
 # Span caps and empty-span settings under which wire and in-process
 # exact-extract must agree.
@@ -1056,6 +1056,23 @@ class TestServe:
         assert bits(reply["logprob"]) == bits([logprob])
         # Answered pass by pass through teacher_forced_pass.
         assert forwarding.forced_calls == 3
+
+    @pytest.mark.parametrize("cap, cut", [(None, [2, 1, 1, 2, 1]), (3, [2, 1, 1, 2, 1]), (1, [1] * 5)])
+    def test_extract_cuts_suffixes_only_for_a_table_lm(self, cap, cut):
+        # A TableLM server answers through TableLM.best_span, which forces
+        # each suffix only as far as its contexts reach; a scorer with only
+        # teacher_forced_pass through Scorer.best_span, which forces each to
+        # its end. The replies are the same.
+        vocab = bare_vocab(5)
+        term = vocab.terminator_id
+        lm = RecordingTableLM(vocab, contexts={(): {1: 0.5, 2: 0.25, term: 0.25}, (1,): {2: 0.75, term: 0.25}})
+        request = {**EXTRACT_LINE, "passage_ids": [1, 2, 3, 1, 2], "max_span_len": cap}
+        (cut_reply,) = self.run(lm, [request])
+        assert lm.forced == cut
+        lm.forced.clear()
+        (full_reply,) = self.run(ForwardingScorer(lm), [request])
+        assert lm.forced == [min(cap or 5, 5 - i) for i in range(5)]
+        assert cut_reply == full_reply and "error" not in cut_reply
 
     @pytest.mark.parametrize(
         "bad",

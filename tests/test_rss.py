@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from spandecode.mrqa import DataError
 from spandecode.rss import (
     RssConfig,
     find_recurring_spans,
@@ -183,3 +185,22 @@ class TestReadPassages:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"text": "from wiki"}\n{"text": "more"}\n', encoding="utf-8")
         assert list(read_passages(path)) == ["from wiki", "more"]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "invalid JSON"),
+            ('["from wiki"]', "expected a JSON object, got list"),
+            ('{"txt": "blue bird saw blue bird"}', "missing field 'text'"),
+            ('{"text": 3}', "text must be a string, not int"),
+            ('{"text": null}', "text must be a string, not NoneType"),
+        ],
+        ids=["not-json", "not-an-object", "no-text", "text-int", "text-null"],
+    )
+    def test_malformed_jsonl_line_names_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f'{{"text": "from wiki"}}\n\n{line}\n', encoding="utf-8")
+        passages = read_passages(path)
+        assert next(passages) == "from wiki"
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {message}')}"):
+            next(passages)

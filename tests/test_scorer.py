@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from spandecode.decoding import DecodeConfig, naive_exact
 from spandecode.scorer import NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
-from conftest import LoopbackScorer, bare_vocab, random_distribution
+from conftest import LoopbackScorer, RecordingTableLM, bare_vocab, random_distribution
 
 
 def make_request(vocab, target_ids, prefix_ids=(), source_ids=()):
@@ -329,3 +330,72 @@ class TestBestSpanOf:
         assert scorer.pass_count() == 3
         if wire != "in-process":
             assert scorer.ops() == ["extract"]
+
+
+def naive_span(lm, source, prefix, passage, cap=None, allow=False):
+    result = naive_exact(passage, source, prefix, lm, DecodeConfig(max_span_len=cap, allow_empty_span=allow))
+    return result.start, result.length, result.span_logprob.hex()
+
+
+def hexed(span):
+    start, length, logprob = span
+    return start, length, logprob.hex()
+
+
+class NanPastReach(TableLM):
+    """Rescores: puts NaN at the last step of every pass longer than one."""
+
+    def _score_forced(self, req):
+        scores = super()._score_forced(req)
+        gold = scores.gold_logprob
+        if len(gold) > 1:
+            gold = gold[:-1] + (math.nan,)
+        return StepScores(gold, scores.term_logprob)
+
+
+class TestTableBestSpan:
+    """TableLM.best_span forces each suffix only as far as its contexts
+    reach into the tables, and full suffixes where that could change the
+    answer."""
+
+    def setup_model(self):
+        vocab = bare_vocab(5)
+        term = vocab.terminator_id
+        lm = RecordingTableLM(vocab, contexts={(): {1: 0.5, 2: 0.25, term: 0.25}, (1,): {2: 0.75, term: 0.25}})
+        return vocab, lm, vocab.seq((0,)), vocab.seq(()), vocab.seq((1, 2, 3, 1, 2))
+
+    @pytest.mark.parametrize("cap, forced", [(None, [2, 1, 1, 2, 1]), (1, [1] * 5), (3, [2, 1, 1, 2, 1])])
+    def test_each_suffix_stops_at_the_first_context_outside_the_tables(self, cap, forced):
+        vocab, lm, source, prefix, passage = self.setup_model()
+        got = lm.best_span(source, prefix, passage, cap)
+        assert lm.forced == forced and lm.pass_count() == 5
+        assert hexed(got) == hexed(Scorer.best_span(lm, source, prefix, passage, cap))
+        assert hexed(got) == naive_span(lm, source, prefix, passage, cap)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_default_above_one_forces_full_suffixes(self, tmp_path, loaded):
+        # Token 0, the terminator, has probability 1 + 5e-13 (within the
+        # sum tolerance), so every span grows with its length and the whole
+        # passage wins, though no context lies in a table.
+        vocab = bare_vocab(4)
+        if loaded:
+            path = tmp_path / "table.json"
+            path.write_text(json.dumps({"default": {"0": 1 + 5e-13}}), encoding="utf-8")
+            lm = RecordingTableLM.from_file(path, vocab, terminator_ids={0})
+        else:
+            lm = RecordingTableLM(vocab, default={0: 1 + 5e-13}, terminator_ids={0})
+        empty, passage = vocab.seq(()), vocab.seq((0, 0, 0))
+        got = lm.best_span(empty, empty, passage)
+        assert lm.forced == [3, 2, 1]
+        assert got[:2] == (0, 3) and got[2] > 0
+        assert hexed(got) == naive_span(lm, empty, empty, passage)
+
+    def test_a_rescoring_subclass_forces_full_suffixes(self):
+        # No context lies in a table, so a cut would force one token per
+        # suffix and never see the NaN at the last step.
+        vocab = bare_vocab(5)
+        lm = NanPastReach(vocab)
+        empty = vocab.seq(())
+        with pytest.raises(ScorerError, match="NaN"):
+            lm.best_span(empty, empty, vocab.seq((1, 2, 3)))
+        assert lm.pass_count() == 1
