@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import harness, metrics, rss
@@ -122,6 +123,29 @@ def _template(args):
         raise DataError(exc.args[0]) from exc
 
 
+@contextmanager
+def _replacing(path: str):
+    """``path`` open for writing text: the text goes to a file beside it,
+    moved over ``path`` only when the block completes, so that a run that
+    fails leaves an existing ``path`` as it was and no partial file behind.
+    A ``path`` that exists and is not a regular file, such as /dev/null or a
+    pipe, is written in place: a rename would replace the device itself."""
+    output = Path(path)
+    if output.exists() and not output.is_file():
+        with open(output, "w", encoding="utf-8") as out:
+            yield out
+        return
+    partial = output.with_name(f".{output.name}.{os.getpid()}.partial")
+    with open(partial, "x", encoding="utf-8") as out:
+        try:
+            yield out
+        except BaseException:
+            out.close()
+            partial.unlink()
+            raise
+    os.replace(partial, output)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="spandecode", description=__doc__)
     parser.add_argument("--vocab", help="vocabulary JSON file")
@@ -201,7 +225,7 @@ def cmd_decode(args) -> int:
                 result = exact_extract(passage, source, prefix, scorer, cfg)
             return json.dumps({"id": example.id, **result.to_dict()}) + "\n"
 
-        with open(args.output, "w", encoding="utf-8") as out:
+        with _replacing(args.output) as out:
             for row in harness.map_examples(decode_one, examples, args.jobs):
                 out.write(row)
     finally:
@@ -286,21 +310,11 @@ def cmd_rss_gen(args) -> int:
         max_span_words=args.max_span,
         rng_seed=args.seed,
     )
-    # Written beside --output and moved over it only when complete, so that
-    # a run that fails leaves an existing --output as it was.
-    output = Path(args.output)
-    partial = output.with_name(f".{output.name}.{os.getpid()}.partial")
     count = 0
-    with open(partial, "x", encoding="utf-8") as out:
-        try:
-            for example in rss.generate_corpus(rss.read_passages(args.input), cfg, args.limit):
-                out.write(json.dumps(example.to_dict(), ensure_ascii=False) + "\n")
-                count += 1
-        except BaseException:
-            out.close()
-            partial.unlink()
-            raise
-    os.replace(partial, output)
+    with _replacing(args.output) as out:
+        for example in rss.generate_corpus(rss.read_passages(args.input), cfg, args.limit):
+            out.write(json.dumps(example.to_dict(), ensure_ascii=False) + "\n")
+            count += 1
     print(f"wrote {count} examples")
     return EXIT_OK
 

@@ -34,10 +34,12 @@ valid), then counts n passes. The trade: the client no longer sees the
 rows, so it relies on the server's check of each of them, as it relies on
 the server for every distribution of a greedy loop.
 
-Greedy decoding's whole loop is one request; the server runs it over
-``next_dist``'s distributions, taking each step's argmax (the lowest id
-among tied maxima) and stopping after a token in the client's
-``terminator_ids`` or after ``max_steps`` steps:
+Greedy decoding's whole loop is one request. The server runs it through
+its scorer's own ``greedy_steps``, taking each step's argmax of the
+``next_dist`` distribution (the lowest id among tied maxima) and stopping
+after a token in the client's ``terminator_ids`` or after ``max_steps``
+steps. The reference server's ``TableLM`` reads each argmax it stored at
+load instead of building the distribution (``TableLM.greedy_steps``):
 
     request:  {"id": u64, "op": "greedy", "source_ids": [u32], "prefix_ids": [u32],
                "terminator_ids": [u32], "max_steps": u32 >= 1}
@@ -91,7 +93,6 @@ from .scorer import (
     StepScores,
     TableLM,
     _check_logprobs,
-    argmax_steps,
     positive_int,
     suffix_cap,
 )
@@ -236,26 +237,28 @@ class _WireScorer(Scorer):
         _check_logprobs(logprob, "extract log-probs")
         return start, length, logprob[0]
 
-    def greedy_steps(self, source: TokenSeq, prefix: TokenSeq, max_steps: int) -> list[tuple[int, float]]:
-        """The whole greedy loop in one ``greedy`` request, still one counted
-        pass per step; one ``next_dist`` request per step for a server that
-        does not know the op."""
+    def greedy_steps(
+        self, source: TokenSeq, prefix: TokenSeq, max_steps: int, terminator_ids=None
+    ) -> list[tuple[int, float]]:
+        """The whole greedy loop in one ``greedy`` request that carries the
+        stop set, still one counted pass per step; one ``next_dist`` request
+        per step for a server that does not know the op."""
         positive_int(max_steps, "max_steps")
+        stops = self.terminator_ids if terminator_ids is None else terminator_ids
         if self._greedy:
             self._check_vocab(source)
             self._check_vocab(prefix)
             reply = self._call_unless_unknown(
-                "greedy", source, prefix,
-                terminator_ids=sorted(self.terminator_ids), max_steps=max_steps,
+                "greedy", source, prefix, terminator_ids=sorted(stops), max_steps=max_steps
             )
             if reply is not None:
-                steps = self._greedy_steps(reply, max_steps)
+                steps = self._greedy_steps(reply, max_steps, stops)
                 self._count_pass(len(steps))
                 return steps
             self._greedy = False
-        return super().greedy_steps(source, prefix, max_steps)
+        return super().greedy_steps(source, prefix, max_steps, stops)
 
-    def _greedy_steps(self, reply: dict, max_steps: int) -> list[tuple[int, float]]:
+    def _greedy_steps(self, reply: dict, max_steps: int, stops) -> list[tuple[int, float]]:
         """The k steps of a greedy reply, checked: 1 <= k <= max_steps, one
         log-prob per step, piece ids, a terminator only at the end and there
         unless the loop ran out of steps, every value a log-probability."""
@@ -275,7 +278,6 @@ class _WireScorer(Scorer):
             )
         if not all(0 <= t < self.vocab.size for t in tokens):
             raise ScorerError(f"greedy token ids {tokens!r:.60} leave the piece vocabulary")
-        stops = self.terminator_ids
         if any(t in stops for t in tokens[:-1]):
             raise ScorerError("greedy steps go on past a terminator")
         if k < max_steps and tokens[-1] not in stops:
@@ -453,7 +455,11 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         stops = req["terminator_ids"]
         if type(stops) is not list or not all(type(t) is int and 0 <= t < vocab.size for t in stops):
             raise ValueError(f"terminator_ids must be a list of piece ids, not {stops!r:.40}")
-        steps = argmax_steps(scorer, source, prefix, frozenset(stops), req["max_steps"])
+        # The scorer's own greedy_steps where it has one (a TableLM reads the
+        # argmaxes it stored at load); Scorer's otherwise, which needs only
+        # next_token_distribution.
+        greedy_steps = getattr(type(scorer), "greedy_steps", Scorer.greedy_steps)
+        steps = greedy_steps(scorer, source, prefix, req["max_steps"], frozenset(stops))
         return {
             "id": req["id"],
             "token_ids": [token for token, _ in steps],

@@ -255,11 +255,19 @@ class Scorer:
         _check_logprobs(dist, "next-token log-probs")
         return dist
 
-    def greedy_steps(self, source: TokenSeq, prefix: TokenSeq, max_steps: int) -> list[tuple[int, float]]:
+    def greedy_steps(
+        self, source: TokenSeq, prefix: TokenSeq, max_steps: int, terminator_ids=None
+    ) -> list[tuple[int, float]]:
         """Greedy decoding's (token, log-probability) steps after ``prefix``,
-        ending at a terminator or after ``max_steps``; one counted pass per
-        step. A transport can override this to run the loop server-side."""
-        return argmax_steps(self, source, prefix, self.terminator_ids, max_steps)
+        ending after a token in ``terminator_ids`` (the scorer's own when
+        None) or after ``max_steps``; one counted pass per step.
+
+        ``argmax_steps`` over the checked ``next_token_distribution``. A
+        transport can override this to run the loop server-side, and a
+        model to take each step's argmax without building the distribution
+        (``TableLM`` reads the argmax it stored at load)."""
+        stops = self.terminator_ids if terminator_ids is None else terminator_ids
+        return argmax_steps(self, source, prefix, stops, max_steps)
 
     def close(self) -> None:
         """Release what the scorer holds open; nothing by default."""
@@ -291,10 +299,12 @@ class TableLM(Scorer):
     vocabulary (byte-fallback ids excluded) and must sum to 1 within 1e-12.
 
     Each context table holds every prefix of every registered key: a
-    registered context maps to its (log-distribution, terminator log-prob)
-    entry, a mere prefix to None. A forced context missing from both tables
-    of its source therefore extends no registered key, and every later step
-    of the pass reads the default.
+    registered context maps to its entry, a mere prefix to None. An entry is
+    (log-distribution, terminator log-prob, argmax token, its log-prob), the
+    argmax being the lowest id among tied maxima, as ``argmax_steps`` takes
+    it. A forced context missing from both tables of its source therefore
+    extends no registered key, and every later step of the pass reads the
+    default.
 
     The source tuple is hashed once per table, not once per pass: the
     context table of the last source looked up is kept with that source's
@@ -303,6 +313,9 @@ class TableLM(Scorer):
     ``best_span`` forces each suffix only as far as its contexts reach into
     the tables (see there): the same n counted, checked passes and the same
     span, score included, as forcing every suffix to its end.
+    ``greedy_steps`` reads each step's stored argmax (see there): the same
+    steps and counted passes as ``argmax_steps``, without building or
+    scanning a distribution.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
@@ -361,9 +374,10 @@ class TableLM(Scorer):
                 out[token_id] = logs[prob]
         return out
 
-    def _entry(self, dist: dict) -> tuple[list[float], float]:
+    def _entry(self, dist: dict) -> tuple[list[float], float, int, float]:
         logdist = self._to_logdist(dist)
-        return logdist, logsumexp(logdist[t] for t in self.terminator_ids)
+        token = logdist.index(max(logdist))
+        return logdist, logsumexp(logdist[t] for t in self.terminator_ids), token, logdist[token]
 
     def _set_default(self, dist: dict) -> None:
         self._default = self._entry(dist)
@@ -498,6 +512,38 @@ class TableLM(Scorer):
             rows.append(self.teacher_forced_pass(ScoreRequest(source, passage[i : i + (lo or 1)], prefix)))
         return best_span_of(rows, allow_empty_span)
 
+    def greedy_steps(
+        self, source: TokenSeq, prefix: TokenSeq, max_steps: int, terminator_ids=None
+    ) -> list[tuple[int, float]]:
+        """``Scorer.greedy_steps`` from the argmaxes stored at load: each step
+        reads its context's entry, with ``_full_distribution``'s precedence,
+        and takes the entry's argmax. One counted pass per step, and the
+        same steps, floats included, as ``argmax_steps`` over the checked
+        distributions.
+
+        The per-step check is not needed: every entry was checked at load,
+        so its log-probs are at most about DIST_SUM_TOL, below LOGPROB_TOL,
+        and none is NaN. A subclass that overrides ``_next_dist`` gets the
+        generic loop over its distributions."""
+        if type(self)._next_dist is not TableLM._next_dist:
+            return super().greedy_steps(source, prefix, max_steps, terminator_ids)
+        positive_int(max_steps, "max_steps")
+        self._check_vocab(source)
+        self._check_vocab(prefix)
+        stops = self.terminator_ids if terminator_ids is None else terminator_ids
+        by_source = self._source_contexts(source.ids)
+        any_source = self._any_source
+        context = prefix.ids
+        steps: list[tuple[int, float]] = []
+        for _ in range(max_steps):
+            _, _, token, top = by_source.get(context) or any_source.get(context) or self._default
+            steps.append((token, top))
+            if token in stops:
+                break
+            context += (token,)
+        self._count_pass(len(steps))
+        return steps
+
     def _score_forced(self, req: ScoreRequest) -> StepScores:
         by_source = self._source_contexts(req.source.ids)
         any_source = self._any_source
@@ -507,7 +553,7 @@ class TableLM(Scorer):
         term: list[float] = []
         k = 0
         while context in by_source or context in any_source:
-            dist, term_logprob = by_source.get(context) or any_source.get(context) or self._default
+            dist, term_logprob, _, _ = by_source.get(context) or any_source.get(context) or self._default
             term.append(term_logprob)
             if k == len(target):
                 return StepScores(tuple(gold), tuple(term))
@@ -517,7 +563,7 @@ class TableLM(Scorer):
             gold.append(dist[token] if token < len(dist) else NEG_INF)
             context += (token,)
             k += 1
-        dist, term_logprob = self._default
+        dist, term_logprob, _, _ = self._default
         size = len(dist)
         gold.extend([dist[t] if t < size else NEG_INF for t in target[k:]])
         term.extend([term_logprob] * (len(target) - k + 1))

@@ -1,7 +1,10 @@
 import gzip
 import json
+import os
 import shlex
+import stat
 import sys
+import threading
 import time
 
 import pytest
@@ -166,6 +169,20 @@ class TestDecode:
         assert record["id"] == "x1"
         assert record["text"] == "IRA"
 
+    def test_output_that_is_not_a_regular_file_is_written_in_place(self, workspace):
+        # A pipe, like /dev/null, is written as it is, never renamed over.
+        fifo = workspace["dir"] / "rows.pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = main(base_args(workspace) + ["decode", "--input", workspace["dataset"], "--output", str(fifo)])
+        reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert json.loads(got[0])["text"] == "IRA"
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert not list(workspace["dir"].glob(".*.partial"))
+
     def decode_file(self, ws, path, *flags, spec=None, jobs="1"):
         out = ws["dir"] / "out.jsonl"
         code = main(["--vocab", ws["vocab"], "--scorer", spec or ws["table"], "--jobs", jobs,
@@ -206,7 +223,8 @@ class TestDecode:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_jobs_with_a_child_that_exits_after_k_requests(self, workspace, monkeypatch, capsys, k):
         # An exact decode is one request per example, and examples run two
-        # at a time: at most k rows are written, the serial output's first.
+        # at a time: the run fails after at most k rows, and the output the
+        # serial run wrote is left as it was, with no partial file.
         path = many_questions(workspace)
         code, serial = self.decode_file(workspace, path, spec=server_spec(workspace))
         assert code == 0
@@ -221,8 +239,8 @@ class TestDecode:
         code, rows = self.decode_file(workspace, path, spec=server_spec(workspace, k), jobs="2")
         assert code == 3
         assert "scorer error: " in capsys.readouterr().err
-        assert len(rows.splitlines()) <= k
-        assert serial.startswith(rows)
+        assert rows == serial
+        assert not list(workspace["dir"].glob(".*.partial"))
         (scorer,) = opened
         assert scorer._proc.returncode is not None
 
@@ -633,14 +651,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "make_scorer", recording)
         out = workspace["dir"] / "out.json"
+        out.write_bytes(b"kept\nhere")
         start = time.monotonic()
         code = main(["--vocab", workspace["vocab"], "--scorer", server_spec(workspace, k),
                      command, "--input", str(dataset), "--output", str(out)])
         # Far below the 30 s reply timeout: a dead child is seen at once.
         assert time.monotonic() - start < 20
         if command == "decode":
+            # The rows decoded before the child died are not written: the
+            # existing output is left as it was, with no partial file.
             assert code == 3
-            assert len(out.read_text(encoding="utf-8").splitlines()) == done
+            assert out.read_bytes() == b"kept\nhere"
+            assert not list(workspace["dir"].glob(".*.partial"))
         elif done:
             assert code == 0
             report = json.loads(out.read_text(encoding="utf-8"))

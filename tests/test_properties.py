@@ -12,6 +12,9 @@
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request, with packed or JSON-list float
   replies; a refused greedy request and one ``next_dist`` per step);
+- ``TableLM.greedy_steps``, which reads the argmaxes stored at load,
+  against ``argmax_steps`` over the checked distributions: the same
+  tokens, floats and passes;
 - ``TableLM`` forced scores against a per-step lookup of the full
   distribution, also across sources and ``set_context`` calls;
 - ``TableLM.from_file`` entries against ``math.log`` of each probability
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
-from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, logsumexp
+from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, argmax_steps, logsumexp
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
 from conftest import LoopbackScorer, RecordingTableLM, bare_vocab
@@ -214,9 +217,12 @@ def test_table_lm_best_span_equals_full_suffixes_and_naive(model, data):
 
 @st.composite
 def greedy_models(draw):
-    """A TableLM with integer-weighted distributions (so maxima tie often),
-    one or two terminator ids, and contexts on random greedy-reachable
-    prefixes under any source and pinned to the source."""
+    """A TableLM with integer-weighted distributions (so maxima tie often,
+    and a terminator may tie with a non-terminator at the maximum), zero
+    probabilities listed or left out, one probability nudged so that the
+    sum lies up to 9e-13 off 1, one or two terminator ids, and contexts on
+    random greedy-reachable prefixes under any source, pinned to the
+    source and pinned to another source."""
     size = draw(st.integers(3, 7))
     vocab = bare_vocab(size)
     token = st.integers(0, size - 1)
@@ -228,11 +234,21 @@ def greedy_models(draw):
         weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
         if not any(weights):
             weights[-1] = 1
-        return {t: w / sum(weights) for t, w in enumerate(weights) if w}
+        if draw(st.booleans()):
+            stop = draw(st.sampled_from(sorted(stops)))
+            other = draw(st.sampled_from([t for t in range(size) if t not in stops]))
+            weights[stop] = weights[other] = max(weights)
+        probs = [w / sum(weights) for w in weights]
+        nudged = draw(st.sampled_from([t for t, p in enumerate(probs) if p]))
+        probs[nudged] += draw(st.sampled_from([0.0, 9e-13, -9e-13]))
+        assume(abs(sum(probs) - 1.0) <= DIST_SUM_TOL)
+        zeros = draw(st.booleans())
+        return {t: p for t, p in enumerate(probs) if p or zeros}
 
     def key():
         context = prefix.ids + tuple(draw(st.lists(token, max_size=4)))
-        return (source.ids, context) if draw(st.booleans()) else context
+        pinned = draw(st.sampled_from([None, source.ids, source.ids + (0,)]))
+        return context if pinned is None else (pinned, context)
 
     contexts = {key(): dist() for _ in range(draw(st.integers(0, 6)))}
     lm = TableLM(vocab, contexts=contexts, default=dist(), terminator_ids=stops)
@@ -260,6 +276,20 @@ def test_greedy_over_the_wire_equals_in_process(model, data):
     k = want.passes_used
     assert 1 <= k <= cfg.max_greedy_steps and wire.pass_count() == k
     assert wire.ops() == [GREEDY] + ["next_dist"] * k * len(refuse)
+
+
+@SETTINGS
+@given(greedy_models(), st.data())
+def test_table_lm_greedy_walk_equals_the_generic_loop(model, data):
+    vocab, lm, source, prefix = model
+    max_steps = data.draw(st.integers(1, 8))
+    # The model's own stop set, or one given that may be empty or differ.
+    stops = data.draw(st.one_of(st.none(), st.frozensets(st.integers(0, vocab.size - 1), max_size=2)))
+    got = lm.greedy_steps(source, prefix, max_steps, stops)
+    walked = lm.pass_count()
+    want = argmax_steps(lm, source, prefix, lm.terminator_ids if stops is None else stops, max_steps)
+    assert [(t, v.hex()) for t, v in got] == [(t, v.hex()) for t, v in want]
+    assert walked == lm.pass_count() - walked == len(want)
 
 
 @SETTINGS
@@ -354,15 +384,18 @@ def test_table_file_entries_are_the_logs_of_its_probabilities(tmp_path_factory, 
 
     for key, dist in table.items():
         if key == "default":
-            logdist, term = lm._default
+            logdist, term, token, top = lm._default
         else:
             source, _, prefix = key.partition("#")
             contexts = lm._any_source if source == "*" else lm._by_source[ids(source)]
-            logdist, term = contexts[ids(prefix)]
+            logdist, term, token, top = contexts[ids(prefix)]
         probs = [dist.get(str(t), 0.0) for t in range(vocab.size)]
         want = [math.log(p) if p > 0 else NEG_INF for p in probs]
         assert [v.hex() for v in logdist] == [v.hex() for v in want]
         assert term.hex() == logsumexp(want[t] for t in lm.terminator_ids).hex()
+        # The stored argmax: the lowest id among the maxima, and its float.
+        assert token == want.index(max(want))
+        assert top.hex() == want[token].hex() and top is logdist[token]
 
 
 def probe_encode(vocab, text):

@@ -711,6 +711,13 @@ class TestGreedy:
             wire.terminator_ids = frozenset(stops)
             assert [t for t, _ in wire.greedy_steps(source, prefix, 6)] == tokens
             assert wire.sent[0]["terminator_ids"] == sorted(stops)
+            # A stop set given to the call is forwarded in place of the
+            # scorer's own, also to the next_dist loop of a refused op.
+            for refuse in [(), (GREEDY,)]:
+                wire = LoopbackScorer(lm, refuse=refuse)
+                assert [t for t, _ in wire.greedy_steps(source, prefix, 6, frozenset(stops))] == tokens
+                assert wire.sent[0]["terminator_ids"] == sorted(stops)
+                assert wire.pass_count() == len(tokens)
 
     def test_unknown_op_steps_down_to_next_dist_once(self):
         vocab, lm = self.setup_model()
@@ -1131,7 +1138,7 @@ class TestServe:
         assert forwarding.forced_calls == 1 + 2
 
     @pytest.mark.parametrize("stops, tokens", [([5], [1, 2, 3]), ([2], [1, 2]), ([0, 1], [1]), ([], [1, 2, 3])])
-    def test_greedy_reply_shape(self, stops, tokens):
+    def test_greedy_reply_shape(self, stops, tokens, monkeypatch):
         vocab, lm = TestGreedy().setup_model()
         forwarding = ForwardingScorer(lm)
         request = {**GREEDY_LINE, "source_ids": [0, 1], "terminator_ids": stops}
@@ -1143,6 +1150,22 @@ class TestServe:
         assert lm.pass_count() == len(tokens) and forwarding.forced_calls == 0
         want = [max(lm.next_token_distribution(vocab.seq((0, 1)), vocab.seq(tokens[:k]))) for k in range(len(tokens))]
         assert bits(reply["logprob"]) == bits(want)
+        # A TableLM answers through its own greedy_steps, from the argmaxes
+        # stored at load, with no distribution; the request's terminators,
+        # not the server's ({5}), still decide where the loop stops.
+        lm.reset_passes()
+        with monkeypatch.context() as patch:
+            patch.delattr(Scorer, "next_token_distribution")
+            assert self.run(lm, [request]) == [reply]
+        assert lm.pass_count() == len(tokens)
+
+    @pytest.mark.parametrize("max_steps", [True, 0, 1.0])
+    @pytest.mark.parametrize("wrap", [lambda lm: lm, ForwardingScorer], ids=["table-lm", "forwarding"])
+    def test_greedy_step_cap_is_an_integer_above_zero(self, max_steps, wrap):
+        lm = TableLM.uniform(bare_vocab(5))
+        (error,) = self.run(wrap(lm), [{**GREEDY_LINE, "max_steps": max_steps}])
+        assert error == {"id": 3, "error": f"bad request: max_steps must be an integer >= 1, not {max_steps!r}"}
+        assert lm.pass_count() == 0
 
     @pytest.mark.parametrize(
         "bad",

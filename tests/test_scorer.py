@@ -246,6 +246,10 @@ class TestScorerBoundary:
         vocab = bare_vocab(4)
         with pytest.raises(ScorerError):
             Scripted(vocab, dist=dist).next_token_distribution(vocab.seq(()), vocab.seq(()))
+        # A subclass that overrides _next_dist leaves TableLM's stored
+        # argmaxes for the generic loop over the checked distributions.
+        with pytest.raises(ScorerError):
+            Scripted(vocab, dist=dist).greedy_steps(vocab.seq(()), vocab.seq(()), 3)
 
     def test_rejected_pass_still_counts(self):
         vocab = bare_vocab(4)
