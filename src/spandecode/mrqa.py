@@ -73,23 +73,23 @@ def paragraph_examples(obj: dict, where: str) -> list[QAExample]:
     if not isinstance(context, str) or not isinstance(qas, list):
         raise DataError(f"{where}: bad context/qas types")
     examples = []
-    for qa in qas:
+    for index, qa in enumerate(qas):
+        if not isinstance(qa, dict):
+            raise DataError(f"{where}: qas entry {index} must be an object, not {type(qa).__name__}")
         try:
             qid = qa["qid"]
             question = qa["question"]
             answers = qa["answers"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise DataError(f"{where}: missing field {exc}") from exc
         if not isinstance(answers, list) or not answers:
             raise DataError(f"{where}: qid {qid}: empty answers")
-        examples.append(
-            QAExample(
-                id=str(qid),
-                context=context,
-                question=str(question),
-                answers=tuple(str(a) for a in answers),
-            )
-        )
+        if not isinstance(question, str):
+            raise DataError(f"{where}: qid {qid}: question must be a string, not {type(question).__name__}")
+        for answer in answers:
+            if not isinstance(answer, str):
+                raise DataError(f"{where}: qid {qid}: answers must be strings, not {type(answer).__name__}")
+        examples.append(QAExample(id=str(qid), context=context, question=question, answers=tuple(answers)))
     return examples
 
 

@@ -23,6 +23,8 @@ from .vocab import TokenSeq, Vocabulary, VocabularyMismatchError
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 _NO_CONTEXTS: dict = {}
+# A context missing from a table, told apart from a prefix-only key (None).
+_ABSENT = object()
 
 # Probability-space tolerance when validating stored distributions.
 DIST_SUM_TOL = 1e-12
@@ -86,14 +88,24 @@ def _check_logprobs(values, what: str) -> None:
 
 def check_step_scores(scores: StepScores, m: int) -> StepScores:
     """Return ``scores`` if they are valid for a forced target of length m:
-    m gold and m + 1 terminator log-probabilities; else raise ScorerError."""
-    if len(scores.gold_logprob) != m or len(scores.term_logprob) != m + 1:
+    m gold and m + 1 terminator log-probabilities, each passing
+    ``_check_logprobs``; else raise ScorerError.
+
+    Both tuples are checked by the same reductions at once: the terminator
+    sum started from the gold sum is NaN or +inf exactly when either sum
+    is (valid sums are at most about m * LOGPROB_TOL, so they cannot
+    overflow), and a max over each catches a positive value. Only a
+    rejected pass checks the tuples one by one, gold first, to name its
+    fault as ``_check_logprobs`` does."""
+    gold, term = scores.gold_logprob, scores.term_logprob
+    if len(gold) != m or len(term) != m + 1:
         raise ScorerError(
-            f"scorer returned {len(scores.gold_logprob)}/{len(scores.term_logprob)} "
-            f"scores for a target of length {m}"
+            f"scorer returned {len(gold)}/{len(term)} scores for a target of length {m}"
         )
-    _check_logprobs(scores.gold_logprob, "forced log-probs")
-    _check_logprobs(scores.term_logprob, "forced log-probs")
+    total = sum(term, sum(gold))
+    if total != total or total == POS_INF or max(term) > LOGPROB_TOL or (m and max(gold) > LOGPROB_TOL):
+        _check_logprobs(gold, "forced log-probs")
+        _check_logprobs(term, "forced log-probs")
     return scores
 
 
@@ -224,8 +236,9 @@ class Scorer:
         """Score a forced target in one counted pass; invalid scores raise
         ScorerError instead of reaching the decoders."""
         self._check_vocab(req.source)
-        self._count_pass()
-        return check_step_scores(self._score_forced(req), len(req.forced_target))
+        with self._lock:
+            self._passes += 1
+        return check_step_scores(self._score_forced(req), len(req.forced_target.ids))
 
     def best_span(
         self,
@@ -491,26 +504,32 @@ class TableLM(Scorer):
         any_source = self._any_source
         base = prefix.ids
         ids = passage.ids
+        vocab_id = passage.vocab_id
         n = len(ids)
+        forced = self.teacher_forced_pass
         # Context 0, the prefix itself, is the same for every start: when it
         # lies in no table, k is 0 throughout.
         prefix_in = base in by_source or base in any_source
-        rows = []
-        for i in range(n):
-            # Contexts j < lo lie in a table, j >= hi do not; step is 0 once
-            # a context outside has been found, and the search bisects.
-            lo, hi, step = (1, min(cap, n - i), 1) if prefix_in else (0, 0, 0)
-            while lo < hi:
-                j = min(lo + step, hi) - 1 if step else (lo + hi) // 2
-                context = base + ids[i : i + j]
-                if context in by_source or context in any_source:
-                    lo = j + 1
-                    step *= 2
-                else:
-                    hi = j
-                    step = 0
-            rows.append(self.teacher_forced_pass(ScoreRequest(source, passage[i : i + (lo or 1)], prefix)))
-        return best_span_of(rows, allow_empty_span)
+
+        def rows():
+            for i in range(n):
+                # Contexts j < lo lie in a table, j >= hi do not; step is 0
+                # once a context outside has been found, and the search
+                # bisects.
+                lo, hi, step = (1, min(cap, n - i), 1) if prefix_in else (0, 0, 0)
+                while lo < hi:
+                    j = min(lo + step, hi) - 1 if step else (lo + hi) // 2
+                    context = base + ids[i : i + j]
+                    if context in by_source or context in any_source:
+                        lo = j + 1
+                        step *= 2
+                    else:
+                        hi = j
+                        step = 0
+                yield forced(ScoreRequest(source, TokenSeq(ids[i : i + (lo or 1)], vocab_id), prefix))
+
+        # Each row goes to the argmax as it is scored, not held for all n.
+        return best_span_of(rows(), allow_empty_span)
 
     def greedy_steps(
         self, source: TokenSeq, prefix: TokenSeq, max_steps: int, terminator_ids=None
@@ -545,28 +564,48 @@ class TableLM(Scorer):
         return steps
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
+        """Each step's entry with ``_full_distribution``'s precedence: the
+        source-pinned entry, then the any-source entry, then the default.
+
+        One ``get`` per table reads a context: ``_ABSENT`` tells a context
+        missing from a table apart from a prefix-only key (None). Once a
+        context is missing from both tables of the source, it extends no
+        registered key, and the rest of the target reads the default. When
+        that context is the last, after the whole target, the default gives
+        only its terminator log-prob and no tail is built."""
         by_source = self._source_contexts(req.source.ids)
         any_source = self._any_source
+        default = self._default
+        size = len(default[0])
         context = req.forced_prefix.ids
         target = req.forced_target.ids
+        m = len(target)
         gold: list[float] = []
         term: list[float] = []
         k = 0
-        while context in by_source or context in any_source:
-            dist, term_logprob, _, _ = by_source.get(context) or any_source.get(context) or self._default
-            term.append(term_logprob)
-            if k == len(target):
+        while True:
+            entry = by_source.get(context, _ABSENT)
+            if entry is None or entry is _ABSENT:
+                fallback = any_source.get(context, entry)
+                if fallback is _ABSENT:
+                    break
+                entry = fallback or default
+            term.append(entry[1])
+            if k == m:
                 return StepScores(tuple(gold), tuple(term))
             # Byte-fallback ids sit outside the piece distribution and
             # are never predicted by a table model.
             token = target[k]
-            gold.append(dist[token] if token < len(dist) else NEG_INF)
+            gold.append(entry[0][token] if token < size else NEG_INF)
             context += (token,)
             k += 1
-        dist, term_logprob, _, _ = self._default
-        size = len(dist)
-        gold.extend([dist[t] if t < size else NEG_INF for t in target[k:]])
-        term.extend([term_logprob] * (len(target) - k + 1))
+        term_logprob = default[1]
+        if k == m:
+            term.append(term_logprob)
+        else:
+            dist = default[0]
+            gold.extend([dist[t] if t < size else NEG_INF for t in target[k:]])
+            term.extend([term_logprob] * (m - k + 1))
         return StepScores(tuple(gold), tuple(term))
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):

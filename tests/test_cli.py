@@ -713,6 +713,19 @@ class TestMalformedInput:
                          "dev.jsonl:2: context and question must be strings", id="list-question"),
             pytest.param("decode", [FLAT_ROW, '{"question": "who?"}'],
                          "dev.jsonl:2: context and question must be strings", id="no-context"),
+        ] + [
+            # qas entries that were read as strings and scored with exit 0,
+            # or failed as a missing field.
+            pytest.param(command, ["MRQA", json.dumps({"context": "the IRA was active", "qas": qas})],
+                         message, id=f"{command}-{case}")
+            for command in ("eval", "decode")
+            for case, qas, message in [
+                ("qas-entry-str", ["q9"], "dev.jsonl:2: qas entry 0 must be an object, not str"),
+                ("null-question", [{"qid": "q9", "question": None, "answers": ["IRA"]}],
+                 "dev.jsonl:2: qid q9: question must be a string, not NoneType"),
+                ("dict-answer", [{"qid": "q9", "question": "who?", "answers": ["IRA", {"x": 1}]}],
+                 "dev.jsonl:2: qid q9: answers must be strings, not dict"),
+            ]
         ],
     )
     def test_malformed_input_line(self, workspace, capsys, command, lines, message):
@@ -727,7 +740,7 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "entries, flags, message",

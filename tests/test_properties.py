@@ -16,7 +16,8 @@
   against ``argmax_steps`` over the checked distributions: the same
   tokens, floats and passes;
 - ``TableLM`` forced scores against a per-step lookup of the full
-  distribution, also across sources and ``set_context`` calls;
+  distribution, also across sources and ``set_context`` calls, and in
+  written cases of the lookup's precedence;
 - ``TableLM.from_file`` entries against ``math.log`` of each probability
   in the file, and ``logsumexp`` over the terminators;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
@@ -316,6 +317,37 @@ def assert_per_step(lm, source, prefix, target):
             gold.append(dist[target[k]] if target[k] < lm.vocab.size else NEG_INF)
     assert [g.hex() for g in scores.gold_logprob] == [g.hex() for g in gold]
     assert [t.hex() for t in scores.term_logprob] == [t.hex() for t in term]
+
+
+# Distinct distributions over 6 pieces, so that a step read from the wrong
+# entry shows in its floats; the terminator is piece 5.
+PINNED, ANY, DEFAULT = ({0: 0.5, 1: 0.25, 2: 0.125, 5: 0.125},
+                        {1: 0.125, 2: 0.5, 3: 0.25, 5: 0.125},
+                        {t: 1 / 6 for t in range(6)})
+
+
+@pytest.mark.parametrize(
+    "contexts, target",
+    [
+        # (0,) is a prefix-only key under the source, an entry under any source.
+        pytest.param({((7,), (0, 1)): PINNED, (0,): ANY}, (1, 2, 3), id="prefix-only-pinned-entry-any"),
+        # Both tables hold an entry for (0,): the source-pinned one wins.
+        pytest.param({((7,), (0,)): PINNED, (0,): ANY}, (1, 2), id="pinned-shadows-any"),
+        # (0, 1) is a prefix-only key in both tables: the default, and on.
+        pytest.param({((7,), (0, 1, 2, 3)): PINNED, (0, 1, 2): ANY}, (1, 2, 3, 4), id="prefix-only-in-both"),
+        # (0, 1, 3) lies in neither table; a byte-fallback id follows.
+        pytest.param({((7,), (0,)): PINNED, (0, 1): ANY}, (1, 3, 6 + 5, 2), id="leaves-then-byte"),
+        # The context after the whole target lies outside both tables.
+        pytest.param({((7,), (0,)): PINNED, (0, 1): ANY}, (1, 2), id="ends-inside-the-tables"),
+    ],
+)
+def test_table_lm_forced_precedence(contexts, target):
+    vocab = bare_vocab(6)
+    lm = TableLM(vocab, contexts=contexts, default=DEFAULT)
+    source, prefix = vocab.seq((7,)), vocab.seq((0,))
+    assert_per_step(lm, source, prefix, vocab.seq(target))
+    # The same contexts from another source read only the any-source table.
+    assert_per_step(lm, vocab.seq((8,)), prefix, vocab.seq(target))
 
 
 @pytest.mark.parametrize("a_ids, b_ids", [((), (0, 1)), ((0, 1), ()), ((2,), (0, 1))])

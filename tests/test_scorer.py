@@ -258,6 +258,34 @@ class TestScorerBoundary:
             lm.next_token_distribution(vocab.seq(()), vocab.seq(()))
         assert lm.pass_count() == 1
 
+    @pytest.mark.parametrize(
+        "target, gold, term, message",
+        [
+            pytest.param((0, 1), (-1.0, math.inf), (NEG_INF, -1.0, -1.0),
+                         "forced log-probs hold NaN or +inf", id="inf-gold-beside-minus-inf-term"),
+            pytest.param((0, 1), (NEG_INF, NEG_INF), (-1.0, math.nan, -1.0),
+                         "forced log-probs hold NaN or +inf", id="nan-term-beside-minus-inf-gold"),
+            pytest.param((), (), (0.5,),
+                         "forced log-probs hold a positive log-probability 0.5", id="positive-term-empty-target"),
+            pytest.param((0, 1), (-1.0, 0.25), (-1.0, math.nan, -1.0),
+                         "forced log-probs hold a positive log-probability 0.25", id="gold-fault-named-first"),
+            pytest.param((0, 1), (math.nan,), (math.nan, math.inf, 0.5),
+                         "scorer returned 1/3 scores for a target of length 2", id="short-gold-before-values"),
+            pytest.param((0, 1), (-1.0, 0.5), (math.nan, -1.0),
+                         "scorer returned 2/2 scores for a target of length 2", id="short-term-before-values"),
+        ],
+    )
+    def test_forced_check_boundaries(self, target, gold, term, message):
+        # Both tuples are checked by one set of reductions; each fault keeps
+        # the message the per-tuple checks give, lengths first, gold first,
+        # and a rejected pass still counts.
+        vocab = bare_vocab(4)
+        lm = Scripted(vocab, gold=gold, term=term)
+        with pytest.raises(ScorerError) as info:
+            lm.teacher_forced_pass(make_request(vocab, target))
+        assert str(info.value) == message
+        assert lm.pass_count() == 1
+
     def test_terminator_outside_piece_vocabulary_rejected(self):
         vocab = bare_vocab(4)
         with pytest.raises(ValueError):
