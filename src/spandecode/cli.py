@@ -19,6 +19,7 @@ from .mrqa import (
     DEFAULT_SIZES,
     DataError,
     QAExample,
+    example_id,
     load_dataset,
     paragraph_examples,
     read_jsonl,
@@ -105,7 +106,7 @@ def _read_decode_inputs(path: str) -> list[QAExample]:
         try:
             examples.append(
                 QAExample(
-                    id=str(obj.get("id", lineno)),
+                    id=example_id(obj.get("id", lineno), "id"),
                     context=context,
                     question=question,
                     answers=tuple(obj.get("answers") or ("",)),

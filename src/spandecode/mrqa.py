@@ -60,6 +60,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+def example_id(value, name: str) -> str:
+    """A string or integer id as a string; DataError naming ``name`` for
+    anything else, which ``str()`` would turn into an id such as "None"."""
+    # Exact types: JSON's true and false are ints to Python.
+    if type(value) is str or type(value) is int:
+        return str(value)
+    raise DataError(f"{name} must be a string or an integer, not {type(value).__name__}")
+
+
 def paragraph_examples(obj: dict, where: str) -> list[QAExample]:
     """The examples of one MRQA paragraph object (none for a header line);
     DataError prefixed with ``where`` for a malformed one."""
@@ -77,7 +86,7 @@ def paragraph_examples(obj: dict, where: str) -> list[QAExample]:
         if not isinstance(qa, dict):
             raise DataError(f"{where}: qas entry {index} must be an object, not {type(qa).__name__}")
         try:
-            qid = qa["qid"]
+            qid = example_id(qa["qid"], f"{where}: qas entry {index}: qid")
             question = qa["question"]
             answers = qa["answers"]
         except KeyError as exc:
@@ -89,7 +98,7 @@ def paragraph_examples(obj: dict, where: str) -> list[QAExample]:
         for answer in answers:
             if not isinstance(answer, str):
                 raise DataError(f"{where}: qid {qid}: answers must be strings, not {type(answer).__name__}")
-        examples.append(QAExample(id=str(qid), context=context, question=question, answers=tuple(answers)))
+        examples.append(QAExample(id=qid, context=context, question=question, answers=tuple(answers)))
     return examples
 
 

@@ -5,7 +5,8 @@ child process's stdio or POSTed one at a time to an HTTP ``/score``
 endpoint. One scoring pass per request:
 
     request:  {"id": u64, "op": "teacher_forced" | "next_dist",
-               "source_ids": [u32], "prefix_ids": [u32], "target_ids": [u32]}
+               "source_ids": [u32], "prefix_ids": [u32], "target_ids": [u32],
+               "terminator_ids": [u32] (teacher_forced), "floats": "b64-f64le"}
     response: {"id": u64, "gold_logprob": [f64], "term_logprob": [f64]}
               or {"id": u64, "logits_logprob": [f64 of |V|]}
 
@@ -20,7 +21,7 @@ leave the tables (``TableLM.best_span``):
 
     request:  {"id": u64, "op": "extract", "source_ids": [u32], "prefix_ids": [u32],
                "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null,
-               "allow_empty_span": bool}
+               "allow_empty_span": bool, "terminator_ids": [u32], "floats": "b64-f64le"}
     response: {"id": u64, "start": u32, "length": u32, "logprob": [f64 of 1]}
 
 The span maximizes L(i, j) + e(i, j): the gold log-probs of its j tokens
@@ -42,7 +43,7 @@ steps. The reference server's ``TableLM`` reads each argmax it stored at
 load instead of building the distribution (``TableLM.greedy_steps``):
 
     request:  {"id": u64, "op": "greedy", "source_ids": [u32], "prefix_ids": [u32],
-               "terminator_ids": [u32], "max_steps": u32 >= 1}
+               "terminator_ids": [u32], "max_steps": u32 >= 1, "floats": "b64-f64le"}
     response: {"id": u64, "token_ids": [u32 of k], "logprob": [f64 of k]}
 
 ``logprob[s]`` is the log-probability of ``token_ids[s]``, the step's
@@ -50,6 +51,11 @@ maximum. The client counts k passes, one per step, after checking that
 1 <= k <= max_steps, that every id is a piece id, that no terminator comes
 before the last step and that the last step is one when k < max_steps, and
 that every value is a log-probability.
+
+``terminator_ids`` is optional on ``teacher_forced`` and ``extract``, and the
+client always sends it: their terminator log-probs are the server's, so a
+server whose scorer has another set refuses the request with a ``bad
+request`` error naming both sets.
 
 A request may carry ``"floats": "b64-f64le"``. A server that knows the
 field then sends every float list of its reply (each ``[f64]`` above) as
@@ -207,6 +213,7 @@ class _WireScorer(Scorer):
             reply = self._call_unless_unknown(
                 "extract", source, prefix,
                 passage_ids=list(passage.ids), max_span_len=max_span_len, allow_empty_span=allow,
+                terminator_ids=sorted(self.terminator_ids),
             )
             if reply is not None:
                 span = self._span(reply, len(passage), cap, allow)
@@ -288,7 +295,7 @@ class _WireScorer(Scorer):
     def _score_forced(self, req: ScoreRequest) -> StepScores:
         reply = self._call(
             "teacher_forced", req.source, req.forced_prefix,
-            target_ids=list(req.forced_target.ids),
+            target_ids=list(req.forced_target.ids), terminator_ids=sorted(self.terminator_ids),
         )
         return StepScores(*self._read(reply, "teacher_forced", "gold_logprob", "term_logprob"))
 
@@ -421,6 +428,13 @@ class StdioScorer(_WireScorer):
         return line
 
 
+def _stop_ids(value, vocab: Vocabulary) -> frozenset:
+    """A request's ``terminator_ids``: a list of piece ids, else ValueError."""
+    if type(value) is not list or not all(type(t) is int and 0 <= t < vocab.size for t in value):
+        raise ValueError(f"terminator_ids must be a list of piece ids, not {value!r:.40}")
+    return frozenset(value)
+
+
 def _answer(scorer: Scorer, req: dict) -> dict:
     vocab = scorer.vocab
     source = vocab.seq(req["source_ids"])
@@ -428,6 +442,13 @@ def _answer(scorer: Scorer, req: dict) -> dict:
     op = req["op"]
     # Float lists go out packed when the request asks for it, else as lists.
     floats = _pack if req.get("floats") == PACKED_FLOATS else list
+    # Both replies hold terminator log-probs under the served scorer's set;
+    # an older client sends none. getattr: a wrapper may expose only vocab.
+    if op in ("teacher_forced", "extract") and "terminator_ids" in req:
+        stops = _stop_ids(req["terminator_ids"], vocab)
+        served = getattr(scorer, "terminator_ids", None)
+        if served is not None and stops != frozenset(served):
+            raise ValueError(f"terminator_ids {sorted(stops)} differ from the server's {sorted(served)}")
     if op == "teacher_forced":
         target = vocab.seq(req["target_ids"])
         scores = scorer.teacher_forced_pass(ScoreRequest(source, target, prefix))
@@ -452,14 +473,12 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         return {"id": req["id"], "logits_logprob": floats(dist)}
     if op == "greedy":
         # The client's terminator set decides where the loop stops.
-        stops = req["terminator_ids"]
-        if type(stops) is not list or not all(type(t) is int and 0 <= t < vocab.size for t in stops):
-            raise ValueError(f"terminator_ids must be a list of piece ids, not {stops!r:.40}")
+        stops = _stop_ids(req["terminator_ids"], vocab)
         # The scorer's own greedy_steps where it has one (a TableLM reads the
         # argmaxes it stored at load); Scorer's otherwise, which needs only
         # next_token_distribution.
         greedy_steps = getattr(type(scorer), "greedy_steps", Scorer.greedy_steps)
-        steps = greedy_steps(scorer, source, prefix, req["max_steps"], frozenset(stops))
+        steps = greedy_steps(scorer, source, prefix, req["max_steps"], stops)
         return {
             "id": req["id"],
             "token_ids": [token for token, _ in steps],

@@ -22,9 +22,6 @@ from .vocab import TokenSeq, Vocabulary, VocabularyMismatchError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-_NO_CONTEXTS: dict = {}
-# A context missing from a table, told apart from a prefix-only key (None).
-_ABSENT = object()
 
 # Probability-space tolerance when validating stored distributions.
 DIST_SUM_TOL = 1e-12
@@ -311,20 +308,20 @@ class TableLM(Scorer):
     single default distribution. All distributions live over the piece
     vocabulary (byte-fallback ids excluded) and must sum to 1 within 1e-12.
 
-    Each context table holds every prefix of every registered key: a
-    registered context maps to its entry, a mere prefix to None. An entry is
-    (log-distribution, terminator log-prob, argmax token, its log-prob), the
-    argmax being the lowest id among tied maxima, as ``argmax_steps`` takes
-    it. A forced context missing from both tables of its source therefore
-    extends no registered key, and every later step of the pass reads the
-    default.
-
-    The source tuple is hashed once per table, not once per pass: the
-    context table of the last source looked up is kept with that source's
-    ``ids`` tuple and reused while requests carry the same tuple object.
+    The contexts live in prefix trees: one for any source and one per
+    pinned source. A node is ``[entry or None, {token id: child node}]``;
+    a registered context's node holds its entry, and a node that is only a
+    prefix of registered contexts holds None. An entry is
+    (log-distribution, terminator log-prob, argmax token, its log-prob),
+    the argmax being the lowest id among tied maxima, as ``argmax_steps``
+    takes it. A context reads the entry of its pinned node, else of its
+    any-source node, else the default. Every reader steps both nodes down
+    the tokens it reads, one child lookup per tree and token. A context in
+    neither tree extends no registered context, so every later step reads
+    the default.
 
     ``best_span`` forces each suffix only as far as its contexts reach into
-    the tables (see there): the same n counted, checked passes and the same
+    the trees (see there): the same n counted, checked passes and the same
     span, score included, as forcing every suffix to its end.
     ``greedy_steps`` reads each step's stored argmax (see there): the same
     steps and counted passes as ``argmax_steps``, without building or
@@ -335,12 +332,11 @@ class TableLM(Scorer):
         super().__init__(vocab, terminator_ids)
         if not all(0 <= t < vocab.size for t in self.terminator_ids):
             raise ValueError("terminator ids must lie in the piece vocabulary")
-        self._any_source: dict[tuple[int, ...], tuple | None] = {}
-        self._by_source: dict[tuple[int, ...], dict[tuple[int, ...], tuple | None]] = {}
-        # (source ids, its context table), one attribute so that threads
-        # read and replace the pair at once; None holds nothing. Not an
-        # empty tuple: () is a singleton, the ids of every empty source.
-        self._last_source = None
+        self._any_source: list = [None, {}]
+        self._by_source: dict[tuple[int, ...], list] = {}
+        # The last lookup's (source ids, prefix ids, nodes), one attribute
+        # so that threads read and replace it at once; None holds nothing.
+        self._last_nodes = None
         self._logs = _LogMemo()
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
@@ -408,15 +404,13 @@ class TableLM(Scorer):
         key = tuple(key)
         if key and isinstance(key[0], (tuple, list)):
             source_ids, prefix_ids = key
-            table = self._by_source.setdefault(tuple(source_ids), {})
-            prefix_ids = tuple(prefix_ids)
+            node = self._by_source.setdefault(tuple(source_ids), [None, {}])
         else:
-            table = self._any_source
-            prefix_ids = tuple(int(t) for t in key)
-        for k in range(len(prefix_ids)):
-            table.setdefault(prefix_ids[:k], None)
-        table[prefix_ids] = entry
-        self._last_source = None
+            node, prefix_ids = self._any_source, [int(t) for t in key]
+        for token in prefix_ids:
+            node = node[1].setdefault(token, [None, {}])
+        node[0] = entry
+        self._last_nodes = None
 
     @classmethod
     def uniform(cls, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
@@ -460,18 +454,20 @@ class TableLM(Scorer):
                 self.set_context((source, prefix), dist)
 
     # ------------------------------------------------------------------
-    def _full_distribution(self, source: TokenSeq, prefix_ids: tuple[int, ...]):
-        entry = self._by_source.get(source.ids, _NO_CONTEXTS).get(prefix_ids)
-        return (entry or self._any_source.get(prefix_ids) or self._default)[0]
-
-    def _source_contexts(self, source: tuple[int, ...]) -> dict:
-        """The context table pinned to ``source``, hashed once per table."""
-        last = self._last_source
-        if last is not None and last[0] is source:
-            return last[1]
-        by_source = self._by_source.get(source, _NO_CONTEXTS)
-        self._last_source = (source, by_source)
-        return by_source
+    def _nodes(self, source: tuple[int, ...], prefix: tuple[int, ...]):
+        """The (pinned, any-source) nodes of context ``prefix`` under
+        ``source``, None where a tree lacks it. The last pair is kept with
+        both tuples and reused while calls carry the same tuple objects, as
+        the n passes of one ``best_span`` do."""
+        last = self._last_nodes
+        if last is not None and last[0] is source and last[1] is prefix:
+            return last[2]
+        pinned, any_node = self._by_source.get(source), self._any_source
+        for token in prefix:
+            pinned = pinned and pinned[1].get(token)
+            any_node = any_node and any_node[1].get(token)
+        self._last_nodes = (source, prefix, (pinned, any_node))
+        return pinned, any_node
 
     def best_span(
         self,
@@ -482,51 +478,35 @@ class TableLM(Scorer):
         allow_empty_span: bool = False,
     ) -> tuple[int, int, float]:
         """``Scorer.best_span``, with each suffix forced only as far as its
-        contexts reach into the tables: still one counted, checked
+        contexts reach into the trees: still one counted, checked
         ``teacher_forced_pass`` per suffix, and the same span and score.
 
         The pass for start i forces max(k, 1) tokens, k being the number of
         contexts ``prefix + passage[i:i + j]``, j < min(K, n - i), that lie
-        in a table. Every later step reads the default entry: a constant
-        terminator log-prob and gold log-probs <= 0, so L(i, j) + e(i, j)
-        cannot grow for j >= k, the row's first maximum lies at
-        j <= max(k, 1), and the forced part holds it, summed in the same
-        order. A default with a log-prob above 0, or a subclass that
-        rescores (overrides ``_score_forced``), forces full suffixes.
-
-        Each table holds every prefix of its keys, so the k contexts that
-        lie in one come first: k is found by galloping over j, then
-        bisecting, in O(log k) lookups."""
-        if self._default_rises or type(self)._score_forced is not TableLM._score_forced:
-            return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
+        in a tree: the steps that the prefix's nodes take down the passage
+        before both are None. Every later step reads the default entry: a
+        constant terminator log-prob and gold log-probs <= 0, so
+        L(i, j) + e(i, j) cannot grow for j >= k, the row's first maximum
+        lies at j <= max(k, 1), and the forced part holds it, summed in the
+        same order. A default with a log-prob above 0, or a subclass that
+        rescores (overrides ``_score_forced``), forces full suffixes."""
         cap = suffix_cap(passage, max_span_len)
-        by_source = self._source_contexts(source.ids)
-        any_source = self._any_source
-        base = prefix.ids
+        full = self._default_rises or type(self)._score_forced is not TableLM._score_forced
+        nodes = self._nodes(source.ids, prefix.ids)
         ids = passage.ids
-        vocab_id = passage.vocab_id
         n = len(ids)
         forced = self.teacher_forced_pass
-        # Context 0, the prefix itself, is the same for every start: when it
-        # lies in no table, k is 0 throughout.
-        prefix_in = base in by_source or base in any_source
 
         def rows():
             for i in range(n):
-                # Contexts j < lo lie in a table, j >= hi do not; step is 0
-                # once a context outside has been found, and the search
-                # bisects.
-                lo, hi, step = (1, min(cap, n - i), 1) if prefix_in else (0, 0, 0)
-                while lo < hi:
-                    j = min(lo + step, hi) - 1 if step else (lo + hi) // 2
-                    context = base + ids[i : i + j]
-                    if context in by_source or context in any_source:
-                        lo = j + 1
-                        step *= 2
-                    else:
-                        hi = j
-                        step = 0
-                yield forced(ScoreRequest(source, TokenSeq(ids[i : i + (lo or 1)], vocab_id), prefix))
+                pinned, any_node = nodes
+                k, limit = 0, min(cap, n - i)
+                while k < limit and (full or pinned or any_node):
+                    token = ids[i + k]
+                    pinned = pinned and pinned[1].get(token)
+                    any_node = any_node and any_node[1].get(token)
+                    k += 1
+                yield forced(ScoreRequest(source, TokenSeq(ids[i : i + (k or 1)], passage.vocab_id), prefix))
 
         # Each row goes to the argmax as it is scored, not held for all n.
         return best_span_of(rows(), allow_empty_span)
@@ -535,10 +515,9 @@ class TableLM(Scorer):
         self, source: TokenSeq, prefix: TokenSeq, max_steps: int, terminator_ids=None
     ) -> list[tuple[int, float]]:
         """``Scorer.greedy_steps`` from the argmaxes stored at load: each step
-        reads its context's entry, with ``_full_distribution``'s precedence,
-        and takes the entry's argmax. One counted pass per step, and the
-        same steps, floats included, as ``argmax_steps`` over the checked
-        distributions.
+        reads its context's entry and takes the entry's argmax. One counted
+        pass per step, and the same steps, floats included, as
+        ``argmax_steps`` over the checked distributions.
 
         The per-step check is not needed: every entry was checked at load,
         so its log-probs are at most about DIST_SUM_TOL, below LOGPROB_TOL,
@@ -550,46 +529,33 @@ class TableLM(Scorer):
         self._check_vocab(source)
         self._check_vocab(prefix)
         stops = self.terminator_ids if terminator_ids is None else terminator_ids
-        by_source = self._source_contexts(source.ids)
-        any_source = self._any_source
-        context = prefix.ids
+        pinned, any_node = self._nodes(source.ids, prefix.ids)
         steps: list[tuple[int, float]] = []
         for _ in range(max_steps):
-            _, _, token, top = by_source.get(context) or any_source.get(context) or self._default
+            _, _, token, top = (pinned and pinned[0]) or (any_node and any_node[0]) or self._default
             steps.append((token, top))
             if token in stops:
                 break
-            context += (token,)
+            pinned = pinned and pinned[1].get(token)
+            any_node = any_node and any_node[1].get(token)
         self._count_pass(len(steps))
         return steps
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
-        """Each step's entry with ``_full_distribution``'s precedence: the
-        source-pinned entry, then the any-source entry, then the default.
-
-        One ``get`` per table reads a context: ``_ABSENT`` tells a context
-        missing from a table apart from a prefix-only key (None). Once a
-        context is missing from both tables of the source, it extends no
-        registered key, and the rest of the target reads the default. When
-        that context is the last, after the whole target, the default gives
-        only its terminator log-prob and no tail is built."""
-        by_source = self._source_contexts(req.source.ids)
-        any_source = self._any_source
+        """Each step's entry, both nodes stepped down the target. Once both
+        are None, the rest of the target reads the default; when that
+        context is the last, after the whole target, the default gives only
+        its terminator log-prob and no tail is built."""
+        pinned, any_node = self._nodes(req.source.ids, req.forced_prefix.ids)
         default = self._default
         size = len(default[0])
-        context = req.forced_prefix.ids
         target = req.forced_target.ids
         m = len(target)
         gold: list[float] = []
         term: list[float] = []
         k = 0
-        while True:
-            entry = by_source.get(context, _ABSENT)
-            if entry is None or entry is _ABSENT:
-                fallback = any_source.get(context, entry)
-                if fallback is _ABSENT:
-                    break
-                entry = fallback or default
+        while pinned or any_node:
+            entry = (pinned and pinned[0]) or (any_node and any_node[0]) or default
             term.append(entry[1])
             if k == m:
                 return StepScores(tuple(gold), tuple(term))
@@ -597,7 +563,8 @@ class TableLM(Scorer):
             # are never predicted by a table model.
             token = target[k]
             gold.append(entry[0][token] if token < size else NEG_INF)
-            context += (token,)
+            pinned = pinned and pinned[1].get(token)
+            any_node = any_node and any_node[1].get(token)
             k += 1
         term_logprob = default[1]
         if k == m:
@@ -609,4 +576,5 @@ class TableLM(Scorer):
         return StepScores(tuple(gold), tuple(term))
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):
-        return list(self._full_distribution(source, prefix.ids))
+        pinned, any_node = self._nodes(source.ids, prefix.ids)
+        return list(((pinned and pinned[0]) or (any_node and any_node[0]) or self._default)[0])

@@ -151,12 +151,11 @@ class TestDecode:
         assert record["extractive"] is True
 
     def test_flat_input_format(self, workspace):
+        # A string id, an integer id, and no id: the line number.
         flat = workspace["dir"] / "flat.jsonl"
+        row = {"context": "the IRA was active", "question": "who?"}
         flat.write_text(
-            json.dumps(
-                {"id": "x1", "context": "the IRA was active", "question": "who?"}
-            )
-            + "\n",
+            "".join(json.dumps(r) + "\n" for r in [{"id": "x1", **row}, {"id": 7, **row}, row]),
             encoding="utf-8",
         )
         out = workspace["dir"] / "flat_out.jsonl"
@@ -165,9 +164,9 @@ class TestDecode:
             + ["decode", "--input", str(flat), "--output", str(out)]
         )
         assert code == 0
-        record = json.loads(out.read_text().splitlines()[0])
-        assert record["id"] == "x1"
-        assert record["text"] == "IRA"
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in records] == ["x1", "7", "3"]
+        assert records[0]["text"] == "IRA"
 
     def test_output_that_is_not_a_regular_file_is_written_in_place(self, workspace):
         # A pipe, like /dev/null, is written as it is, never renamed over.
@@ -524,6 +523,23 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("algo", ["exact", "naive"])
+    def test_server_with_other_terminators_is_a_scorer_error(self, workspace, capsys, algo):
+        # Without --terminator-ids the reference server scores </s>, while
+        # the default --terminator-mode sentinel stops on <extra_id_1>.
+        child = shlex.join([sys.executable, "-m", "spandecode.remote", "--vocab", workspace["vocab"],
+                            "--table", workspace["table"].removeprefix("table:")])
+        code = main(
+            ["--vocab", workspace["vocab"], "--scorer", f"stdio:{child}",
+             "decode", "--algo", algo, "--input", workspace["dataset"], "--output", "/dev/null"]
+        )
+        assert code == 3
+        close_id, eos_id = TOY_PIECES.index("<extra_id_1>"), TOY_PIECES.index("</s>")
+        assert capsys.readouterr().err == (
+            f"scorer error: server error: bad request: terminator_ids [{close_id}] "
+            f"differ from the server's [{eos_id}]\n"
+        )
+
     def nan_server(self, workspace) -> str:
         """The command of a server that knows only the one-pass ops and
         answers each with NaN scores: forced gold log-probs, or a whole
@@ -685,6 +701,8 @@ class TestExitCodes:
 
 
 FLAT_ROW = json.dumps({"id": "a", "context": "the IRA was active", "question": "who?"})
+# Example ids that are neither strings nor integers, with their type names.
+BAD_IDS = [(None, "NoneType"), (True, "bool"), (1.5, "float"), ([1], "list"), ({"a": 1}, "dict")]
 TEMPLATE_2 = {"id": 2, "encoder_pattern": "Text: {T}\nQuestion: {Q}\nAnswer:<extra_id_0>."}
 
 
@@ -713,6 +731,20 @@ class TestMalformedInput:
                          "dev.jsonl:2: context and question must be strings", id="list-question"),
             pytest.param("decode", [FLAT_ROW, '{"question": "who?"}'],
                          "dev.jsonl:2: context and question must be strings", id="no-context"),
+        ] + [
+            # Ids that str() turned into "None", "True", "1.5", "[1]" or
+            # "{'a': 1}", with exit 0.
+            pytest.param("decode", [FLAT_ROW, json.dumps({**json.loads(FLAT_ROW), "id": bad})],
+                         f"dev.jsonl:2: id must be a string or an integer, not {kind}", id=f"flat-id-{kind}")
+            for bad, kind in BAD_IDS
+        ] + [
+            pytest.param(command, ["MRQA", json.dumps({"context": "the IRA was active", "qas": [
+                {"qid": "q8", "question": "who?", "answers": ["IRA"]},
+                {"qid": bad, "question": "who?", "answers": ["IRA"]},
+            ]})], f"dev.jsonl:2: qas entry 1: qid must be a string or an integer, not {kind}",
+                id=f"{command}-qid-{kind}")
+            for command in ("eval", "decode")
+            for bad, kind in BAD_IDS
         ] + [
             # qas entries that were read as strings and scored with exit 0,
             # or failed as a missing field.

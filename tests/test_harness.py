@@ -61,6 +61,13 @@ class TestLoadDataset:
         assert examples[1].answers == ("France", "of France")
         assert examples[2].context == "The IRA was active."
 
+    def test_integer_qid_is_its_decimal_string(self, tmp_path):
+        path = tmp_path / "dev.jsonl"
+        rows = mrqa_rows()
+        rows[2]["qas"][0]["qid"] = 7
+        write_jsonl(path, rows)
+        assert [e.id for e in load_dataset(path)] == ["q1", "q2", "7"]
+
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "dev.jsonl.gz"
         body = "".join(json.dumps(r) + "\n" for r in mrqa_rows())

@@ -8,16 +8,18 @@
   ``teacher_forced`` request per pass);
 - ``TableLM.best_span``, which forces each suffix only as far as its
   contexts reach into the tables, against ``Scorer.best_span`` (every
-  suffix forced to its end) and ``naive_exact``, bit for bit;
+  suffix forced to its end) and ``naive_exact``, bit for bit, and each
+  suffix's forced length against the registered contexts, also when every
+  context a span can reach is registered;
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request, with packed or JSON-list float
   replies; a refused greedy request and one ``next_dist`` per step);
 - ``TableLM.greedy_steps``, which reads the argmaxes stored at load,
   against ``argmax_steps`` over the checked distributions: the same
   tokens, floats and passes;
-- ``TableLM`` forced scores against a per-step lookup of the full
-  distribution, also across sources and ``set_context`` calls, and in
-  written cases of the lookup's precedence;
+- ``TableLM`` forced scores against a per-step lookup in a plain dict of
+  the registered contexts, also across sources and ``set_context`` calls,
+  and in written cases of the lookup's precedence;
 - ``TableLM.from_file`` entries against ``math.log`` of each probability
   in the file, and ``logsumexp`` over the terminators;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
@@ -53,6 +55,41 @@ SPECIALS = ["<extra_id_0>", "<extra_id_1>", "</s>"]
 # One-byte characters, a lead byte and a continuation byte of "é", and a
 # byte that is never valid UTF-8.
 BYTE_VALUES = [0x20, 0x41, 0x0A, 0xC3, 0xA9, 0xFF]
+
+
+class LoggedTableLM(RecordingTableLM):
+    """A RecordingTableLM that also keeps its default and, in order, every
+    context it is given, for reference lookups that do not read its
+    trees."""
+
+    def __init__(self, vocab, contexts=None, default=None, terminator_ids=None):
+        self.default = default or {t: 1.0 / vocab.size for t in range(vocab.size)}
+        self.registered = []
+        super().__init__(vocab, contexts, default, terminator_ids)
+
+    def set_context(self, key, dist):
+        key = tuple(key)
+        pinned = bool(key) and isinstance(key[0], (tuple, list))
+        self.registered.append(((tuple(key[0]), tuple(key[1])) if pinned else (None, key), dist))
+        super().set_context(key, dist)
+
+    def lookup(self, source, context):
+        """The reference: the log-distribution of ``context`` under
+        ``source`` from a plain dict of the registered contexts keyed by
+        (source, prefix), None standing for any source. The last
+        registration of a key counts, and a context reads the entry pinned
+        to its source, else the any-source one, else the default."""
+        table = dict(self.registered)
+        dist = table.get((source, context)) or table.get((None, context)) or self.default
+        return [math.log(dist[t]) if dist.get(t, 0) > 0 else NEG_INF for t in range(self.vocab.size)]
+
+    def reaches(self, source, context):
+        """Whether ``context`` begins some context registered for
+        ``source`` or for any source."""
+        return any(
+            pinned in (None, source) and prefix[: len(context)] == context
+            for (pinned, prefix), _ in self.registered
+        )
 
 
 def scan_span(text, passage, vocab):
@@ -118,7 +155,7 @@ def table_models(draw, max_len=8):
         context = prefix.ids + passage.ids[i : i + k]
         return (source.ids, context) if draw(st.booleans()) else context
 
-    lm = TableLM(vocab, contexts={key(): dist() for _ in range(draw(st.integers(0, 4)))}, default=dist())
+    lm = LoggedTableLM(vocab, contexts={key(): dist() for _ in range(draw(st.integers(0, 4)))}, default=dist())
     for _ in range(draw(st.integers(0, 4))):
         lm.set_context(key(), dist())
     return vocab, lm, source, prefix, passage
@@ -155,7 +192,7 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
 
 @st.composite
 def reach_models(draw, max_len=10):
-    """A RecordingTableLM whose contexts follow the passage from random
+    """A LoggedTableLM whose contexts follow the passage from random
     starts, under any source and pinned to the source, with flat, peaked or
     tied distributions that may leave tokens at probability 0; a default
     whose terminator may have probability 0; and a passage that may hold
@@ -191,7 +228,7 @@ def reach_models(draw, max_len=10):
         return (source.ids, context) if draw(st.booleans()) else context
 
     contexts = {key(): dist() for _ in range(draw(st.integers(0, 6)))}
-    lm = RecordingTableLM(vocab, contexts=contexts, default=dist(can_stop=draw(st.booleans())))
+    lm = LoggedTableLM(vocab, contexts=contexts, default=dist(can_stop=draw(st.booleans())))
     return vocab, lm, source, prefix, passage
 
 
@@ -203,16 +240,55 @@ def test_table_lm_best_span_equals_full_suffixes_and_naive(model, data):
     cap = data.draw(st.sampled_from([None, 1, 2, 3, n, n + 1]))
     allow = data.draw(st.booleans())
     start, length, logprob = lm.best_span(source, prefix, passage, cap, allow)
-    # One counted pass per suffix, each forcing at most what a span from
-    # its start can cover.
+    # One counted pass per suffix, each forcing the contexts that reach
+    # into the tables, at least one token and at most what a span from its
+    # start can cover.
     assert lm.pass_count() == n
     limits = [min(cap or n, n - i) for i in range(n)]
-    assert len(lm.forced) == n and all(1 <= m <= limit for m, limit in zip(lm.forced, limits))
+    reach = [
+        next((j for j in range(limit) if not lm.reaches(source.ids, prefix.ids + passage.ids[i : i + j])), limit)
+        for i, limit in enumerate(limits)
+    ]
+    assert lm.forced == [max(k, 1) for k in reach]
     lm.forced.clear()
     full = Scorer.best_span(lm, source, prefix, passage, cap, allow)
     assert lm.forced == limits
     slow = naive_exact(passage, source, prefix, lm, DecodeConfig(max_span_len=cap, allow_empty_span=allow))
     assert (start, length, logprob.hex()) == (full[0], full[1], full[2].hex())
+    assert (start, length, logprob.hex()) == (slow.start, slow.length, slow.span_logprob.hex())
+
+
+@SETTINGS
+@given(st.data())
+def test_table_lm_best_span_with_full_reach(data):
+    # Every context a span can reach is registered, pinned to the source,
+    # under any source or both, so each suffix is forced to its end.
+    size = data.draw(st.integers(3, 7))
+    vocab = bare_vocab(size)
+    passage = vocab.seq(data.draw(st.lists(st.integers(0, size - 2), min_size=1, max_size=8)))
+    source = vocab.seq(data.draw(st.lists(st.integers(0, size - 1), max_size=3)))
+    prefix = vocab.seq(data.draw(st.lists(st.integers(0, size - 1), max_size=2)))
+    n = len(passage)
+    cap = data.draw(st.sampled_from([None, *range(1, n + 1)]))
+    allow = data.draw(st.booleans())
+    limits = [min(cap or n, n - i) for i in range(n)]
+
+    def dist():
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        if not any(weights):
+            weights[-1] = 1
+        return {t: w / sum(weights) for t, w in enumerate(weights) if w}
+
+    lm = LoggedTableLM(vocab, default=dist())
+    for i, limit in enumerate(limits):
+        for k in range(limit + 1):
+            context = prefix.ids + passage.ids[i : i + k]
+            keys = [[context], [(source.ids, context)], [context, (source.ids, context)]]
+            for key in data.draw(st.sampled_from(keys)):
+                lm.set_context(key, dist())
+    start, length, logprob = lm.best_span(source, prefix, passage, cap, allow)
+    assert lm.forced == limits and lm.pass_count() == n
+    slow = naive_exact(passage, source, prefix, lm, DecodeConfig(max_span_len=cap, allow_empty_span=allow))
     assert (start, length, logprob.hex()) == (slow.start, slow.length, slow.span_logprob.hex())
 
 
@@ -306,12 +382,12 @@ def test_table_lm_forced_scores_match_per_step_lookup(model, data):
 
 
 def assert_per_step(lm, source, prefix, target):
-    """One forced pass equals, bit for bit, a lookup of the full
+    """One forced pass equals, bit for bit, a reference lookup of the full
     distribution at every step."""
     scores = lm.teacher_forced_pass(ScoreRequest(source, target, prefix))
     gold, term = [], []
     for k in range(len(target) + 1):
-        dist = lm._full_distribution(source, prefix.ids + target.ids[:k])
+        dist = lm.lookup(source.ids, prefix.ids + target.ids[:k])
         term.append(logsumexp(dist[t] for t in lm.terminator_ids))
         if k < len(target):
             gold.append(dist[target[k]] if target[k] < lm.vocab.size else NEG_INF)
@@ -343,7 +419,7 @@ PINNED, ANY, DEFAULT = ({0: 0.5, 1: 0.25, 2: 0.125, 5: 0.125},
 )
 def test_table_lm_forced_precedence(contexts, target):
     vocab = bare_vocab(6)
-    lm = TableLM(vocab, contexts=contexts, default=DEFAULT)
+    lm = LoggedTableLM(vocab, contexts=contexts, default=DEFAULT)
     source, prefix = vocab.seq((7,)), vocab.seq((0,))
     assert_per_step(lm, source, prefix, vocab.seq(target))
     # The same contexts from another source read only the any-source table.
@@ -358,7 +434,7 @@ def test_table_lm_source_lookup_follows_the_source_and_set_context(a_ids, b_ids)
     # whose ids are the () singleton, is each of them once.
     vocab = bare_vocab(4)
     prefix, target = vocab.seq((0,)), vocab.seq((1, 2, 1))
-    lm = TableLM(vocab, contexts={
+    lm = LoggedTableLM(vocab, contexts={
         (b_ids, (0,)): {1: 0.5, 3: 0.5},
         (b_ids, (0, 1)): {2: 0.25, 3: 0.75},
         (0, 1, 2): {3: 1.0},
@@ -418,9 +494,13 @@ def test_table_file_entries_are_the_logs_of_its_probabilities(tmp_path_factory, 
         if key == "default":
             logdist, term, token, top = lm._default
         else:
+            # Walk the context's tree: the any-source one, or the one
+            # pinned to the source.
             source, _, prefix = key.partition("#")
-            contexts = lm._any_source if source == "*" else lm._by_source[ids(source)]
-            logdist, term, token, top = contexts[ids(prefix)]
+            node = lm._any_source if source == "*" else lm._by_source[ids(source)]
+            for t in ids(prefix):
+                node = node[1][t]
+            logdist, term, token, top = node[0]
         probs = [dist.get(str(t), 0.0) for t in range(vocab.size)]
         want = [math.log(p) if p > 0 else NEG_INF for p in probs]
         assert [v.hex() for v in logdist] == [v.hex() for v in want]

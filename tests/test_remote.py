@@ -466,6 +466,7 @@ class TestExtract:
         assert request["passage_ids"] == [1, 2, 3, 0, 1]
         assert request["max_span_len"] == cap
         assert request["allow_empty_span"] is empty
+        assert request["terminator_ids"] == [vocab.terminator_id]
         assert "targets" not in request and "target_ids" not in request
         assert result.passes_used == 5 == wire.pass_count()
         assert span_outcome(result) == span_outcome(exact_extract(passage, source, prefix, lm, cfg))
@@ -494,7 +495,23 @@ class TestExtract:
         # suffix for both decodes: the scorer does not ask again.
         assert wire.ops() == [EXTRACT] + ["teacher_forced"] * 8
         assert [p["target_ids"] for p in wire.sent[1:]] == [list(passage.ids[i:]) for i in range(4)] * 2
+        assert all(p["terminator_ids"] == [vocab.terminator_id] for p in wire.sent)
         assert wire.pass_count() == 8
+
+    @pytest.mark.parametrize("refuse", [(), (EXTRACT,)], ids=["extract", "teacher-forced"])
+    def test_server_with_other_terminators_refuses_the_request(self, refuse):
+        # The terminator log-probs of an extract or teacher_forced reply are
+        # the server's: a client that stops on another set gets an error
+        # naming both, not a span scored under the server's set.
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse=refuse)
+        wire.terminator_ids = frozenset({3, 1})
+        source, prefix, passage = vocab.seq((0, 1)), vocab.seq(()), vocab.seq((1, 2, 3))
+        message = rf"bad request: terminator_ids \[1, 3\] differ from the server's \[{vocab.terminator_id}\]"
+        with pytest.raises(TransportError, match=message):
+            wire.best_span(source, prefix, passage)
+        assert wire.ops() == [EXTRACT] + ["teacher_forced"] * len(refuse)
+        assert wire.sent[-1]["terminator_ids"] == [1, 3]
 
     def test_other_errors_raise_and_keep_the_op(self):
         vocab, lm = self.setup_model()
@@ -987,6 +1004,23 @@ class TestServe:
         assert len(reply["gold_logprob"]) == 3
         assert len(reply["term_logprob"]) == 4
 
+    @pytest.mark.parametrize("op", ["teacher_forced", EXTRACT])
+    def test_client_terminators_are_checked_against_the_server(self, op):
+        # A request without terminator_ids, as from an older client, and one
+        # with the server's set get the same reply; another set, or a field
+        # that is not a list of piece ids, gets an error naming it. A scorer
+        # without the attribute answers whatever set is sent.
+        vocab = bare_vocab(5)
+        line = {**EXTRACT_LINE, "op": op, "target_ids": [0, 1]}
+        lines = [{**line, "terminator_ids": stops} for stops in ([4], [0, 4], [5], None)]
+        lm = TableLM.uniform(vocab)
+        plain, same, other, out_of_range, null = self.run(lm, [line, *lines])
+        assert same == plain and "error" not in plain
+        assert other == {"id": 3, "error": "bad request: terminator_ids [0, 4] differ from the server's [4]"}
+        for error in (out_of_range, null):
+            assert error["error"].startswith("bad request: terminator_ids must be a list of piece ids")
+        assert self.run(ForwardingScorer(lm), [lines[1]]) == [plain]
+
     def test_next_dist_reply_shape(self):
         vocab = bare_vocab(5)
         lm = TableLM.uniform(vocab)
@@ -1028,6 +1062,27 @@ class TestServe:
         lines = [{"id": i, "op": op, "source_ids": [], "prefix_ids": []} for i, op in enumerate(sorted(documented))]
         for reply in self.run(TableLM.uniform(bare_vocab(5)), lines):
             assert remote.UNKNOWN_OP not in reply.get("error", "")
+
+    def test_docstring_names_every_request_field_the_server_reads(self):
+        # Per op, the fields that `_answer` reads from a request (req["..."]
+        # or req.get("..."), before its op branches, in the op's branch and
+        # in the helpers that take the request) against the fields of the
+        # protocol docstring's request line for the op.
+        def fields(source):
+            read = set(re.findall(r'\breq(?:\["|\.get\(")(\w+)"', source))
+            for helper in re.findall(r"\b(_\w+)\(scorer, req\)", source):
+                read |= fields(inspect.getsource(getattr(remote, helper)))
+            return read
+
+        prelude, *branches = re.split(r"\n    if op == ", inspect.getsource(remote._answer))
+        read = {re.match(r'"(\w+)"', branch)[1]: fields(prelude) | fields(branch) for branch in branches}
+        documented = {}
+        for lines in re.findall(r"request:(.*?)response:", remote.__doc__, re.DOTALL):
+            for op in re.findall(r'"(\w+)"', re.search(r'"op": ((?:"\w+"(?: \| )?)+)', lines)[1]):
+                documented[op] = set(re.findall(r'"(\w+)":', lines))
+        assert read.keys() == documented.keys()
+        for op, names in read.items():
+            assert names <= documented[op], op
 
     @pytest.mark.parametrize("op", ["teacher_forced_batch", "teacher_forced_suffixes"])
     def test_retired_op_is_an_unknown_op(self, op):
