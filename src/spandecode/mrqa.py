@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import json
 import random
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,25 +40,50 @@ class FewShotSplit:
     example_ids: tuple[str, ...]
 
 
+def read_lines(path: str | Path, opener=open) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file, split as text
+    mode splits it, opened with ``opener``. DataError names ``path:line``
+    for the line holding an undecodable byte, and ``path`` for a stream
+    that is not gzip when ``opener`` is ``gzip.open``.
+
+    Text mode decodes ahead in chunks, so a decoding error would name an
+    earlier line: each bad byte is kept in its line as a surrogate escape,
+    and only a line holding one is decoded again, to name the fault."""
+    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as f:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        try:
+                            line.encode("utf-8", "surrogateescape").decode("utf-8")
+                        except UnicodeDecodeError as exc:
+                            raise DataError(f"{path}:{lineno}: {exc}") from None
+                yield lineno, line
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file, read
     through gzip when the name ends in .gz. DataError names ``path:line``
-    for a line that is not a JSON object."""
+    for a line that is not a JSON object, as ``read_lines`` does for an
+    undecodable one."""
     opener = gzip.open if Path(path).suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
-                )
-            yield lineno, obj
+    for lineno, line in read_lines(path, opener):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(
+                f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+            )
+        yield lineno, obj
 
 
 def example_id(value, name: str) -> str:

@@ -6,7 +6,7 @@ endpoint. One scoring pass per request:
 
     request:  {"id": u64, "op": "teacher_forced" | "next_dist",
                "source_ids": [u32], "prefix_ids": [u32], "target_ids": [u32],
-               "terminator_ids": [u32] (teacher_forced), "floats": "b64-f64le"}
+               "terminator_ids": [u32] (teacher_forced)}
     response: {"id": u64, "gold_logprob": [f64], "term_logprob": [f64]}
               or {"id": u64, "logits_logprob": [f64 of |V|]}
 
@@ -21,7 +21,7 @@ leave the tables (``TableLM.best_span``):
 
     request:  {"id": u64, "op": "extract", "source_ids": [u32], "prefix_ids": [u32],
                "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null,
-               "allow_empty_span": bool, "terminator_ids": [u32], "floats": "b64-f64le"}
+               "allow_empty_span": bool, "terminator_ids": [u32]}
     response: {"id": u64, "start": u32, "length": u32, "logprob": [f64 of 1]}
 
 The span maximizes L(i, j) + e(i, j): the gold log-probs of its j tokens
@@ -43,7 +43,7 @@ steps. The reference server's ``TableLM`` reads each argmax it stored at
 load instead of building the distribution (``TableLM.greedy_steps``):
 
     request:  {"id": u64, "op": "greedy", "source_ids": [u32], "prefix_ids": [u32],
-               "terminator_ids": [u32], "max_steps": u32 >= 1, "floats": "b64-f64le"}
+               "terminator_ids": [u32], "max_steps": u32 >= 1}
     response: {"id": u64, "token_ids": [u32 of k], "logprob": [f64 of k]}
 
 ``logprob[s]`` is the log-probability of ``token_ids[s]``, the step's
@@ -57,12 +57,8 @@ client always sends it: their terminator log-probs are the server's, so a
 server whose scorer has another set refuses the request with a ``bad
 request`` error naming both sets.
 
-A request may carry ``"floats": "b64-f64le"``. A server that knows the
-field then sends every float list of its reply (each ``[f64]`` above) as
-one base64 string of little-endian IEEE-754 binary64 values instead: exact,
-like the JSON text, and several times cheaper to write and read. Servers
-may ignore the field and reply with lists of JSON numbers; the client
-always sends it and reads either form.
+Every float list (each ``[f64]`` above) is a JSON list of numbers; a
+``floats`` field sent by earlier clients is ignored.
 
 A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 (``null`` when the request's id could not be read), and the client raises
@@ -81,12 +77,10 @@ that exposes a TableLM over stdio, used to exercise the protocol end to end.
 from __future__ import annotations
 
 import argparse
-import base64
 import json
 import os
 import select
 import shlex
-import struct
 import subprocess
 import sys
 import threading
@@ -106,27 +100,14 @@ from .vocab import TokenSeq, Vocabulary
 
 # What a server's error says when it does not know a requested op.
 UNKNOWN_OP = "unknown op"
-# The request's "floats" value asking for packed float lists.
-PACKED_FLOATS = "b64-f64le"
-
-
-def _pack(values) -> str:
-    """A float list in the packed form: base64 of little-endian binary64."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
 def _floats(field) -> tuple[float, ...]:
-    """A reply's float list, sent packed or as a JSON list of numbers;
-    ValueError or TypeError when it is neither, OverflowError for an integer
-    past the binary64 range."""
-    if isinstance(field, str):
-        raw = base64.b64decode(field, validate=True)
-        if len(raw) % 8:
-            raise ValueError(f"packed floats of {len(raw)} bytes, not a multiple of 8")
-        return struct.unpack(f"<{len(raw) // 8}d", raw)
+    """A reply's float list, a JSON list of numbers; TypeError when it is
+    not one, OverflowError for an integer past the binary64 range."""
     # Exact types: JSON's true and false are ints to Python.
     if type(field) is not list or not all(type(v) is float or type(v) is int for v in field):
-        raise TypeError(f"not a list of numbers or a packed string: {field!r:.40}")
+        raise TypeError(f"not a list of numbers: {field!r:.40}")
     return tuple(map(float, field))
 
 
@@ -162,7 +143,6 @@ class _WireScorer(Scorer):
         payload = {
             "id": req_id,
             "op": op,
-            "floats": PACKED_FLOATS,
             "source_ids": list(source.ids),
             "prefix_ids": list(prefix.ids),
             **fields,
@@ -440,8 +420,6 @@ def _answer(scorer: Scorer, req: dict) -> dict:
     source = vocab.seq(req["source_ids"])
     prefix = vocab.seq(req["prefix_ids"])
     op = req["op"]
-    # Float lists go out packed when the request asks for it, else as lists.
-    floats = _pack if req.get("floats") == PACKED_FLOATS else list
     # Both replies hold terminator log-probs under the served scorer's set;
     # an older client sends none. getattr: a wrapper may expose only vocab.
     if op in ("teacher_forced", "extract") and "terminator_ids" in req:
@@ -454,8 +432,8 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         scores = scorer.teacher_forced_pass(ScoreRequest(source, target, prefix))
         return {
             "id": req["id"],
-            "gold_logprob": floats(scores.gold_logprob),
-            "term_logprob": floats(scores.term_logprob),
+            "gold_logprob": scores.gold_logprob,
+            "term_logprob": scores.term_logprob,
         }
     if op == "extract":
         allow = req["allow_empty_span"]
@@ -467,10 +445,10 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         # which needs only teacher_forced_pass.
         best_span = getattr(type(scorer), "best_span", Scorer.best_span)
         start, length, logprob = best_span(scorer, source, prefix, passage, req["max_span_len"], allow)
-        return {"id": req["id"], "start": start, "length": length, "logprob": floats([logprob])}
+        return {"id": req["id"], "start": start, "length": length, "logprob": [logprob]}
     if op == "next_dist":
         dist = scorer.next_token_distribution(source, prefix)
-        return {"id": req["id"], "logits_logprob": floats(dist)}
+        return {"id": req["id"], "logits_logprob": dist}
     if op == "greedy":
         # The client's terminator set decides where the loop stops.
         stops = _stop_ids(req["terminator_ids"], vocab)
@@ -482,7 +460,7 @@ def _answer(scorer: Scorer, req: dict) -> dict:
         return {
             "id": req["id"],
             "token_ids": [token for token, _ in steps],
-            "logprob": floats([top for _, top in steps]),
+            "logprob": [top for _, top in steps],
         }
     return {"id": req["id"], "error": f"{UNKNOWN_OP} {op!r}"}
 

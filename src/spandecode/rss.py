@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .mrqa import DataError, read_jsonl
+from .mrqa import DataError, read_jsonl, read_lines
 from .prompting import CLOSE_SENTINEL, OPEN_SENTINEL
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
@@ -197,7 +197,7 @@ def generate_corpus(passages, cfg: RssConfig, limit: int):
 def read_passages(path: str | Path):
     """One passage per line; .jsonl lines are WikiExtractor-style {"text": ...}.
     DataError names ``path:line`` for a .jsonl line that is not a JSON object
-    with a string ``text``."""
+    with a string ``text``, and for a line holding an undecodable byte."""
     path = Path(path)
     if path.suffix == ".jsonl":
         for lineno, obj in read_jsonl(path):
@@ -207,8 +207,7 @@ def read_passages(path: str | Path):
                 raise DataError(f"{path}:{lineno}: text must be a string, not {type(obj['text']).__name__}")
             yield obj["text"]
         return
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.strip():
-                yield line
+    for _, line in read_lines(path):
+        line = line.rstrip("\n")
+        if line.strip():
+            yield line

@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import add
 from pathlib import Path
 
-from .vocab import TokenSeq, Vocabulary, VocabularyMismatchError
+from .vocab import NUM_BYTE_TOKENS, TokenSeq, Vocabulary, VocabularyMismatchError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -398,15 +398,23 @@ class TableLM(Scorer):
         """Register a context distribution.
 
         ``key`` is either a prefix id tuple (matches any source) or a
-        ``(source_ids, prefix_ids)`` pair.
+        ``(source_ids, prefix_ids)`` pair. ValueError naming ``key`` unless
+        every id is an int (not a bool) naming a piece or a byte: no request
+        reaches any other context.
         """
-        entry = self._entry(dist)
         key = tuple(key)
         if key and isinstance(key[0], (tuple, list)):
-            source_ids, prefix_ids = key
-            node = self._by_source.setdefault(tuple(source_ids), [None, {}])
+            source_ids, prefix_ids = map(tuple, key)
         else:
-            node, prefix_ids = self._any_source, [int(t) for t in key]
+            source_ids, prefix_ids = None, key
+        ids = prefix_ids + (source_ids or ())
+        limit = self.vocab.size + NUM_BYTE_TOKENS
+        # C-level reductions. Exact types: a bool is an int to Python.
+        if ids and not (set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < limit):
+            bad = next(t for t in ids if type(t) is not int or not 0 <= t < limit)
+            raise ValueError(f"context key {key!r} holds {bad!r}, not a token id")
+        entry = self._entry(dist)
+        node = self._any_source if source_ids is None else self._by_source.setdefault(source_ids, [None, {}])
         for token in prefix_ids:
             node = node[1].setdefault(token, [None, {}])
         node[0] = entry
@@ -439,19 +447,21 @@ class TableLM(Scorer):
                 raise ValueError(f"distribution {key!r} must be an object, not {type(dist).__name__}")
             return dist
 
+        def ids(part):
+            # The empty part is the empty sequence; an empty item is an error.
+            return tuple(map(int, part.split(","))) if part else ()
+
         if raw.get("default") is not None:
             self._set_default(distribution("default"))
         for key in raw:
             if key == "default":
                 continue
             src_part, _, prefix_part = key.partition("#")
-            prefix = tuple(int(t) for t in prefix_part.split(",") if t != "")
-            dist = distribution(key)
-            if src_part == "*":
-                self.set_context(prefix, dist)
-            else:
-                source = tuple(int(t) for t in src_part.split(",") if t != "")
-                self.set_context((source, prefix), dist)
+            try:
+                context = ids(prefix_part) if src_part == "*" else (ids(src_part), ids(prefix_part))
+            except ValueError as exc:
+                raise ValueError(f"context key {key!r}: {exc}") from None
+            self.set_context(context, distribution(key))
 
     # ------------------------------------------------------------------
     def _nodes(self, source: tuple[int, ...], prefix: tuple[int, ...]):
@@ -542,37 +552,23 @@ class TableLM(Scorer):
         return steps
 
     def _score_forced(self, req: ScoreRequest) -> StepScores:
-        """Each step's entry, both nodes stepped down the target. Once both
-        are None, the rest of the target reads the default; when that
-        context is the last, after the whole target, the default gives only
-        its terminator log-prob and no tail is built."""
+        """Each step's entry (pinned, then any-source, then the default),
+        both nodes stepped down the target, and last the terminator
+        log-prob of the context after the whole target."""
         pinned, any_node = self._nodes(req.source.ids, req.forced_prefix.ids)
         default = self._default
         size = len(default[0])
-        target = req.forced_target.ids
-        m = len(target)
         gold: list[float] = []
         term: list[float] = []
-        k = 0
-        while pinned or any_node:
+        for token in req.forced_target.ids:
             entry = (pinned and pinned[0]) or (any_node and any_node[0]) or default
             term.append(entry[1])
-            if k == m:
-                return StepScores(tuple(gold), tuple(term))
             # Byte-fallback ids sit outside the piece distribution and
             # are never predicted by a table model.
-            token = target[k]
             gold.append(entry[0][token] if token < size else NEG_INF)
             pinned = pinned and pinned[1].get(token)
             any_node = any_node and any_node[1].get(token)
-            k += 1
-        term_logprob = default[1]
-        if k == m:
-            term.append(term_logprob)
-        else:
-            dist = default[0]
-            gold.extend([dist[t] if t < size else NEG_INF for t in target[k:]])
-            term.extend([term_logprob] * (m - k + 1))
+        term.append(((pinned and pinned[0]) or (any_node and any_node[0]) or default)[1])
         return StepScores(tuple(gold), tuple(term))
 
     def _next_dist(self, source: TokenSeq, prefix: TokenSeq):

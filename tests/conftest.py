@@ -94,17 +94,17 @@ class LoopbackScorer(_WireScorer):
     ``backend``, for the protocol without a process or a socket.
 
     Every request sent is kept in ``sent``. Ops in ``refuse`` get the reply
-    of a server that does not know them; with ``lists``, the server ignores
-    the request's ``floats`` field, as one that does not know it, and replies
-    with JSON float lists; ``edit(payload, reply)``, when given, returns the
-    reply to deliver instead of the served one."""
+    of a server that does not know them; with ``old_client``, the server
+    sees each request with the ``"floats": "b64-f64le"`` field that earlier
+    clients sent, which it ignores; ``edit(payload, reply)``, when given,
+    returns the reply to deliver instead of the served one."""
 
-    def __init__(self, backend, refuse=(), edit=None, lists=False):
+    def __init__(self, backend, refuse=(), edit=None, old_client=False):
         super().__init__(backend.vocab, backend.terminator_ids)
         self.backend = backend
         self.refuse = set(refuse)
         self.edit = edit
-        self.lists = lists
+        self.old_client = old_client
         self.sent = []
 
     def ops(self):
@@ -114,7 +114,7 @@ class LoopbackScorer(_WireScorer):
         self.sent.append(payload)
         if payload["op"] in self.refuse:
             return {"id": payload["id"], "error": f"unknown op {payload['op']!r}"}
-        served = {k: v for k, v in payload.items() if k != "floats"} if self.lists else payload
+        served = {**payload, "floats": "b64-f64le"} if self.old_client else payload
         out = io.StringIO()
         serve(self.backend, io.StringIO(json.dumps(served) + "\n"), out)
         reply = json.loads(out.getvalue())

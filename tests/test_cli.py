@@ -775,6 +775,42 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            # 9,000 blank lines put the bad byte past the chunk that text
+            # mode decodes ahead.
+            pytest.param("dev.jsonl", b"MRQA\n" + b"\n" * 9000 + b'{"context": "caf\xe9", "question": "who?"}\n',
+                         "dev.jsonl:9002: 'utf-8' codec can't decode byte 0xe9 in position 16", id="bad-byte"),
+            pytest.param("dev.jsonl.gz", b"MRQA\n", "dev.jsonl.gz: Not a gzipped file", id="not-gzip"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_undecodable_input_names_its_file(self, workspace, capsys, command, name, data, message):
+        dataset = workspace["dir"] / name
+        mrqa_row = (workspace["dir"] / "dev.jsonl").read_bytes().strip()
+        dataset.write_bytes(data.replace(b"MRQA", mrqa_row))
+        argv = base_args(workspace) + [command, "--input", str(dataset), "--output", str(workspace["dir"] / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {workspace['dir']}/{message}")
+
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            pytest.param("p.txt.gz", gzip.compress(b"blue bird saw blue bird\n"),
+                         "p.txt.gz:1: 'utf-8' codec can't decode byte 0x8b in position 1", id="gzip-as-text"),
+            pytest.param("p.txt", b"blue bird saw blue bird\n" * 500 + b"caf\xe9 bird\n",
+                         "p.txt:501: 'utf-8' codec can't decode byte 0xe9 in position 3", id="bad-byte"),
+        ],
+    )
+    def test_undecodable_passages_name_their_file(self, tmp_path, capsys, name, data, message):
+        corpus = tmp_path / name
+        corpus.write_bytes(data)
+        out = tmp_path / "rss.jsonl"
+        assert main(["rss-gen", "--input", str(corpus), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path}/{message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "entries, flags, message",
         [
             pytest.param(None, ["--prompt-id", "99"], "no template with id 99", id="unknown-id"),
@@ -845,6 +881,16 @@ class TestMalformedInput:
             pytest.param('{"default": 1}', "distribution 'default' must be an object, not int", id="default-int"),
             pytest.param('{"*#": {"0": [1]}}', "float() argument", id="prob-list"),
             pytest.param('{"*#x": {"0": 1}}', "invalid literal for int()", id="bad-key"),
+            # Keys that no request can reach, and an empty item between commas.
+            pytest.param('{"*#-5,99999": {"0": 1}}', "context key (-5, 99999) holds -5, not a token id",
+                         id="negative-id"),
+            pytest.param('{"*#0,99999": {"0": 1}}', "context key (0, 99999) holds 99999, not a token id",
+                         id="id-past-the-bytes"),
+            pytest.param('{"-1#0": {"0": 1}}', "context key ((-1,), (0,)) holds -1, not a token id",
+                         id="negative-source-id"),
+            pytest.param('{"*#0,,1": {"0": 1}}', "context key '*#0,,1': invalid literal for int()", id="empty-item"),
+            pytest.param('{"0,#1": {"0": 1}}', "context key '0,#1': invalid literal for int()",
+                         id="empty-source-item"),
             pytest.param('{"*#": {"0": 0.5}}', "distribution sums to 0.5", id="sum-below-one"),
             pytest.param('{"*#": {"0": NaN, "1": 0.5, "2": 0.5}}', "probability nan of token 0 is not finite",
                          id="prob-nan"),

@@ -3,17 +3,16 @@
 - ``find_span`` against the O(n^3) scan that decodes every (i, j) slice;
 - ``exact_extract`` against ``naive_exact``, bit for bit, under every span
   cap and with and without the empty span, in process and over the wire
-  protocol at every op level (one extract request, with packed or
-  JSON-list float replies; a refused extract request and one
-  ``teacher_forced`` request per pass);
+  protocol at every op level (one extract request; a refused extract
+  request and one ``teacher_forced`` request per pass);
 - ``TableLM.best_span``, which forces each suffix only as far as its
   contexts reach into the tables, against ``Scorer.best_span`` (every
   suffix forced to its end) and ``naive_exact``, bit for bit, and each
   suffix's forced length against the registered contexts, also when every
   context a span can reach is registered;
 - ``greedy_decode`` over the wire against in process, bit for bit, at
-  every op level (one greedy request, with packed or JSON-list float
-  replies; a refused greedy request and one ``next_dist`` per step);
+  every op level (one greedy request; a refused greedy request and one
+  ``next_dist`` per step);
 - ``TableLM.greedy_steps``, which reads the argmaxes stored at load,
   against ``argmax_steps`` over the checked distributions: the same
   tokens, floats and passes;
@@ -171,11 +170,9 @@ def test_exact_extract_equals_naive_bit_for_bit(model, data):
         allow_empty_span=data.draw(st.booleans()),
     )
     # In process, or over the wire at every op level: one extract request,
-    # with packed or JSON-list float replies; or a refused extract request
-    # and then one request per pass.
+    # or a refused extract request and then one request per pass.
     refuse = data.draw(st.sampled_from([None, (), (EXTRACT,)]))
-    lists = data.draw(st.booleans())
-    scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse, lists=lists)
+    scorer = lm if refuse is None else LoopbackScorer(lm, refuse=refuse)
     fast = exact_extract(passage, source, prefix, scorer, cfg)
     slow = naive_exact(passage, source, prefix, lm, cfg)
     assert (fast.start, fast.length, fast.span_logprob.hex()) == (
@@ -337,10 +334,10 @@ def greedy_models(draw):
 def test_greedy_over_the_wire_equals_in_process(model, data):
     vocab, lm, source, prefix = model
     cfg = DecodeConfig(max_greedy_steps=data.draw(st.integers(1, 8)))
-    # One greedy request, with packed or JSON-list float replies; or a
-    # refused greedy request and then one next_dist request per step.
+    # One greedy request, or a refused greedy request and then one
+    # next_dist request per step.
     refuse = data.draw(st.sampled_from([(), (GREEDY,)]))
-    wire = LoopbackScorer(lm, refuse=refuse, lists=data.draw(st.booleans()))
+    wire = LoopbackScorer(lm, refuse=refuse)
     got = greedy_decode(source, prefix, wire, cfg)
     want = greedy_decode(source, prefix, lm, cfg)
     assert (got.text, got.token_ids, got.truncated, got.passes_used, got.span_logprob.hex()) == (

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import shlex
 import struct
@@ -20,16 +21,7 @@ from spandecode.decoding import DecodeConfig, build_span_table, exact_extract, g
 from spandecode.harness import run_eval
 from spandecode.mrqa import QAExample
 from spandecode.prompting import get_template, render_encoder_input
-from spandecode.remote import (
-    PACKED_FLOATS,
-    RemoteScorer,
-    StdioScorer,
-    TransportError,
-    _floats,
-    _pack,
-    _WireScorer,
-    serve,
-)
+from spandecode.remote import RemoteScorer, StdioScorer, TransportError, _floats, _WireScorer, serve
 from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of, suffix_scores
 from spandecode.vocab import Vocabulary
 
@@ -140,7 +132,7 @@ class TestWireFraming:
         assert second["op"] == "next_dist"
         assert second["target_ids"] == []
         assert second["id"] == first["id"] + 1
-        assert first["floats"] == second["floats"] == PACKED_FLOATS
+        assert "floats" not in first and "floats" not in second
 
     def test_id_mismatch_raises(self):
         vocab = bare_vocab(4)
@@ -214,52 +206,33 @@ class TestWireFraming:
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
 
-def reencode(entry, values):
-    """``values`` in the form ``entry`` arrived in, packed or a JSON list."""
-    return _pack(values) if isinstance(entry, str) else list(values)
-
-
-def both_forms(*edits):
-    """Each edit with packed replies, under its own name, and with JSON-list
-    replies, as ``<name>-lists``."""
+def both_clients(*edits):
+    """Each edit with the request as earlier clients sent it, carrying
+    ``"floats": "b64-f64le"``, under its own name, and as this client sends
+    it, as ``<name>-lists``: the server ignores the field, so both get the
+    same JSON-list replies."""
     return [pytest.param(e, True, id=e.__name__) for e in edits] + [
         pytest.param(e, False, id=f"{e.__name__}-lists") for e in edits
     ]
 
 
-def in_form(edit, packed):
-    """``edit``, after checking that every entry arrived packed or as a list."""
-
-    def checked(payload, reply):
-        if payload["op"] == "teacher_forced":
-            assert all(isinstance(reply[f], str) == packed for f in ("gold_logprob", "term_logprob"))
-        if payload["op"] in (EXTRACT, GREEDY):
-            assert isinstance(reply["logprob"], str) == packed
-        return edit(payload, reply)
-
-    return checked
-
-
-# Tamper helpers for teacher_forced replies: each re-encodes the field it
-# changes in the form it arrived in.
+# Tamper helpers for teacher_forced replies.
 def short_total(payload, reply):
-    gold = reply["gold_logprob"]
-    return {**reply, "gold_logprob": reencode(gold, _floats(gold)[:-1])}
+    return {**reply, "gold_logprob": reply["gold_logprob"][:-1]}
 
 
 def long_total(payload, reply):
-    term = reply["term_logprob"]
-    return {**reply, "term_logprob": reencode(term, _floats(term) + (-1.0,))}
+    return {**reply, "term_logprob": reply["term_logprob"] + [-1.0]}
 
 
 def nan_value(payload, reply):
-    gold = _floats(reply["gold_logprob"])
-    return {**reply, "gold_logprob": reencode(reply["gold_logprob"], gold[:1] + (float("nan"),) + gold[2:])}
+    gold = reply["gold_logprob"]
+    return {**reply, "gold_logprob": gold[:1] + [float("nan")] + gold[2:]}
 
 
 def positive_value(payload, reply):
-    term = _floats(reply["term_logprob"])
-    return {**reply, "term_logprob": reencode(reply["term_logprob"], term[:2] + (0.5,) + term[3:])}
+    term = reply["term_logprob"]
+    return {**reply, "term_logprob": term[:2] + [0.5] + term[3:]}
 
 
 class TestSuffixes:
@@ -280,11 +253,11 @@ class TestSuffixes:
         )
         return vocab, lm
 
-    @pytest.mark.parametrize("lists", [False, True])
+    @pytest.mark.parametrize("new_client", [False, True])
     @pytest.mark.parametrize("cap", [None, 1, 2, 5, 6, 9])
-    def test_rows_equal_in_process_rows(self, lists, cap):
+    def test_rows_equal_in_process_rows(self, new_client, cap):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
+        wire = LoopbackScorer(lm, old_client=not new_client)
         source, prefix, passage = vocab.seq((0, 1)), vocab.seq((2,)), vocab.seq((1, 2, 3, 0, 1))
         got = build_span_table(passage, source, prefix, wire, cap)
         assert got == build_span_table(passage, source, prefix, lm, cap)
@@ -311,12 +284,12 @@ class TestSuffixes:
         assert not wire._extract
 
     @pytest.mark.parametrize(
-        "edit, packed", both_forms(short_total, long_total, nan_value, positive_value)
+        "edit, old_client", both_clients(short_total, long_total, nan_value, positive_value)
     )
     @pytest.mark.parametrize("cap", [None, 2])
-    def test_invalid_reply_raises_scorer_error(self, edit, packed, cap):
+    def test_invalid_reply_raises_scorer_error(self, edit, old_client, cap):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, refuse={EXTRACT}, edit=in_form(edit, packed), lists=not packed)
+        wire = LoopbackScorer(lm, refuse={EXTRACT}, edit=edit, old_client=old_client)
         passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
         with pytest.raises(ScorerError) as caught:
             exact_extract(passage, empty, empty, wire, DecodeConfig(max_span_len=cap))
@@ -341,9 +314,9 @@ class TestSuffixes:
         assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
 
     @pytest.mark.parametrize(
-        "edit, packed", both_forms(short_total, nan_value, positive_value)
+        "edit, old_client", both_clients(short_total, nan_value, positive_value)
     )
-    def test_invalid_reply_skips_the_example(self, edit, packed):
+    def test_invalid_reply_skips_the_example(self, edit, old_client):
         vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
         template = get_template(2)
         dataset = [
@@ -358,9 +331,7 @@ class TestSuffixes:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(
-            TableLM.uniform(vocab), refuse={EXTRACT}, edit=in_form(corrupt_album, packed), lists=not packed
-        )
+        wire = LoopbackScorer(TableLM.uniform(vocab), refuse={EXTRACT}, edit=corrupt_album, old_client=old_client)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
@@ -369,12 +340,11 @@ class TestSuffixes:
 
 def span_edit(change):
     """An extract reply tamper: ``change(start, length, logprob, payload)``
-    returns the new fields, and the log-probs are re-encoded in the form
-    they arrived in."""
+    returns the new fields."""
 
     def edit(payload, reply):
-        start, length, logprob = change(reply["start"], reply["length"], list(_floats(reply["logprob"])), payload)
-        return {**reply, "start": start, "length": length, "logprob": reencode(reply["logprob"], logprob)}
+        start, length, logprob = change(reply["start"], reply["length"], reply["logprob"], payload)
+        return {**reply, "start": start, "length": length, "logprob": logprob}
 
     edit.__name__ = change.__name__
     return edit
@@ -471,12 +441,12 @@ class TestExtract:
         assert result.passes_used == 5 == wire.pass_count()
         assert span_outcome(result) == span_outcome(exact_extract(passage, source, prefix, lm, cfg))
 
-    @pytest.mark.parametrize("lists", [False, True])
+    @pytest.mark.parametrize("new_client", [False, True])
     @pytest.mark.parametrize("cap", [None, 1, 2, 5, 6, 9])
     @pytest.mark.parametrize("empty", [False, True])
-    def test_span_equals_in_process_span(self, lists, cap, empty):
+    def test_span_equals_in_process_span(self, new_client, cap, empty):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
+        wire = LoopbackScorer(lm, old_client=not new_client)
         source, prefix, passage = vocab.seq((0, 1)), vocab.seq((2,)), vocab.seq((1, 2, 3, 0, 1))
         start, length, logprob = wire.best_span(source, prefix, passage, cap, empty)
         want = lm.best_span(source, prefix, passage, cap, empty)
@@ -531,11 +501,11 @@ class TestExtract:
         assert wire.ops() == [EXTRACT, EXTRACT]
         assert wire.pass_count() == 2
 
-    @pytest.mark.parametrize("edit, packed", both_forms(*SPAN_TAMPERS))
+    @pytest.mark.parametrize("edit, old_client", both_clients(*SPAN_TAMPERS))
     @pytest.mark.parametrize("cap", [None, 2])
-    def test_invalid_reply_raises_scorer_error(self, edit, packed, cap):
+    def test_invalid_reply_raises_scorer_error(self, edit, old_client, cap):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        wire = LoopbackScorer(lm, edit=edit, old_client=old_client)
         passage, empty = vocab.seq((1, 2, 3, 0)), vocab.seq(())
         with pytest.raises(ScorerError) as caught:
             exact_extract(passage, empty, empty, wire, DecodeConfig(max_span_len=cap))
@@ -576,8 +546,8 @@ class TestExtract:
                 scorer.best_span(vocab.seq(()), vocab.seq(()), vocab.seq(passage), cap)
         assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
 
-    @pytest.mark.parametrize("edit, packed", both_forms(start_past_end, two_logprobs, nan_span_logprob))
-    def test_invalid_reply_skips_the_example(self, edit, packed):
+    @pytest.mark.parametrize("edit, old_client", both_clients(start_past_end, two_logprobs, nan_span_logprob))
+    def test_invalid_reply_skips_the_example(self, edit, old_client):
         vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
         template = get_template(2)
         dataset = [
@@ -592,7 +562,7 @@ class TestExtract:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
+        wire = LoopbackScorer(TableLM.uniform(vocab), edit=corrupt_album, old_client=old_client)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
@@ -601,11 +571,11 @@ class TestExtract:
 
 def greedy_edit(change):
     """A greedy reply tamper: ``change(tokens, logprob, payload)`` returns the
-    new fields, and the log-probs are re-encoded in the form they arrived in."""
+    new fields."""
 
     def edit(payload, reply):
-        tokens, logprob = change(list(reply["token_ids"]), list(_floats(reply["logprob"])), payload)
-        return {**reply, "token_ids": tokens, "logprob": reencode(reply["logprob"], logprob)}
+        tokens, logprob = change(reply["token_ids"], reply["logprob"], payload)
+        return {**reply, "token_ids": tokens, "logprob": logprob}
 
     edit.__name__ = change.__name__
     return edit
@@ -708,11 +678,11 @@ class TestGreedy:
         assert result.passes_used == 4 == wire.pass_count()
         assert greedy_outcome(result) == greedy_outcome(greedy_decode(source, prefix, lm, cfg))
 
-    @pytest.mark.parametrize("lists", [False, True])
+    @pytest.mark.parametrize("new_client", [False, True])
     @pytest.mark.parametrize("max_steps", [1, 2, 3, 4, 10])
-    def test_steps_equal_in_process_steps(self, lists, max_steps):
+    def test_steps_equal_in_process_steps(self, new_client, max_steps):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, lists=lists, edit=in_form(lambda p, r: r, not lists))
+        wire = LoopbackScorer(lm, old_client=not new_client)
         source, prefix = vocab.seq((0, 1)), vocab.seq(())
         got = wire.greedy_steps(source, prefix, max_steps)
         want = lm.greedy_steps(source, prefix, max_steps)
@@ -763,10 +733,10 @@ class TestGreedy:
         greedy_decode(empty, empty, wire)
         assert wire.ops() == [GREEDY, GREEDY]
 
-    @pytest.mark.parametrize("edit, packed", both_forms(*GREEDY_TAMPERS))
-    def test_invalid_reply_raises(self, edit, packed):
+    @pytest.mark.parametrize("edit, old_client", both_clients(*GREEDY_TAMPERS))
+    def test_invalid_reply_raises(self, edit, old_client):
         vocab, lm = self.setup_model()
-        wire = LoopbackScorer(lm, edit=in_form(edit, packed), lists=not packed)
+        wire = LoopbackScorer(lm, edit=edit, old_client=old_client)
         source, prefix = vocab.seq((0, 1)), vocab.seq(())
         with pytest.raises(ScorerError) as caught:
             greedy_decode(source, prefix, wire, DecodeConfig(max_greedy_steps=10))
@@ -790,8 +760,8 @@ class TestGreedy:
                 scorer.greedy_steps(vocab.seq(()), vocab.seq(()), max_steps)
         assert wire.sent == [] and wire.pass_count() == lm.pass_count() == 0
 
-    @pytest.mark.parametrize("edit, packed", both_forms(*GREEDY_TAMPERS))
-    def test_invalid_reply_skips_the_example(self, edit, packed):
+    @pytest.mark.parametrize("edit, old_client", both_clients(*GREEDY_TAMPERS))
+    def test_invalid_reply_skips_the_example(self, edit, old_client):
         vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
         template = get_template(2)
         dataset = [
@@ -806,7 +776,7 @@ class TestGreedy:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), edit=in_form(corrupt_album, packed), lists=not packed)
+        wire = LoopbackScorer(TableLM.uniform(vocab), edit=corrupt_album, old_client=old_client)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.greedy["overall"]["count"] == 1
@@ -834,36 +804,53 @@ class FixedScorer(Scorer):
         return list(itertools.islice(itertools.cycle(SPECIAL_FLOATS), self.vocab.size))
 
 
-class TestFloatForms:
-    def test_packing_is_bit_exact(self):
-        packed = _pack(SPECIAL_FLOATS)
-        assert base64.b64decode(packed) == b"".join(bits(SPECIAL_FLOATS))
-        assert bits(_floats(packed)) == bits(SPECIAL_FLOATS)
-        assert _floats(_pack(())) == ()
+def assert_scores_cross_bit_for_bit(wire, local):
+    """Every float of every op's reply over ``wire`` has the bits of
+    ``local``'s, also for -inf, -0.0 and subnormals."""
+    vocab = local.vocab
+    source, prefix, target = vocab.seq((0,)), vocab.seq(()), vocab.seq((1, 2, 3, 4, 5))
+    want = local.teacher_forced_pass(ScoreRequest(source, target, prefix))
+    got = wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
+    assert bits(got.gold_logprob + got.term_logprob) == bits(want.gold_logprob + want.term_logprob)
+    for cap in (None, 2):
+        rows = build_span_table(target, source, prefix, wire, cap)
+        wanted = build_span_table(target, source, prefix, local, cap)
+        assert list(map(bits, rows.ell)) == list(map(bits, wanted.ell))
+        assert list(map(bits, rows.eterm)) == list(map(bits, wanted.eterm))
+    for cap, empty in itertools.product((None, 2), (False, True)):
+        got_span = wire.best_span(source, prefix, target, cap, empty)
+        want_span = local.best_span(source, prefix, target, cap, empty)
+        assert got_span[:2] == want_span[:2] and bits(got_span[2:]) == bits(want_span[2:])
+    got_dist = wire.next_token_distribution(source, prefix)
+    assert bits(got_dist) == bits(local.next_token_distribution(source, prefix))
+    got_steps, want_steps = wire.greedy_steps(source, prefix, 3), local.greedy_steps(source, prefix, 3)
+    assert [t for t, _ in got_steps] == [t for t, _ in want_steps]
+    assert bits([v for _, v in got_steps]) == bits([v for _, v in want_steps])
 
-    @pytest.mark.parametrize("lists", [False, True])
-    def test_scores_cross_the_wire_bit_for_bit(self, lists):
-        vocab = bare_vocab(9)
-        local = FixedScorer(vocab)
-        wire = LoopbackScorer(local, lists=lists)
-        source, prefix, target = vocab.seq((0,)), vocab.seq(()), vocab.seq((1, 2, 3, 4, 5))
-        want = local.teacher_forced_pass(ScoreRequest(source, target, prefix))
-        got = wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
-        assert bits(got.gold_logprob + got.term_logprob) == bits(want.gold_logprob + want.term_logprob)
-        for cap in (None, 2):
-            rows = build_span_table(target, source, prefix, wire, cap)
-            wanted = build_span_table(target, source, prefix, local, cap)
-            assert list(map(bits, rows.ell)) == list(map(bits, wanted.ell))
-            assert list(map(bits, rows.eterm)) == list(map(bits, wanted.eterm))
-        for cap, empty in itertools.product((None, 2), (False, True)):
-            got_span = wire.best_span(source, prefix, target, cap, empty)
-            want_span = local.best_span(source, prefix, target, cap, empty)
-            assert got_span[:2] == want_span[:2] and bits(got_span[2:]) == bits(want_span[2:])
-        got_dist = wire.next_token_distribution(source, prefix)
-        assert bits(got_dist) == bits(local.next_token_distribution(source, prefix))
-        got_steps, want_steps = wire.greedy_steps(source, prefix, 3), local.greedy_steps(source, prefix, 3)
-        assert [t for t, _ in got_steps] == [t for t, _ in want_steps]
-        assert bits([v for _, v in got_steps]) == bits([v for _, v in want_steps])
+
+class TestFloatForms:
+    @pytest.mark.parametrize("new_client", [False, True])
+    def test_scores_cross_the_wire_bit_for_bit(self, new_client):
+        local = FixedScorer(bare_vocab(9))
+        assert_scores_cross_bit_for_bit(LoopbackScorer(local, old_client=not new_client), local)
+
+    @pytest.mark.parametrize("transport", ["stdio", "http"])
+    def test_scores_cross_stdio_and_http_bit_for_bit(self, transport, http_server):
+        local = FixedScorer(bare_vocab(9))
+        if transport == "stdio":
+            child = (
+                f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
+                "from test_remote import FixedScorer, bare_vocab, serve; "
+                "serve(FixedScorer(bare_vocab(9)), sys.stdin, sys.stdout)"
+            )
+            wire = StdioScorer(f"{shlex.quote(sys.executable)} -c {shlex.quote(child)}", local.vocab)
+        else:
+            _TableHandler.lm = local
+            wire = RemoteScorer(http_server(_TableHandler), local.vocab)
+        try:
+            assert_scores_cross_bit_for_bit(wire, local)
+        finally:
+            wire.close()
 
     @pytest.mark.parametrize(
         "request_",
@@ -875,32 +862,33 @@ class TestFloatForms:
             {"op": EXTRACT, "passage_ids": [1, 2, 3], "max_span_len": 2, "allow_empty_span": True},
         ],
     )
-    def test_server_packs_only_when_asked(self, request_):
+    def test_server_replies_with_lists_to_every_request(self, request_):
+        # Also to a request asking for the packed form, as earlier clients
+        # did, or for an encoding no version knew.
         vocab = bare_vocab(6)
         base = {"id": 1, "source_ids": [0], "prefix_ids": [], **request_}
         lm = FixedScorer(vocab)
-        # An encoding the server does not know gets lists too.
-        as_lists, packed, unknown = TestServe().run(
-            lm, [base, {**base, "floats": PACKED_FLOATS}, {**base, "floats": "f16"}]
-        )
-        assert unknown == as_lists
-        assert as_lists.keys() == packed.keys()
-        # Token ids and span positions are never packed.
-        for field in ("token_ids", "start", "length"):
-            assert as_lists.get(field) == packed.get(field)
-        for field in as_lists.keys() - {"id", "token_ids", "start", "length"}:
-            lists, strings = as_lists[field], packed[field]
-            assert isinstance(lists, list) and isinstance(strings, str)
-            assert bits(_floats(strings)) == bits(lists)
+        replies = TestServe().run(lm, [base, {**base, "floats": "b64-f64le"}, {**base, "floats": "f16"}])
+        assert replies[0] == replies[1] == replies[2]
+        for field in replies[0].keys() - {"id", "token_ids", "start", "length"}:
+            values = replies[0][field]
+            assert type(values) is list and bits(_floats(values)) == bits(values)
 
     @pytest.mark.parametrize(
         "bad",
-        ["not base64!", base64.b64encode(bytes(12)).decode("ascii"), "AAAAAAAAAAA", "é" * 8],
+        [
+            "not base64!",
+            base64.b64encode(bytes(12)).decode("ascii"),
+            "AAAAAAAAAAA",
+            "é" * 8,
+            base64.b64encode(struct.pack("<2d", -1.0, -1.0)).decode("ascii"),
+        ],
     )
     @pytest.mark.parametrize("op", ["teacher_forced", "next_dist"])
     def test_malformed_packed_floats_raise_transport_error(self, bad, op):
+        # A packed string is not a float list, well-formed base64 or not.
         with pytest.raises(TransportError, match=f"malformed {op} response"):
-            call_with_reply(op, gold=bad, term=_pack((-1.0, -1.0)), dist=bad)
+            call_with_reply(op, gold=bad, term=[-1.0, -1.0], dist=bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -964,6 +952,22 @@ class NanTableLM(TableLM):
     def _score_forced(self, req):
         scores = super()._score_forced(req)
         return StepScores((float("nan"),) * len(scores.gold_logprob), scores.term_logprob)
+
+
+def documented_fields(kind):
+    """Per op, the fields of the protocol docstring's ``kind`` line,
+    "request" or "response". A field noted with an op of its line, as
+    ``"terminator_ids": [u32] (teacher_forced)``, is that op's alone."""
+    documented = {}
+    for block in re.findall(r"\n    request:(.*?)\n\n", remote.__doc__, re.DOTALL):
+        request, response = block.split("response:")
+        ops = re.findall(r'"(\w+)"', re.search(r'"op": ((?:"\w+"(?: \| )?)+)', request)[1])
+        fields = re.findall(r'"(\w+)": ([^"]*)', request if kind == "request" else response)
+        for op in ops:
+            documented[op] = {
+                name for name, note in fields if not set(re.findall(r"\((\w+)\)", note)) & (set(ops) - {op})
+            }
+    return documented
 
 
 # A valid extract request: an uncapped span search over two tokens.
@@ -1083,6 +1087,36 @@ class TestServe:
         assert read.keys() == documented.keys()
         for op, names in read.items():
             assert names <= documented[op], op
+
+    def test_docstring_names_every_reply_field_the_server_writes(self):
+        # Per op, the keys of the server's reply to a valid request against
+        # the fields of the protocol docstring's response line for the op.
+        lines = [
+            {"id": 1, "op": "teacher_forced", "source_ids": [0], "prefix_ids": [], "target_ids": [1, 2]},
+            {"id": 2, "op": "next_dist", "source_ids": [0], "prefix_ids": [], "target_ids": []},
+            EXTRACT_LINE,
+            GREEDY_LINE,
+        ]
+        documented = documented_fields("response")
+        assert {line["op"] for line in lines} == documented.keys()
+        for line, reply in zip(lines, self.run(TableLM.uniform(bare_vocab(5)), lines)):
+            assert "error" not in reply
+            assert reply.keys() <= documented[line["op"]], line["op"]
+
+    def test_client_sends_exactly_the_documented_request_fields(self):
+        # Per op, the fields of what a wire scorer sends for one call
+        # against the fields of the protocol docstring's request line.
+        vocab = bare_vocab(5)
+        wire = LoopbackScorer(TableLM.uniform(vocab))
+        source, prefix, target = vocab.seq((0,)), vocab.seq(()), vocab.seq((1, 2))
+        wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
+        wire.next_token_distribution(source, prefix)
+        wire.best_span(source, prefix, target)
+        wire.greedy_steps(source, prefix, 3)
+        documented = documented_fields("request")
+        assert sorted(wire.ops()) == sorted(documented)
+        for payload in wire.sent:
+            assert payload.keys() == documented[payload["op"]], payload["op"]
 
     @pytest.mark.parametrize("op", ["teacher_forced_batch", "teacher_forced_suffixes"])
     def test_retired_op_is_an_unknown_op(self, op):
@@ -1370,7 +1404,9 @@ class TestStdioScorer:
         assert answer["id"] == 2 and len(answer["logits_logprob"]) == 6
 
     @pytest.mark.parametrize(
-        "table", ["[1, 2]", '{"*#": 5}', '{"*#": {"0": NaN, "1": 1.0}}'], ids=["list", "dist-int", "prob-nan"]
+        "table",
+        ["[1, 2]", '{"*#": 5}', '{"*#": {"0": NaN, "1": 1.0}}', '{"*#-5,99999": {"0": 1}}', '{"*#0,,1": {"0": 1}}'],
+        ids=["list", "dist-int", "prob-nan", "unreachable-key", "empty-key-item"],
     )
     def test_server_rejects_a_malformed_table(self, tmp_path, table):
         _, vocab_path, table_path, _ = reference_setup(tmp_path)

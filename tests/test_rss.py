@@ -181,6 +181,28 @@ class TestReadPassages:
         path.write_text("one line\n\ntwo line\n", encoding="utf-8")
         assert list(read_passages(path)) == ["one line", "two line"]
 
+    def test_text_lines_split_as_text_mode_splits_them(self, tmp_path):
+        # CRLF and a lone CR end a line, and non-ASCII text is kept whole.
+        path = tmp_path / "corpus.txt"
+        path.write_bytes("one two\r\nfour café\rfive\n \r\n".encode("utf-8"))
+        assert list(read_passages(path)) == ["one two", "four café", "five"]
+
+    @pytest.mark.parametrize(
+        "name, data, where",
+        [
+            # Past the first chunk text mode decodes ahead.
+            ("corpus.txt", b"ok line\n" * 2000 + b"bad \xe9 here\n", "corpus.txt:2001: "),
+            ("corpus.txt", b"ok line\nends in \xc3", "corpus.txt:2: "),
+            ("corpus.jsonl", b'{"text": "ok"}\n' * 1000 + b'{"text": "caf\xe9"}\n', "corpus.jsonl:1001: "),
+        ],
+        ids=["text", "text-truncated", "jsonl"],
+    )
+    def test_undecodable_line_names_the_file_and_line(self, tmp_path, name, data, where):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{tmp_path}/{where}')}'utf-8' codec can't decode"):
+            list(read_passages(path))
+
     def test_jsonl(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"text": "from wiki"}\n{"text": "more"}\n', encoding="utf-8")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -165,6 +166,35 @@ class TestTableValidation:
         vocab = bare_vocab(4)
         with pytest.raises(ValueError, match="^negative probability$"):
             TableLM(vocab, default={0: 1.5, 1: -0.5})
+
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            # Each was read as context (1, 1), or keyed a child no lookup reaches.
+            ((True, 1.9), "True"),
+            ((1, 1.0), "1.0"),
+            (("1",), "'1'"),
+            (((0,), ("1",)), "'1'"),
+            (((False,), (1,)), "False"),
+            ((-1,), "-1"),
+            (((0,), (4 + 256,)), "260"),
+        ],
+        ids=["bool-and-float", "float", "str", "pinned-str", "pinned-bool-source", "negative", "past-the-bytes"],
+    )
+    def test_context_key_no_request_reaches_rejected(self, key, bad):
+        lm = TableLM(bare_vocab(4))
+        with pytest.raises(ValueError, match=f"^context key {re.escape(repr(key))} holds {re.escape(bad)}, not"):
+            lm.set_context(key, {0: 1.0})
+        assert lm.next_token_distribution(lm.vocab.seq(()), lm.vocab.seq((1, 1))) == lm._default[0]
+
+    def test_context_key_of_byte_ids_and_empty_parts_accepted(self):
+        vocab = bare_vocab(4)
+        lm = TableLM(vocab, contexts={(4 + 255,): {0: 1.0}, ((), ()): {1: 1.0}})
+        lm.set_context([[4 + 255], [0]], {2: 1.0})
+        peak = [lm.next_token_distribution(vocab.seq(s), vocab.seq(p)).index(0.0) for s, p in
+                [((0,), (4 + 255,)), ((), ()), ((4 + 255,), (0,))]]
+        assert peak == [0, 1, 2]
 
 
 class TestFileFormat:
@@ -355,7 +385,8 @@ class TestBestSpanOf:
         vocab = bare_vocab(5)
         scorer = ScriptedRows(vocab, rows)
         if wire != "in-process":
-            scorer = LoopbackScorer(scorer, lists=wire == "lists")
+            # "packed": the request also carries the floats field of earlier clients.
+            scorer = LoopbackScorer(scorer, old_client=wire == "packed")
         empty = vocab.seq(())
         got = scorer.best_span(empty, empty, vocab.seq((0, 1, 2)), None, allow)
         assert got[:2] == want[:2] and got[2].hex() == want[2].hex()
