@@ -54,7 +54,7 @@ class SpanScoreTable:
     L: list[list[float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     start: int | None
     length: int | None

@@ -154,7 +154,7 @@ def _scan_span(target: str, passage: TokenSeq, vocab: Vocabulary):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleScore:
     """Per-example measurements for one decoding algorithm."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gzip
-import hashlib
 import json
 import random
 import zlib
@@ -143,6 +142,9 @@ def load_dataset(path: str | Path) -> list[QAExample]:
 
 
 def passage_hash(context: str) -> str:
+    # Imported here: hashlib loads OpenSSL, which only subsampling needs.
+    import hashlib
+
     return hashlib.sha1(context.encode("utf-8")).hexdigest()
 
 

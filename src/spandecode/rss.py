@@ -8,7 +8,7 @@ is produced per passage.
 
 from __future__ import annotations
 
-import hashlib
+import gzip
 import random
 import re
 from dataclasses import dataclass, field
@@ -159,6 +159,9 @@ def find_recurring_spans(passage: str, cfg: RssConfig) -> list[RecurringSpan]:
 
 
 def _passage_rng(passage: str, seed: int) -> random.Random:
+    # Imported here: hashlib loads OpenSSL, which only rss-gen needs.
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{passage}".encode("utf-8")).hexdigest()
     return random.Random(int(digest, 16))
 
@@ -196,10 +199,12 @@ def generate_corpus(passages, cfg: RssConfig, limit: int):
 
 def read_passages(path: str | Path):
     """One passage per line; .jsonl lines are WikiExtractor-style {"text": ...}.
-    DataError names ``path:line`` for a .jsonl line that is not a JSON object
-    with a string ``text``, and for a line holding an undecodable byte."""
+    A name ending in .gz is read through gzip, as .jsonl when it ends in
+    .jsonl.gz. DataError names ``path:line`` for a .jsonl line that is not a
+    JSON object with a string ``text``, and for a line holding an
+    undecodable byte, and ``path`` for a .gz file that is not gzip."""
     path = Path(path)
-    if path.suffix == ".jsonl":
+    if path.suffix == ".jsonl" or path.name.endswith(".jsonl.gz"):
         for lineno, obj in read_jsonl(path):
             if "text" not in obj:
                 raise DataError(f"{path}:{lineno}: missing field 'text'")
@@ -207,7 +212,7 @@ def read_passages(path: str | Path):
                 raise DataError(f"{path}:{lineno}: text must be a string, not {type(obj['text']).__name__}")
             yield obj["text"]
         return
-    for _, line in read_lines(path):
+    for _, line in read_lines(path, gzip.open if path.suffix == ".gz" else open):
         line = line.rstrip("\n")
         if line.strip():
             yield line

@@ -28,6 +28,9 @@ DIST_SUM_TOL = 1e-12
 # Largest log-probability a scorer may return: 0 plus the rounding of a
 # float32 log-softmax.
 LOGPROB_TOL = 1e-6
+# What making an entry of a JSON value that is not a distribution raises:
+# float() of an integer past binary64 raises OverflowError.
+_NOT_A_DISTRIBUTION = (OverflowError, TypeError, ValueError)
 
 
 class ScorerError(RuntimeError):
@@ -326,6 +329,11 @@ class TableLM(Scorer):
     ``greedy_steps`` reads each step's stored argmax (see there): the same
     steps and counted passes as ``argmax_steps``, without building or
     scanning a distribution.
+
+    A table file (``from_file``) is one JSON object. Its keys are
+    "default" or "src#p1,p2,...", each id written in ASCII decimal digits,
+    src "*" for any source; a key written twice keeps its last value. Each
+    distribution becomes its entry while the file is parsed.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
@@ -340,7 +348,7 @@ class TableLM(Scorer):
         self._logs = _LogMemo()
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
-        self._set_default(default)
+        self._set_default(self._entry(default))
         for key, dist in (contexts or {}).items():
             self.set_context(key, dist)
 
@@ -388,8 +396,21 @@ class TableLM(Scorer):
         token = logdist.index(max(logdist))
         return logdist, logsumexp(logdist[t] for t in self.terminator_ids), token, logdist[token]
 
-    def _set_default(self, dist: dict) -> None:
-        self._default = self._entry(dist)
+    def _parsed(self, obj: dict):
+        """``json.loads``'s object hook: ``obj``'s entry, made as soon as the
+        parser closes the object, so that the parsed file never holds all
+        of its distributions as dicts at once. An object that is not a
+        distribution, the table itself included, stays a dict, and
+        ``_load`` raises its fault in file order."""
+        try:
+            return self._entry(obj)
+        except _NOT_A_DISTRIBUTION:
+            return obj
+
+    def _set_default(self, dist) -> None:
+        """Make ``dist``, a distribution or the entry already made of one (a
+        tuple, which JSON never yields), the default."""
+        self._default = dist if type(dist) is tuple else self._entry(dist)
         # A distribution may sum to 1 + DIST_SUM_TOL, so one log-prob of the
         # default can lie above 0; then a span can grow past a table's reach.
         self._default_rises = max(self._default[0]) > 0
@@ -402,6 +423,11 @@ class TableLM(Scorer):
         every id is an int (not a bool) naming a piece or a byte: no request
         reaches any other context.
         """
+        self._put(key, dist)
+
+    def _put(self, key, dist) -> None:
+        """``set_context`` for a distribution or for the entry already made
+        of one (a tuple, which JSON never yields): the key is checked first."""
         key = tuple(key)
         if key and isinstance(key[0], (tuple, list)):
             source_ids, prefix_ids = map(tuple, key)
@@ -413,7 +439,7 @@ class TableLM(Scorer):
         if ids and not (set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < limit):
             bad = next(t for t in ids if type(t) is not int or not 0 <= t < limit)
             raise ValueError(f"context key {key!r} holds {bad!r}, not a token id")
-        entry = self._entry(dist)
+        entry = dist if type(dist) is tuple else self._entry(dist)
         node = self._any_source if source_ids is None else self._by_source.setdefault(source_ids, [None, {}])
         for token in prefix_ids:
             node = node[1].setdefault(token, [None, {}])
@@ -428,28 +454,52 @@ class TableLM(Scorer):
     def from_file(cls, path: str | Path, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
         """Load from a JSON map of "src#p1,p2,..." keys; src "*" matches any
         source. ValueError naming ``path`` when the file is not valid JSON or
-        not such a map of distributions."""
+        not such a map of distributions.
+
+        Each distribution becomes its entry while the file is parsed (see
+        ``_parsed``). A file that does not load so is parsed again as plain
+        JSON and loaded from that, so that its fault is named exactly as the
+        plain parse names it: a distribution nested in a distribution, or a
+        table that is itself a distribution, is taken for an entry first."""
         lm = cls(vocab, terminator_ids=terminator_ids)
         with open(path, encoding="utf-8") as f:
             try:
-                lm._load(json.load(f))
-            except (TypeError, ValueError) as exc:
+                text = f.read()
+                try:
+                    lm._load(json.loads(text, object_hook=lm._parsed))
+                except _NOT_A_DISTRIBUTION:
+                    lm = cls(vocab, terminator_ids=terminator_ids)
+                    lm._load(json.loads(text))
+            except _NOT_A_DISTRIBUTION as exc:
                 raise ValueError(f"{path}: {exc}") from exc
         return lm
 
     def _load(self, raw) -> None:
+        """Register the table ``raw``, whose distributions may already be
+        entries. Faults are raised in file order, the default first; for
+        each key, a malformed id, then a distribution that is not an
+        object, then an id no request reaches, then a bad distribution."""
         if not isinstance(raw, dict):
             raise ValueError(f"table must be a JSON object, not {type(raw).__name__}")
 
         def distribution(key):
             dist = raw[key]
-            if not isinstance(dist, dict):
+            if type(dist) is not tuple and not isinstance(dist, dict):
                 raise ValueError(f"distribution {key!r} must be an object, not {type(dist).__name__}")
             return dist
 
         def ids(part):
             # The empty part is the empty sequence; an empty item is an error.
-            return tuple(map(int, part.split(","))) if part else ()
+            if not part:
+                return ()
+            items = part.split(",")
+            values = tuple(map(int, items))
+            # int() also reads "+1", " 1", "1_0" and non-ASCII digits. A
+            # minus sign passes, for the key check to name the id negative.
+            if not (part.isascii() and part.replace(",", "").replace("-", "").isdigit()):
+                bad = next(t for t in items if not (t.isascii() and t.lstrip("-").isdigit()))
+                raise ValueError(f"{bad!r} is not a decimal token id")
+            return values
 
         if raw.get("default") is not None:
             self._set_default(distribution("default"))
@@ -461,7 +511,7 @@ class TableLM(Scorer):
                 context = ids(prefix_part) if src_part == "*" else (ids(src_part), ids(prefix_part))
             except ValueError as exc:
                 raise ValueError(f"context key {key!r}: {exc}") from None
-            self.set_context(context, distribution(key))
+            self._put(context, distribution(key))
 
     # ------------------------------------------------------------------
     def _nodes(self, source: tuple[int, ...], prefix: tuple[int, ...]):

@@ -7,11 +7,17 @@ any piece fall back to per-byte tokens, so encoding is total.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+
+try:
+    # CPython's own SHA-1, as ``random`` takes ``_sha512``: importing
+    # ``hashlib`` loads OpenSSL, several MB of every process's memory.
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 SPACE_MARKER = "▁"  # "▁" marks a word boundary in piece surfaces
 NUM_BYTE_TOKENS = 256
@@ -71,7 +77,7 @@ class Vocabulary:
         # When the marker only ever begins a piece, no match crosses a word
         # boundary, so encode can take the marked string one word at a time.
         self._split_words = not any(SPACE_MARKER in p[1:] for p in pieces)
-        digest = hashlib.sha1(
+        digest = sha1(
             json.dumps(
                 {"pieces": pieces, "terminator": terminator, "sentinels": sentinels},
                 ensure_ascii=False,

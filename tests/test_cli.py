@@ -796,8 +796,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "name, data, message",
         [
-            pytest.param("p.txt.gz", gzip.compress(b"blue bird saw blue bird\n"),
-                         "p.txt.gz:1: 'utf-8' codec can't decode byte 0x8b in position 1", id="gzip-as-text"),
+            pytest.param("p.txt.gz", b"blue bird saw blue bird\n", "p.txt.gz: Not a gzipped file", id="not-gzip"),
+            pytest.param("p.jsonl.gz", b'{"text": "blue bird saw blue bird"}\n', "p.jsonl.gz: Not a gzipped file",
+                         id="jsonl-not-gzip"),
             pytest.param("p.txt", b"blue bird saw blue bird\n" * 500 + b"caf\xe9 bird\n",
                          "p.txt:501: 'utf-8' codec can't decode byte 0xe9 in position 3", id="bad-byte"),
         ],
@@ -891,10 +892,18 @@ class TestMalformedInput:
             pytest.param('{"*#0,,1": {"0": 1}}', "context key '*#0,,1': invalid literal for int()", id="empty-item"),
             pytest.param('{"0,#1": {"0": 1}}', "context key '0,#1': invalid literal for int()",
                          id="empty-source-item"),
+            # int() reads each of these, as another context than the one written.
+            pytest.param('{"*#1_0": {"0": 1}}', "context key '*#1_0': '1_0' is not a decimal token id",
+                         id="underscore-id"),
+            pytest.param('{"*# 2,+3": {"0": 1}}', "context key '*# 2,+3': ' 2' is not a decimal token id",
+                         id="space-and-sign-ids"),
+            pytest.param('{"1,\u0662#0": {"0": 1}}', "context key '1,\u0662#0': '\u0662' is not a decimal token id",
+                         id="non-ascii-source-digit"),
             pytest.param('{"*#": {"0": 0.5}}', "distribution sums to 0.5", id="sum-below-one"),
             pytest.param('{"*#": {"0": NaN, "1": 0.5, "2": 0.5}}', "probability nan of token 0 is not finite",
                          id="prob-nan"),
             pytest.param('{"*#": {"0": Infinity}}', "probability inf of token 0 is not finite", id="prob-infinity"),
+            pytest.param('{"*#": {"0": 1%s}}' % ("0" * 400), "int too large to convert to float", id="prob-huge-int"),
             # "0" and "00" are two keys but one token id.
             pytest.param('{"*#": {"0": 0.5, "00": 0.5}}', "token id 0 listed twice", id="id-twice"),
         ],
@@ -967,3 +976,18 @@ class TestTerminatorMode:
         assert code == 0
         record = json.loads(out.read_text().splitlines()[0])
         assert record["text"] != "IRA"
+
+
+def test_decode_eval_and_serve_modules_load_no_openssl():
+    # hashlib loads OpenSSL's libcrypto, several MB of each process's
+    # memory; only subsample and rss-gen need it, and import it when called.
+    import subprocess
+
+    probe = "import sys; print('_hashlib' in sys.modules)"
+    bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    if bare.stdout.strip() != "False":
+        pytest.skip("the bare interpreter already loads _hashlib")
+    code = ("import spandecode.cli, spandecode.remote\n"
+            "spandecode.cli.Vocabulary(['a', '</s>'], '</s>', [])\n" + probe)
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "False"

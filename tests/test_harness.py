@@ -183,6 +183,9 @@ class TestSubsample:
         assert passage_hash("a") != passage_hash("b")
         assert passage_hash("a") == passage_hash("a")
 
+    def test_passage_hash_is_the_sha1_of_the_utf8_context(self):
+        assert passage_hash("Alan Turing was born in London.") == "c93ba665674ab3e31314b18f73edb3de8bd140d8"
+
 
 from spandecode.vocab import Vocabulary
 

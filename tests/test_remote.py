@@ -1405,8 +1405,9 @@ class TestStdioScorer:
 
     @pytest.mark.parametrize(
         "table",
-        ["[1, 2]", '{"*#": 5}', '{"*#": {"0": NaN, "1": 1.0}}', '{"*#-5,99999": {"0": 1}}', '{"*#0,,1": {"0": 1}}'],
-        ids=["list", "dist-int", "prob-nan", "unreachable-key", "empty-key-item"],
+        ["[1, 2]", '{"*#": 5}', '{"*#": {"0": NaN, "1": 1.0}}', '{"*#-5,99999": {"0": 1}}', '{"*#0,,1": {"0": 1}}',
+         '{"*#1_0": {"0": 1}}'],
+        ids=["list", "dist-int", "prob-nan", "unreachable-key", "empty-key-item", "underscore-key-id"],
     )
     def test_server_rejects_a_malformed_table(self, tmp_path, table):
         _, vocab_path, table_path, _ = reference_setup(tmp_path)

@@ -1,3 +1,4 @@
+import gzip
 import random
 import re
 
@@ -109,6 +110,21 @@ def random_passages(rng, count):
     return out
 
 
+@pytest.mark.parametrize(
+    "seed, surface, masked",
+    [
+        (0, "Alan Turing", "Alan Turing was born in London and <extra_id_0> died in Wilmslow near London"),
+        (4, "London", "Alan Turing was born in <extra_id_0> and Alan Turing died in Wilmslow near London"),
+    ],
+)
+def test_seeded_choice_is_pinned(seed, surface, masked):
+    # The span and occurrence drawn for each seed: the passage's SHA-256
+    # seeds them, so any change to that digest moves them.
+    passage = "Alan Turing was born in London and Alan Turing died in Wilmslow near London"
+    example = make_example(passage, RssConfig(rng_seed=seed))
+    assert (example.span_surface, example.masked_passage, example.occurrence_count) == (surface, masked, 2)
+
+
 class TestGenerateCorpus:
     def test_limit_one(self):
         passages = ["dog ran dog ran"]
@@ -207,6 +223,33 @@ class TestReadPassages:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"text": "from wiki"}\n{"text": "more"}\n', encoding="utf-8")
         assert list(read_passages(path)) == ["from wiki", "more"]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("corpus.jsonl.gz", '{"text": "from wiki"}\n\n{"text": "more"}\n'),
+            ("corpus.txt.gz", "from wiki\n\nmore\n"),
+            ("corpus.gz", "from wiki\r\nmore"),
+        ],
+        ids=["jsonl", "text", "bare-gz"],
+    )
+    def test_gzip_input_is_read_through_gzip(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(text.encode("utf-8")))
+        assert list(read_passages(path)) == ["from wiki", "more"]
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl.gz", "corpus.txt.gz"])
+    def test_gz_name_that_is_not_gzip_names_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text('{"text": "from wiki"}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: Not a gzipped file"):
+            list(read_passages(path))
+
+    def test_undecodable_line_in_gzip_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.txt.gz"
+        path.write_bytes(gzip.compress(b"ok line\nbad \xe9 here\n"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: 'utf-8' codec can't decode"):
+            list(read_passages(path))
 
     @pytest.mark.parametrize(
         "line, message",

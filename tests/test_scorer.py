@@ -188,6 +188,21 @@ class TestTableValidation:
             lm.set_context(key, {0: 1.0})
         assert lm.next_token_distribution(lm.vocab.seq(()), lm.vocab.seq((1, 1))) == lm._default[0]
 
+    @pytest.mark.parametrize(
+        "key, item",
+        [("*#1_0", "1_0"), ("*# 2,+3", " 2"), ("*#0,+3", "+3"), ("*#3 ", "3 "), ("1_0#0", "1_0"),
+         ("*#\u0663", "\u0663"), ("\uff11#", "\uff11")],
+        ids=["underscore", "space", "plus", "trailing-space", "source-underscore", "arabic-indic", "fullwidth"],
+    )
+    def test_table_file_key_ids_are_ascii_decimal_digits(self, tmp_path, key, item):
+        # int() reads each of these ids, so each key used to register
+        # another context than the one written, with no error.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({key: {"0": 1.0}}), encoding="utf-8")
+        message = f"{path}: context key {key!r}: {item!r} is not a decimal token id"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableLM.from_file(path, bare_vocab(4))
+
     def test_context_key_of_byte_ids_and_empty_parts_accepted(self):
         vocab = bare_vocab(4)
         lm = TableLM(vocab, contexts={(4 + 255,): {0: 1.0}, ((), ()): {1: 1.0}})
@@ -216,6 +231,137 @@ class TestFileFormat:
         assert lm.next_token_distribution(vocab.seq(()), vocab.seq((0,)))[3] == 0.0
         assert lm.next_token_distribution(vocab.seq((1, 2)), vocab.seq((0, 1)))[2] == 0.0
         assert lm.next_token_distribution(vocab.seq(()), vocab.seq((2, 2)))[1] == math.log(0.25)
+
+
+def _key_ids(part):
+    return tuple(int(t) for t in part.split(",")) if part else ()
+
+
+def _entry_at(lm, key):
+    """The entry registered under table-file ``key``, read off the trees."""
+    if key == "default":
+        return lm._default
+    source, _, prefix = key.partition("#")
+    node = lm._any_source if source == "*" else lm._by_source[_key_ids(source)]
+    for token in _key_ids(prefix):
+        node = node[1][token]
+    return node[0]
+
+
+def _hexed(entry):
+    logdist, term, token, top = entry
+    return [x.hex() for x in logdist], term.hex(), token, top.hex()
+
+
+class TestFileLoading:
+    """``from_file`` makes each entry while the file is parsed: the same
+    entries as ``set_context``, and the same faults in the same order as
+    loading the plainly parsed file."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entries_equal_those_set_context_builds(self, tmp_path, seed):
+        rng = random.Random(seed)
+        size = 12
+        vocab = bare_vocab(size)
+
+        def dist():
+            if rng.random() < 0.2:
+                return {str(rng.randrange(size)): 1.0}
+            peak, rest = rng.randrange(size), rng.choice([0.5, 0.25, 0.125]) / (size - 1)
+            return {str(t): 1.0 - rest * (size - 1) if t == peak else rest for t in range(size)}
+
+        keys = ["default", "*#", "*#0", "*#0,3", "*#0,3,3", "1,2#", "1,2#5", "7#0,0", "256,11#11"]
+        table = {key: dist() for key in keys}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        loaded = TableLM.from_file(path, vocab)
+
+        plain = json.loads(path.read_text(encoding="utf-8"))
+        built = TableLM(vocab, default=plain.pop("default"))
+        for key, value in plain.items():
+            source, _, prefix = key.partition("#")
+            built.set_context(_key_ids(prefix) if source == "*" else (_key_ids(source), _key_ids(prefix)), value)
+
+        for key, value in table.items():
+            entry = _entry_at(loaded, key)
+            assert _hexed(entry) == _hexed(_entry_at(built, key))
+            # One float per distinct probability, shared by every entry.
+            for token, prob in value.items():
+                assert entry[0][int(token)] is loaded._logs[prob]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('{"*#x": {"0": 1}, "default": {"0": 0.5}}', "distribution sums to 0.5, expected 1.0",
+                         id="default-first"),
+            pytest.param('{"*#0": {"0": 0.5}, "*#x": {"0": 1}}', "distribution sums to 0.5, expected 1.0",
+                         id="file-order"),
+            pytest.param('{"*#x": {"0": 0.5}}', "context key '*#x': invalid literal for int() with base 10: 'x'",
+                         id="malformed-key-first"),
+            pytest.param('{"*#-1": {"0": 0.5}}', "context key (-1,) holds -1, not a token id",
+                         id="unreachable-key-first"),
+            pytest.param('{"*#-1": [0.5]}', "distribution '*#-1' must be an object, not list",
+                         id="list-before-unreachable-key"),
+            pytest.param('{"*#": [0.5, 0.5]}', "distribution '*#' must be an object, not list", id="list"),
+            pytest.param('{"*#": {"0": {"a": 1}}}', "float() argument must be a string or a real number, not 'dict'",
+                         id="nested-object"),
+            pytest.param('{"*#": {"0": {"0": 1.0}}}',
+                         "float() argument must be a string or a real number, not 'dict'",
+                         id="nested-distribution"),
+            pytest.param('{"0": 0.5, "1": 0.5}', "distribution '0' must be an object, not float",
+                         id="table-is-a-distribution"),
+            pytest.param('{"*#0": {"1": 1.0}, "*#0": {"0": 0.5}}', "distribution sums to 0.5, expected 1.0",
+                         id="duplicate-last-invalid"),
+            pytest.param('[{"0": 1.0}]', "table must be a JSON object, not list", id="list-of-distributions"),
+        ],
+    )
+    def test_faults_are_named_as_in_the_plainly_parsed_file(self, tmp_path, text, message):
+        path = tmp_path / "table.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            TableLM.from_file(path, bare_vocab(4))
+
+    def test_parsed_file_never_holds_all_its_distributions(self, tmp_path):
+        import tracemalloc
+
+        size = 201
+        vocab = bare_vocab(size)
+        table = {f"*#{k}": {str(t): 0.5 if t == k else 0.0025 for t in range(size)} for k in range(60)}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table, separators=(",", ":")), encoding="utf-8")
+
+        def plain():
+            # Parse the whole file, then make the entries.
+            lm = TableLM(vocab)
+            with open(path, encoding="utf-8") as f:
+                lm._load(json.load(f))
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The 60 parsed dicts take several times what the file's text, the
+        # entries and one dict at a time do (about 0.86 MB against 0.31 MB).
+        assert peak(lambda: TableLM.from_file(path, vocab)) < peak(plain) / 2
+
+    def test_duplicate_key_keeps_its_last_value(self, tmp_path):
+        vocab = bare_vocab(4)
+        path = tmp_path / "table.json"
+        path.write_text('{"*#0": {"0": 0.5}, "*#0": {"1": 1.0}}', encoding="utf-8")
+        lm = TableLM.from_file(path, vocab)
+        assert lm.next_token_distribution(vocab.seq(()), vocab.seq((0,))) == [NEG_INF, 0.0, NEG_INF, NEG_INF]
+
+    def test_empty_table_is_uniform(self, tmp_path):
+        vocab = bare_vocab(4)
+        path = tmp_path / "table.json"
+        path.write_text("{}", encoding="utf-8")
+        lm = TableLM.from_file(path, vocab)
+        assert _hexed(lm._default) == _hexed(TableLM.uniform(vocab)._default)
+        assert lm._any_source == [None, {}] and lm._by_source == {}
 
 
 class Scripted(TableLM):

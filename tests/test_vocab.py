@@ -156,6 +156,16 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["a", "a", "</s>"], "</s>", [])
 
+    def test_vocab_id_is_the_sha1_of_the_vocabulary_json(self):
+        import hashlib
+        import json
+
+        pieces = ["▁the", "▁café", "</s>", "<extra_id_0>", "<extra_id_1>"]
+        sentinels = ["<extra_id_0>", "<extra_id_1>"]
+        vocab = Vocabulary(pieces, terminator="</s>", sentinels=sentinels)
+        text = json.dumps({"pieces": pieces, "terminator": "</s>", "sentinels": sentinels}, ensure_ascii=False)
+        assert vocab.vocab_id == hashlib.sha1(text.encode("utf-8")).hexdigest()[:16] == "6f3b8b20052b9798"
+
     def test_file_roundtrip(self, toy_vocab, tmp_path):
         import json
 
