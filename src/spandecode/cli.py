@@ -22,6 +22,7 @@ from .mrqa import (
     example_id,
     load_dataset,
     paragraph_examples,
+    read_json,
     read_jsonl,
     subsample,
 )
@@ -294,12 +295,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_select_hp(args) -> int:
-    table = harness.load_score_table(args.scores)
-    try:
-        best = harness.select_hyperparameters(table)
-    except ValueError as exc:
-        raise DataError(f"{args.scores}: {exc}") from exc
-    print(best)
+    print(read_json(args.scores, harness.select_hyperparameters))
     return EXIT_OK
 
 
@@ -321,19 +317,16 @@ def cmd_rss_gen(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8") as f:
+    def render(obj) -> str:
+        # A missing or mistyped field fails in reading the report or in rendering it.
         try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.input}: invalid JSON: {exc}") from exc
-    # A missing or mistyped field fails in reading the report or in rendering it.
-    try:
-        table = harness.EvalReport.from_dict(obj).render_table()
-    except KeyError as exc:
-        raise DataError(f"{args.input}: report has no field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{args.input}: malformed report: {exc}") from exc
-    print(table)
+            return harness.EvalReport.from_dict(obj).render_table()
+        except KeyError as exc:
+            raise DataError(f"report has no field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed report: {exc}") from exc
+
+    print(read_json(args.input, render))
     return EXIT_OK
 
 
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ScorerError as exc:

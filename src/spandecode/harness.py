@@ -10,7 +10,6 @@ performance / extractiveness / partition tables.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -170,9 +169,9 @@ def select_hyperparameters(scores) -> int:
     normalized by the best configuration's mean; the winner maximizes the
     average normalized score across sizes (ties go to the smallest index).
     """
-    if not scores:
-        raise ValueError("score table must be non-empty")
     arrays = (list, tuple)
+    if not isinstance(scores, arrays) or not scores:
+        raise ValueError("score table must be a non-empty array")
     if not all(isinstance(row, arrays) and all(isinstance(cell, arrays) for cell in row) for row in scores):
         raise ValueError("score table must be a 3-dimensional array")
     num_sizes = len(scores[0])
@@ -205,13 +204,3 @@ def select_hyperparameters(scores) -> int:
             normalized_sums[i] += per_size_means[i][n] / best
     return max(range(len(scores)), key=lambda i: (normalized_sums[i], -i))
 
-
-def load_score_table(path) -> list:
-    with open(path, encoding="utf-8") as f:
-        try:
-            table = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(table, list):
-        raise DataError(f"{path}: score table file must hold a 3-dimensional JSON array")
-    return table

@@ -64,6 +64,17 @@ def read_lines(path: str | Path, opener=open) -> Iterator[tuple[int, str]]:
             raise DataError(f"{path}: {exc}") from exc
 
 
+def read_json(path: str | Path, build, object_hook=None):
+    """``build`` of the JSON value in the UTF-8 file ``path``, parsed with
+    ``object_hook``. A ValueError in reading, parsing or ``build`` (such as
+    an undecodable byte) becomes one DataError naming ``path``."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return build(json.load(f, object_hook=object_hook))
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file, read
     through gzip when the name ends in .gz. DataError names ``path:line``
@@ -123,7 +134,10 @@ def paragraph_examples(obj: dict, where: str) -> list[QAExample]:
         for answer in answers:
             if not isinstance(answer, str):
                 raise DataError(f"{where}: qid {qid}: answers must be strings, not {type(answer).__name__}")
-        examples.append(QAExample(id=qid, context=context, question=question, answers=tuple(answers)))
+        try:
+            examples.append(QAExample(id=qid, context=context, question=question, answers=tuple(answers)))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return examples
 
 

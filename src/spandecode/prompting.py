@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .mrqa import read_json
+
 OPEN_SENTINEL = "<extra_id_0>"
 CLOSE_SENTINEL = "<extra_id_1>"
 
@@ -42,37 +44,32 @@ class PromptTemplate:
                 )
 
 
-def _load(raw, where) -> tuple[PromptTemplate, ...]:
+def _load(raw) -> tuple[PromptTemplate, ...]:
     """Templates from a JSON list of PromptTemplate fields, each optionally
-    with ``"target_pattern": TARGET_PATTERN``; ValueError names ``where``
-    and the entry for anything else."""
+    with ``"target_pattern": TARGET_PATTERN``; ValueError names the entry
+    for anything else."""
     if not isinstance(raw, list):
-        raise ValueError(f"{where}: expected a JSON list of templates")
+        raise ValueError("expected a JSON list of templates")
     templates = []
     for index, entry in enumerate(raw):
         if isinstance(entry, dict) and "target_pattern" in entry:
             if entry["target_pattern"] != TARGET_PATTERN:
-                raise ValueError(f"{where}: template {index}: unexpected target pattern")
+                raise ValueError(f"template {index}: unexpected target pattern")
             entry = {key: value for key, value in entry.items() if key != "target_pattern"}
         try:
             templates.append(PromptTemplate(**entry))
         except TypeError as exc:
-            raise ValueError(f"{where}: template {index}: {exc}") from exc
+            raise ValueError(f"template {index}: {exc}") from exc
     return tuple(templates)
 
 
 def list_templates(path: str | Path | None = None) -> tuple[PromptTemplate, ...]:
     """The built-in template library, or one loaded from an override file;
-    ValueError naming ``path`` when that file is not a valid library."""
+    DataError naming ``path`` when that file is not a valid library."""
     if path is not None:
-        with open(path, encoding="utf-8") as f:
-            try:
-                raw = json.load(f)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-        return _load(raw, path)
+        return read_json(path, _load)
     data = resources.files("spandecode.data").joinpath("templates.json")
-    return _load(json.loads(data.read_text(encoding="utf-8")), "templates.json")
+    return _load(json.loads(data.read_text(encoding="utf-8")))
 
 
 def get_template(template_id: int, path: str | Path | None = None) -> PromptTemplate:

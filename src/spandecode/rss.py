@@ -27,8 +27,7 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as f:
-        return frozenset(w.strip() for w in f if w.strip())
+    return frozenset(line.strip() for _, line in read_lines(path) if line.strip())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ be asserted in tests.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from itertools import accumulate
 from operator import add
 from pathlib import Path
 
+from .mrqa import read_json
 from .vocab import NUM_BYTE_TOKENS, TokenSeq, Vocabulary, VocabularyMismatchError
 
 NEG_INF = float("-inf")
@@ -28,9 +28,8 @@ DIST_SUM_TOL = 1e-12
 # Largest log-probability a scorer may return: 0 plus the rounding of a
 # float32 log-softmax.
 LOGPROB_TOL = 1e-6
-# What making an entry of a JSON value that is not a distribution raises:
-# float() of an integer past binary64 raises OverflowError.
-_NOT_A_DISTRIBUTION = (OverflowError, TypeError, ValueError)
+# A probability that float() rejects, named by its JSON kind; any other is an object (or its entry).
+_NOT_A_NUMBER = {list: "a list", type(None): "null", int: "an integer past the float range"}
 
 
 class ScorerError(RuntimeError):
@@ -293,6 +292,20 @@ class Scorer:
         raise NotImplementedError
 
 
+class _IdMemo(dict):
+    """The token id of each id looked up: a string of ASCII decimal digits,
+    as a table file writes every id, checked and converted once per distinct
+    string, or an int (not a bool), never stored, so no bool matches one."""
+
+    def __missing__(self, key) -> int:
+        if type(key) is int:
+            return key
+        if type(key) is not str or not (key.isascii() and key.isdigit()):
+            raise ValueError(f"{key!r} is not a decimal token id")
+        value = self[key] = int(key)
+        return value
+
+
 class _LogMemo(dict):
     """``math.log`` of each probability looked up, computed once per distinct
     value: a table's distributions mostly repeat a few probabilities, so
@@ -330,10 +343,10 @@ class TableLM(Scorer):
     steps and counted passes as ``argmax_steps``, without building or
     scanning a distribution.
 
-    A table file (``from_file``) is one JSON object. Its keys are
-    "default" or "src#p1,p2,...", each id written in ASCII decimal digits,
-    src "*" for any source; a key written twice keeps its last value. Each
-    distribution becomes its entry while the file is parsed.
+    A table file (``from_file``) is one JSON object, parsed once, each
+    distribution becoming its entry as it is parsed. Its keys are "default"
+    or "src#p1,p2,...", src "*" for any source; a key written twice keeps
+    its last value. Every id, in a key or a distribution, is ASCII digits.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
@@ -345,6 +358,7 @@ class TableLM(Scorer):
         # The last lookup's (source ids, prefix ids, nodes), one attribute
         # so that threads read and replace it at once; None holds nothing.
         self._last_nodes = None
+        self._ids = _IdMemo()
         self._logs = _LogMemo()
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
@@ -355,18 +369,26 @@ class TableLM(Scorer):
     # ------------------------------------------------------------------
     def _to_logdist(self, dist: dict) -> list[float]:
         """``dist``'s log-probabilities over the piece vocabulary. ``dist``
-        maps token ids to probabilities; either may be a string, as in a
-        table file. ValueError unless the probabilities are finite and sum
-        to 1 within DIST_SUM_TOL, and every id is a piece id, listed once,
-        with a probability of at least 0.
+        maps token ids (see ``_IdMemo``) to probabilities, which may be
+        strings, as in a table file. ValueError unless the probabilities are
+        finite and sum to 1 within DIST_SUM_TOL, and every id is a piece id,
+        listed once, with a probability of at least 0.
 
         Each id and probability is converted once, and the checks are
         C-level reductions over the converted lists. The log of each
         distinct probability is taken once per model and its float shared
         by every entry that holds it."""
         size = self.vocab.size
-        ids = list(map(int, dist))
-        probs = list(map(float, dist.values()))
+        ids = list(map(self._ids.__getitem__, dist))
+        try:
+            probs = list(map(float, dist.values()))
+        except (OverflowError, TypeError, ValueError):
+            for token_id, value in zip(ids, dist.values()):
+                try:
+                    float(value)
+                except (OverflowError, TypeError, ValueError):
+                    shown = repr(value) if type(value) is str else _NOT_A_NUMBER.get(type(value), "an object")
+                    raise ValueError(f"probability of token {token_id} is {shown}, not a number") from None
         total = sum(probs)
         # A NaN or an infinity anywhere makes the sum NaN or infinite.
         if not math.isfinite(total):
@@ -374,7 +396,7 @@ class TableLM(Scorer):
                 if not math.isfinite(prob):
                     raise ValueError(f"probability {prob!r} of token {token_id} is not finite")
         if abs(total - 1.0) > DIST_SUM_TOL:
-            raise ValueError(f"distribution sums to {total!r}, expected 1.0")
+            raise ValueError(f"probabilities sum to {total!r}, expected 1.0")
         if min(ids) < 0 or max(ids) >= size:
             token_id = next(t for t in ids if not 0 <= t < size)
             raise ValueError(f"token id {token_id} outside piece vocabulary")
@@ -397,23 +419,21 @@ class TableLM(Scorer):
         return logdist, logsumexp(logdist[t] for t in self.terminator_ids), token, logdist[token]
 
     def _parsed(self, obj: dict):
-        """``json.loads``'s object hook: ``obj``'s entry, made as soon as the
+        """``json.load``'s object hook: ``obj``'s entry, made as soon as the
         parser closes the object, so that the parsed file never holds all
         of its distributions as dicts at once. An object that is not a
         distribution, the table itself included, stays a dict, and
         ``_load`` raises its fault in file order."""
         try:
             return self._entry(obj)
-        except _NOT_A_DISTRIBUTION:
+        except ValueError:
             return obj
 
-    def _set_default(self, dist) -> None:
-        """Make ``dist``, a distribution or the entry already made of one (a
-        tuple, which JSON never yields), the default."""
-        self._default = dist if type(dist) is tuple else self._entry(dist)
+    def _set_default(self, entry) -> None:
+        self._default = entry
         # A distribution may sum to 1 + DIST_SUM_TOL, so one log-prob of the
         # default can lie above 0; then a span can grow past a table's reach.
-        self._default_rises = max(self._default[0]) > 0
+        self._default_rises = max(entry[0]) > 0
 
     def set_context(self, key, dist: dict) -> None:
         """Register a context distribution.
@@ -423,11 +443,10 @@ class TableLM(Scorer):
         every id is an int (not a bool) naming a piece or a byte: no request
         reaches any other context.
         """
-        self._put(key, dist)
+        self._node(key)[0] = self._entry(dist)  # made first, so a bad one adds no node
 
-    def _put(self, key, dist) -> None:
-        """``set_context`` for a distribution or for the entry already made
-        of one (a tuple, which JSON never yields): the key is checked first."""
+    def _node(self, key) -> list:
+        """The tree node of ``set_context``'s checked ``key``, made if missing."""
         key = tuple(key)
         if key and isinstance(key[0], (tuple, list)):
             source_ids, prefix_ids = map(tuple, key)
@@ -439,12 +458,11 @@ class TableLM(Scorer):
         if ids and not (set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < limit):
             bad = next(t for t in ids if type(t) is not int or not 0 <= t < limit)
             raise ValueError(f"context key {key!r} holds {bad!r}, not a token id")
-        entry = dist if type(dist) is tuple else self._entry(dist)
         node = self._any_source if source_ids is None else self._by_source.setdefault(source_ids, [None, {}])
         for token in prefix_ids:
             node = node[1].setdefault(token, [None, {}])
-        node[0] = entry
         self._last_nodes = None
+        return node
 
     @classmethod
     def uniform(cls, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
@@ -453,56 +471,45 @@ class TableLM(Scorer):
     @classmethod
     def from_file(cls, path: str | Path, vocab: Vocabulary, terminator_ids=None) -> "TableLM":
         """Load from a JSON map of "src#p1,p2,..." keys; src "*" matches any
-        source. ValueError naming ``path`` when the file is not valid JSON or
-        not such a map of distributions.
+        source. DataError naming ``path`` when the file is not UTF-8, not
+        valid JSON or not such a map of distributions.
 
-        Each distribution becomes its entry while the file is parsed (see
-        ``_parsed``). A file that does not load so is parsed again as plain
-        JSON and loaded from that, so that its fault is named exactly as the
-        plain parse names it: a distribution nested in a distribution, or a
-        table that is itself a distribution, is taken for an entry first."""
+        The file is parsed once, each distribution becoming its entry while
+        it is (see ``_parsed``)."""
         lm = cls(vocab, terminator_ids=terminator_ids)
-        with open(path, encoding="utf-8") as f:
-            try:
-                text = f.read()
-                try:
-                    lm._load(json.loads(text, object_hook=lm._parsed))
-                except _NOT_A_DISTRIBUTION:
-                    lm = cls(vocab, terminator_ids=terminator_ids)
-                    lm._load(json.loads(text))
-            except _NOT_A_DISTRIBUTION as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        read_json(path, lm._load, object_hook=lm._parsed)
         return lm
 
     def _load(self, raw) -> None:
         """Register the table ``raw``, whose distributions may already be
         entries. Faults are raised in file order, the default first; for
         each key, a malformed id, then a distribution that is not an
-        object, then an id no request reaches, then a bad distribution."""
+        object, then an id no request reaches, then a bad distribution,
+        named with its key."""
         if not isinstance(raw, dict):
-            raise ValueError(f"table must be a JSON object, not {type(raw).__name__}")
+            what = "one distribution" if type(raw) is tuple else type(raw).__name__
+            raise ValueError(f"table must be a JSON object of distributions, not {what}")
 
         def distribution(key):
             dist = raw[key]
-            if type(dist) is not tuple and not isinstance(dist, dict):
+            if not isinstance(dist, (tuple, dict)):
                 raise ValueError(f"distribution {key!r} must be an object, not {type(dist).__name__}")
             return dist
 
+        def entry(key, dist):
+            if type(dist) is tuple:
+                return dist
+            try:
+                return self._entry(dist)
+            except ValueError as exc:
+                raise ValueError(f"distribution {key!r}: {exc}") from None
+
         def ids(part):
             # The empty part is the empty sequence; an empty item is an error.
-            if not part:
-                return ()
-            items = part.split(",")
-            values = tuple(map(int, items))
-            # int() also reads "+1", " 1", "1_0" and non-ASCII digits. A
-            # minus sign passes, for the key check to name the id negative.
-            if not (part.isascii() and part.replace(",", "").replace("-", "").isdigit()):
-                bad = next(t for t in items if not (t.isascii() and t.lstrip("-").isdigit()))
-                raise ValueError(f"{bad!r} is not a decimal token id")
-            return values
+            return tuple(map(self._ids.__getitem__, part.split(","))) if part else ()
 
         if raw.get("default") is not None:
-            self._set_default(distribution("default"))
+            self._set_default(entry("default", distribution("default")))
         for key in raw:
             if key == "default":
                 continue
@@ -511,7 +518,9 @@ class TableLM(Scorer):
                 context = ids(prefix_part) if src_part == "*" else (ids(src_part), ids(prefix_part))
             except ValueError as exc:
                 raise ValueError(f"context key {key!r}: {exc}") from None
-            self._put(context, distribution(key))
+            dist = distribution(key)
+            node = self._node(context)
+            node[0] = entry(key, dist)
 
     # ------------------------------------------------------------------
     def _nodes(self, source: tuple[int, ...], prefix: tuple[int, ...]):

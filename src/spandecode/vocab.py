@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
+from .mrqa import read_json
+
 try:
     # CPython's own SHA-1, as ``random`` takes ``_sha512``: importing
     # ``hashlib`` loads OpenSSL, several MB of every process's memory.
@@ -105,13 +107,9 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocabulary":
-        """Load a vocabulary JSON file; ValueError naming ``path`` when it is
-        not valid JSON or not a vocabulary."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                return cls.from_dict(json.load(f))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        """Load a vocabulary JSON file; DataError naming ``path`` when it is
+        not UTF-8, not valid JSON or not a vocabulary."""
+        return read_json(path, cls.from_dict)
 
     # ------------------------------------------------------------------
     @property

@@ -3,6 +3,7 @@ import json
 import os
 import shlex
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -731,6 +732,15 @@ class TestMalformedInput:
                          "dev.jsonl:2: context and question must be strings", id="list-question"),
             pytest.param("decode", [FLAT_ROW, '{"question": "who?"}'],
                          "dev.jsonl:2: context and question must be strings", id="no-context"),
+            pytest.param("decode", [FLAT_ROW, json.dumps({**json.loads(FLAT_ROW), "context": ""})],
+                         "dev.jsonl:2: example a: empty context", id="flat-empty-context"),
+        ] + [
+            # The example was built outside the line's prefix, so the fault
+            # named neither the file nor the line.
+            pytest.param(command, ["MRQA", json.dumps({"context": "", "qas": [
+                {"qid": "q8", "question": "who?", "answers": ["IRA"]}]})],
+                "dev.jsonl:2: example q8: empty context", id=f"{command}-mrqa-empty-context")
+            for command in ("eval", "decode")
         ] + [
             # Ids that str() turned into "None", "True", "1.5", "[1]" or
             # "{'a': 1}", with exit 0.
@@ -877,20 +887,21 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "text, message",
         [
-            pytest.param("[1, 2]", "table must be a JSON object, not list", id="list"),
+            pytest.param("[1, 2]", "table must be a JSON object of distributions, not list", id="list"),
             pytest.param('{"*#": [0.5, 0.5]}', "distribution '*#' must be an object, not list", id="dist-list"),
             pytest.param('{"default": 1}', "distribution 'default' must be an object, not int", id="default-int"),
-            pytest.param('{"*#": {"0": [1]}}', "float() argument", id="prob-list"),
-            pytest.param('{"*#x": {"0": 1}}', "invalid literal for int()", id="bad-key"),
+            pytest.param('{"*#": {"0": [1]}}', "distribution '*#': probability of token 0 is a list, not a number",
+                         id="prob-list"),
+            pytest.param('{"*#x": {"0": 1}}', "context key '*#x': 'x' is not a decimal token id", id="bad-key"),
             # Keys that no request can reach, and an empty item between commas.
-            pytest.param('{"*#-5,99999": {"0": 1}}', "context key (-5, 99999) holds -5, not a token id",
+            pytest.param('{"*#-5,99999": {"0": 1}}', "context key '*#-5,99999': '-5' is not a decimal token id",
                          id="negative-id"),
             pytest.param('{"*#0,99999": {"0": 1}}', "context key (0, 99999) holds 99999, not a token id",
                          id="id-past-the-bytes"),
-            pytest.param('{"-1#0": {"0": 1}}', "context key ((-1,), (0,)) holds -1, not a token id",
+            pytest.param('{"-1#0": {"0": 1}}', "context key '-1#0': '-1' is not a decimal token id",
                          id="negative-source-id"),
-            pytest.param('{"*#0,,1": {"0": 1}}', "context key '*#0,,1': invalid literal for int()", id="empty-item"),
-            pytest.param('{"0,#1": {"0": 1}}', "context key '0,#1': invalid literal for int()",
+            pytest.param('{"*#0,,1": {"0": 1}}', "context key '*#0,,1': '' is not a decimal token id", id="empty-item"),
+            pytest.param('{"0,#1": {"0": 1}}', "context key '0,#1': '' is not a decimal token id",
                          id="empty-source-item"),
             # int() reads each of these, as another context than the one written.
             pytest.param('{"*#1_0": {"0": 1}}', "context key '*#1_0': '1_0' is not a decimal token id",
@@ -899,11 +910,29 @@ class TestMalformedInput:
                          id="space-and-sign-ids"),
             pytest.param('{"1,\u0662#0": {"0": 1}}', "context key '1,\u0662#0': '\u0662' is not a decimal token id",
                          id="non-ascii-source-digit"),
-            pytest.param('{"*#": {"0": 0.5}}', "distribution sums to 0.5", id="sum-below-one"),
+            pytest.param('{"*#": {"0": 0.5}}', "distribution '*#': probabilities sum to 0.5, expected 1.0",
+                         id="sum-below-one"),
+            pytest.param('{"default": {"0": 1.0}, "*#1": {"0": 0.5}}',
+                         "distribution '*#1': probabilities sum to 0.5, expected 1.0", id="sum-below-one-keyed"),
+            pytest.param('{"default": {"0": 0.5}}', "distribution 'default': probabilities sum to 0.5, expected 1.0",
+                         id="default-sum-below-one"),
             pytest.param('{"*#": {"0": NaN, "1": 0.5, "2": 0.5}}', "probability nan of token 0 is not finite",
                          id="prob-nan"),
             pytest.param('{"*#": {"0": Infinity}}', "probability inf of token 0 is not finite", id="prob-infinity"),
-            pytest.param('{"*#": {"0": 1%s}}' % ("0" * 400), "int too large to convert to float", id="prob-huge-int"),
+            pytest.param('{"*#": {"0": 1%s}}' % ("0" * 400),
+                         "distribution '*#': probability of token 0 is an integer past the float range, not a number",
+                         id="prob-huge-int"),
+            pytest.param('{"*#": {"0": null}}', "distribution '*#': probability of token 0 is null, not a number",
+                         id="prob-null"),
+            # int() reads each of these distribution ids as another token.
+            pytest.param('{"*#": {"1_0": 1.0}}', "distribution '*#': '1_0' is not a decimal token id",
+                         id="underscore-dist-id"),
+            pytest.param('{"*#": {" 3": 1.0}}', "distribution '*#': ' 3' is not a decimal token id",
+                         id="space-dist-id"),
+            pytest.param('{"*#": {"+4": 1.0}}', "distribution '*#': '+4' is not a decimal token id",
+                         id="sign-dist-id"),
+            pytest.param('{"*#": {"\u0665": 1.0}}', "distribution '*#': '\u0665' is not a decimal token id",
+                         id="non-ascii-dist-id"),
             # "0" and "00" are two keys but one token id.
             pytest.param('{"*#": {"0": 0.5, "00": 0.5}}', "token id 0 listed twice", id="id-twice"),
         ],
@@ -932,6 +961,50 @@ class TestMalformedInput:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"data error: {dataset}: no examples\n"
         assert not out.exists()
+
+
+# Each file read whole, and the faults a file of it can hold: a byte that is
+# not UTF-8, and for a JSON file invalid JSON and a wrong top-level type.
+WHOLE_FILE_FAULTS = {"bad-byte": b'"\xff"', "invalid-json": b"{", "wrong-type": b'"text"'}
+WHOLE_FILE_INPUTS = [
+    (flag, fault)
+    for flag in ["--vocab", "table:", "--prompt-file", "select-hp --scores", "report --input",
+                 "rss-gen --stopwords", "remote --vocab", "remote --table"]
+    for fault in (["bad-byte"] if flag == "rss-gen --stopwords" else WHOLE_FILE_FAULTS)
+]
+
+
+@pytest.mark.parametrize(
+    "flag, fault", WHOLE_FILE_INPUTS, ids=[f"{flag.replace(' ', '')}-{fault}" for flag, fault in WHOLE_FILE_INPUTS]
+)
+def test_malformed_whole_file_input_is_one_line_naming_it(workspace, capsys, flag, fault):
+    bad = workspace["dir"] / "bad.json"
+    bad.write_bytes(WHOLE_FILE_FAULTS[fault])
+    out = str(workspace["dir"] / "out")
+    decode = ["decode", "--input", workspace["dataset"], "--output", out]
+    corpus = workspace["dir"] / "corpus.txt"
+    corpus.write_text("blue bird saw blue bird\n", encoding="utf-8")
+    table = workspace["table"].removeprefix("table:")
+    argv = {
+        "--vocab": ["--vocab", str(bad), "--scorer", workspace["table"], *decode],
+        "table:": ["--vocab", workspace["vocab"], "--scorer", f"table:{bad}", *decode],
+        "--prompt-file": base_args(workspace) + decode + ["--prompt-file", str(bad)],
+        "select-hp --scores": ["select-hp", "--scores", str(bad)],
+        "report --input": ["report", "--input", str(bad)],
+        "rss-gen --stopwords": ["rss-gen", "--input", str(corpus), "--output", out, "--stopwords", str(bad)],
+        "remote --vocab": ["--vocab", str(bad), "--table", table],
+        "remote --table": ["--vocab", workspace["vocab"], "--table", str(bad)],
+    }[flag]
+    if flag.startswith("remote"):
+        child = subprocess.run([sys.executable, "-m", "spandecode.remote", *argv], stdin=subprocess.DEVNULL,
+                               capture_output=True, text=True, timeout=60)
+        code, err = child.returncode, child.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith(f"data error: {bad}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["decode", "eval"])
@@ -981,8 +1054,6 @@ class TestTerminatorMode:
 def test_decode_eval_and_serve_modules_load_no_openssl():
     # hashlib loads OpenSSL's libcrypto, several MB of each process's
     # memory; only subsample and rss-gen need it, and import it when called.
-    import subprocess
-
     probe = "import sys; print('_hashlib' in sys.modules)"
     bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     if bare.stdout.strip() != "False":

@@ -10,7 +10,6 @@ from spandecode.decoding import exact_extract
 from spandecode.harness import (
     EvalReport,
     evaluate_example,
-    load_score_table,
     map_examples,
     prepare_example,
     run_eval,
@@ -517,20 +516,6 @@ class TestSelectHyperparameters:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_hyperparameters([])
-
-
-class TestLoadScoreTable:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "scores.json"
-        table = [[[80.0], [60.0]], [[70.0], [70.0]]]
-        path.write_text(json.dumps(table), encoding="utf-8")
-        assert load_score_table(path) == table
-
-    def test_non_list_rejected(self, tmp_path):
-        path = tmp_path / "scores.json"
-        path.write_text('{"not": "a list"}', encoding="utf-8")
-        with pytest.raises(DataError):
-            load_score_table(path)
 
 
 class TestFewShotSplitShape:

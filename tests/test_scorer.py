@@ -6,6 +6,7 @@ import re
 import pytest
 
 from spandecode.decoding import DecodeConfig, naive_exact
+from spandecode.mrqa import DataError
 from spandecode.scorer import NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
@@ -203,6 +204,30 @@ class TestTableValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TableLM.from_file(path, bare_vocab(4))
 
+    @pytest.mark.parametrize(
+        "item", ["1_0", " 3", "+4", "3 ", "-1", "", "\u0665", "\uff11"],
+        ids=["underscore", "space", "plus", "trailing-space", "minus", "empty", "arabic-indic", "fullwidth"],
+    )
+    def test_table_file_distribution_ids_are_ascii_decimal_digits(self, tmp_path, item):
+        # int() reads all but the empty id, so each was loaded as another
+        # token than the one written, with no error.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"*#": {item: 1.0}}), encoding="utf-8")
+        message = f"{path}: distribution '*#': {item!r} is not a decimal token id"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableLM.from_file(path, bare_vocab(4))
+
+    @pytest.mark.parametrize("token", [True, False, 1.0, None, (1,)], ids=repr)
+    def test_distribution_ids_given_in_code_are_ints(self, token):
+        # int() read True, False and 1.0 as ids 1, 0 and 1.
+        message = f"^{re.escape(repr(token))} is not a decimal token id$"
+        with pytest.raises(ValueError, match=message):
+            TableLM(bare_vocab(4), default={token: 1.0})
+        lm = TableLM(bare_vocab(4))
+        with pytest.raises(ValueError, match=message):
+            lm.set_context((0,), {token: 1.0})
+        assert lm._any_source == [None, {}]
+
     def test_context_key_of_byte_ids_and_empty_parts_accepted(self):
         vocab = bare_vocab(4)
         lm = TableLM(vocab, contexts={(4 + 255,): {0: 1.0}, ((), ()): {1: 1.0}})
@@ -254,9 +279,10 @@ def _hexed(entry):
 
 
 class TestFileLoading:
-    """``from_file`` makes each entry while the file is parsed: the same
-    entries as ``set_context``, and the same faults in the same order as
-    loading the plainly parsed file."""
+    """``from_file`` parses the file once, making each entry as it goes:
+    the same entries as ``set_context``, and the same faults in the same
+    order as loading the plainly parsed file, save for a table that is
+    itself one distribution."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_entries_equal_those_set_context_builds(self, tmp_path, seed):
@@ -292,33 +318,45 @@ class TestFileLoading:
     @pytest.mark.parametrize(
         "text, message",
         [
-            pytest.param('{"*#x": {"0": 1}, "default": {"0": 0.5}}', "distribution sums to 0.5, expected 1.0",
-                         id="default-first"),
-            pytest.param('{"*#0": {"0": 0.5}, "*#x": {"0": 1}}', "distribution sums to 0.5, expected 1.0",
-                         id="file-order"),
-            pytest.param('{"*#x": {"0": 0.5}}', "context key '*#x': invalid literal for int() with base 10: 'x'",
+            pytest.param('{"*#x": {"0": 1}, "default": {"0": 0.5}}',
+                         "distribution 'default': probabilities sum to 0.5, expected 1.0", id="default-first"),
+            pytest.param('{"*#0": {"0": 0.5}, "*#x": {"0": 1}}',
+                         "distribution '*#0': probabilities sum to 0.5, expected 1.0", id="file-order"),
+            pytest.param('{"*#x": {"0": 0.5}}', "context key '*#x': 'x' is not a decimal token id",
                          id="malformed-key-first"),
-            pytest.param('{"*#-1": {"0": 0.5}}', "context key (-1,) holds -1, not a token id",
+            pytest.param('{"*#99999": {"0": 0.5}}', "context key (99999,) holds 99999, not a token id",
                          id="unreachable-key-first"),
-            pytest.param('{"*#-1": [0.5]}', "distribution '*#-1' must be an object, not list",
+            pytest.param('{"*#99999": [0.5]}', "distribution '*#99999' must be an object, not list",
                          id="list-before-unreachable-key"),
             pytest.param('{"*#": [0.5, 0.5]}', "distribution '*#' must be an object, not list", id="list"),
-            pytest.param('{"*#": {"0": {"a": 1}}}', "float() argument must be a string or a real number, not 'dict'",
+            pytest.param('{"*#": {"0": {"a": 1}}}', "distribution '*#': probability of token 0 is an object, not a number",
                          id="nested-object"),
+            # The inner object is a distribution, so the parse makes it an entry.
             pytest.param('{"*#": {"0": {"0": 1.0}}}',
-                         "float() argument must be a string or a real number, not 'dict'",
+                         "distribution '*#': probability of token 0 is an object, not a number",
                          id="nested-distribution"),
-            pytest.param('{"0": 0.5, "1": 0.5}', "distribution '0' must be an object, not float",
-                         id="table-is-a-distribution"),
-            pytest.param('{"*#0": {"1": 1.0}, "*#0": {"0": 0.5}}', "distribution sums to 0.5, expected 1.0",
-                         id="duplicate-last-invalid"),
-            pytest.param('[{"0": 1.0}]', "table must be a JSON object, not list", id="list-of-distributions"),
+            pytest.param('{"*#0": {"1": 1.0}, "*#0": {"0": 0.5}}',
+                         "distribution '*#0': probabilities sum to 0.5, expected 1.0", id="duplicate-last-invalid"),
+            pytest.param('[{"0": 1.0}]', "table must be a JSON object of distributions, not list",
+                         id="list-of-distributions"),
         ],
     )
     def test_faults_are_named_as_in_the_plainly_parsed_file(self, tmp_path, text, message):
         path = tmp_path / "table.json"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            TableLM.from_file(path, bare_vocab(4))
+        # The reference: the whole file parsed first, then loaded.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TableLM(bare_vocab(4))._load(json.loads(text))
+
+    def test_table_that_is_one_distribution_is_named_so(self, tmp_path):
+        # The parse makes the top-level object an entry before it is seen
+        # to be the table.
+        path = tmp_path / "table.json"
+        path.write_text('{"0": 0.5, "1": 0.5}', encoding="utf-8")
+        message = f"{path}: table must be a JSON object of distributions, not one distribution"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             TableLM.from_file(path, bare_vocab(4))
 
     def test_parsed_file_never_holds_all_its_distributions(self, tmp_path):
