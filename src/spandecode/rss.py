@@ -11,7 +11,7 @@ from __future__ import annotations
 import gzip
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -61,12 +61,7 @@ class RssExample:
     occurrence_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "masked_passage": self.masked_passage,
-            "target": self.target,
-            "span_surface": self.span_surface,
-            "occurrence_count": self.occurrence_count,
-        }
+        return asdict(self)
 
 
 def _words_with_spans(passage: str):

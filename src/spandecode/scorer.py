@@ -28,8 +28,9 @@ DIST_SUM_TOL = 1e-12
 # Largest log-probability a scorer may return: 0 plus the rounding of a
 # float32 log-softmax.
 LOGPROB_TOL = 1e-6
-# A probability that float() rejects, named by its JSON kind; any other is an object (or its entry).
-_NOT_A_NUMBER = {list: "a list", type(None): "null", int: "an integer past the float range"}
+# A probability that is no number, named by its JSON kind: else an object (or its entry), or a string's repr.
+_NOT_A_NUMBER = {bool: "a boolean", list: "a list", type(None): "null", int: "an integer past the float range"}
+_NUMBERS = {float, int}
 
 
 class ScorerError(RuntimeError):
@@ -128,28 +129,6 @@ def suffix_cap(passage: TokenSeq, max_span_len: int | None) -> int:
     return positive_int(max_span_len, "max_span_len")
 
 
-def argmax_steps(scorer, source: TokenSeq, prefix: TokenSeq, terminator_ids, max_steps: int):
-    """Greedy decoding's steps after ``prefix``, as (token, log-probability)
-    pairs: each step takes the argmax of ``scorer.next_token_distribution``
-    (the lowest id among tied maxima) and the loop stops after a token in
-    ``terminator_ids`` or after ``max_steps`` steps. One pass per step.
-
-    ``scorer`` needs only ``next_token_distribution``, so that a server can
-    run the loop over any scorer handed to it."""
-    positive_int(max_steps, "max_steps")
-    context = prefix.ids
-    steps: list[tuple[int, float]] = []
-    for _ in range(max_steps):
-        dist = scorer.next_token_distribution(source, TokenSeq(context, prefix.vocab_id))
-        top = max(dist)
-        token = dist.index(top)
-        steps.append((token, top))
-        if token in terminator_ids:
-            break
-        context += (token,)
-    return steps
-
-
 def suffix_scores(scorer, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len=None):
     """Exact-extract's table: the scores of every suffix ``passage[i:i + K]``
     forced after ``prefix``, in order of i, K being ``max_span_len`` or n
@@ -216,10 +195,6 @@ class Scorer:
         with self._lock:
             return self._passes
 
-    def reset_passes(self) -> None:
-        with self._lock:
-            self._passes = 0
-
     def _count_pass(self, passes: int = 1) -> None:
         with self._lock:
             self._passes += passes
@@ -270,16 +245,29 @@ class Scorer:
     def greedy_steps(
         self, source: TokenSeq, prefix: TokenSeq, max_steps: int, terminator_ids=None
     ) -> list[tuple[int, float]]:
-        """Greedy decoding's (token, log-probability) steps after ``prefix``,
-        ending after a token in ``terminator_ids`` (the scorer's own when
-        None) or after ``max_steps``; one counted pass per step.
+        """Greedy decoding's (token, log-probability) steps after ``prefix``:
+        each takes the argmax of the checked ``next_token_distribution``
+        (the lowest id among tied maxima), and the loop stops after a token
+        in ``terminator_ids`` (the scorer's own when None) or after
+        ``max_steps``. One counted pass per step.
 
-        ``argmax_steps`` over the checked ``next_token_distribution``. A
-        transport can override this to run the loop server-side, and a
-        model to take each step's argmax without building the distribution
-        (``TableLM`` reads the argmax it stored at load)."""
+        Given ``terminator_ids``, this needs only ``next_token_distribution``,
+        so that a server can run it over any scorer handed to it. A
+        transport can override it to run the loop server-side, and a model
+        to take each argmax without building the distribution (``TableLM``)."""
         stops = self.terminator_ids if terminator_ids is None else terminator_ids
-        return argmax_steps(self, source, prefix, stops, max_steps)
+        positive_int(max_steps, "max_steps")
+        context = prefix.ids
+        steps: list[tuple[int, float]] = []
+        for _ in range(max_steps):
+            dist = self.next_token_distribution(source, TokenSeq(context, prefix.vocab_id))
+            top = max(dist)
+            token = dist.index(top)
+            steps.append((token, top))
+            if token in stops:
+                break
+            context += (token,)
+        return steps
 
     def close(self) -> None:
         """Release what the scorer holds open; nothing by default."""
@@ -329,18 +317,18 @@ class TableLM(Scorer):
     a registered context's node holds its entry, and a node that is only a
     prefix of registered contexts holds None. An entry is
     (log-distribution, terminator log-prob, argmax token, its log-prob),
-    the argmax being the lowest id among tied maxima, as ``argmax_steps``
-    takes it. A context reads the entry of its pinned node, else of its
-    any-source node, else the default. Every reader steps both nodes down
-    the tokens it reads, one child lookup per tree and token. A context in
-    neither tree extends no registered context, so every later step reads
-    the default.
+    the argmax being the lowest id among tied maxima, as
+    ``Scorer.greedy_steps`` takes it. A context reads the entry of its
+    pinned node, else of its any-source node, else the default. Every
+    reader steps both nodes down the tokens it reads, one child lookup per
+    tree and token. A context in neither tree extends no registered
+    context, so every later step reads the default.
 
     ``best_span`` forces each suffix only as far as its contexts reach into
     the trees (see there): the same n counted, checked passes and the same
     span, score included, as forcing every suffix to its end.
     ``greedy_steps`` reads each step's stored argmax (see there): the same
-    steps and counted passes as ``argmax_steps``, without building or
+    steps and counted passes as ``Scorer.greedy_steps``, without building or
     scanning a distribution.
 
     A table file (``from_file``) is one JSON object, parsed once, each
@@ -369,26 +357,33 @@ class TableLM(Scorer):
     # ------------------------------------------------------------------
     def _to_logdist(self, dist: dict) -> list[float]:
         """``dist``'s log-probabilities over the piece vocabulary. ``dist``
-        maps token ids (see ``_IdMemo``) to probabilities, which may be
-        strings, as in a table file. ValueError unless the probabilities are
-        finite and sum to 1 within DIST_SUM_TOL, and every id is a piece id,
-        listed once, with a probability of at least 0.
+        maps token ids (see ``_IdMemo``) to probabilities: ints or floats,
+        not the bools or strings that float() takes. ValueError unless they
+        are finite, at least 0 and sum to 1 within DIST_SUM_TOL, and every
+        id is a piece id, listed once.
 
-        Each id and probability is converted once, and the checks are
-        C-level reductions over the converted lists. The log of each
-        distinct probability is taken once per model and its float shared
-        by every entry that holds it."""
+        The checks are C-level reductions, and the log of each distinct
+        probability is taken once per model and its float shared by every
+        entry that holds it."""
         size = self.vocab.size
         ids = list(map(self._ids.__getitem__, dist))
+        probs = dist.values()
+        kinds = set(map(type, probs))
         try:
-            probs = list(map(float, dist.values()))
-        except (OverflowError, TypeError, ValueError):
+            if not kinds <= _NUMBERS:
+                raise TypeError
+            if int in kinds:
+                probs = list(map(float, probs))
+        except (OverflowError, TypeError):
             for token_id, value in zip(ids, dist.values()):
                 try:
-                    float(value)
-                except (OverflowError, TypeError, ValueError):
-                    shown = repr(value) if type(value) is str else _NOT_A_NUMBER.get(type(value), "an object")
-                    raise ValueError(f"probability of token {token_id} is {shown}, not a number") from None
+                    if type(value) in _NUMBERS:
+                        float(value)
+                        continue
+                except OverflowError:
+                    pass
+                shown = repr(value) if type(value) is str else _NOT_A_NUMBER.get(type(value), "an object")
+                raise ValueError(f"probability of token {token_id} is {shown}, not a number") from None
         total = sum(probs)
         # A NaN or an infinity anywhere makes the sum NaN or infinite.
         if not math.isfinite(total):
@@ -508,7 +503,7 @@ class TableLM(Scorer):
             # The empty part is the empty sequence; an empty item is an error.
             return tuple(map(self._ids.__getitem__, part.split(","))) if part else ()
 
-        if raw.get("default") is not None:
+        if "default" in raw:
             self._set_default(entry("default", distribution("default")))
         for key in raw:
             if key == "default":
@@ -586,7 +581,7 @@ class TableLM(Scorer):
         """``Scorer.greedy_steps`` from the argmaxes stored at load: each step
         reads its context's entry and takes the entry's argmax. One counted
         pass per step, and the same steps, floats included, as
-        ``argmax_steps`` over the checked distributions.
+        ``Scorer.greedy_steps`` over the checked distributions.
 
         The per-step check is not needed: every entry was checked at load,
         so its log-probs are at most about DIST_SUM_TOL, below LOGPROB_TOL,

@@ -70,14 +70,14 @@ def test_criterion_02_pass_complexity():
         rng = random.Random(10_02)
         for n in range(1, 33):
             passage = vocab.seq(rng.randrange(7) for _ in range(n))
-            lm.reset_passes()
+            before = lm.pass_count()
             fast = exact_extract(passage, empty(vocab), empty(vocab), lm)
             assert fast.passes_used == n
-            assert lm.pass_count() == n
-            lm.reset_passes()
+            assert lm.pass_count() - before == n
+            before = lm.pass_count()
             slow = naive_exact(passage, empty(vocab), empty(vocab), lm)
             assert slow.passes_used == n * (n + 1) // 2
-            assert lm.pass_count() == n * (n + 1) // 2
+            assert lm.pass_count() - before == n * (n + 1) // 2
 
 
 def test_criterion_03_dp_recurrence():

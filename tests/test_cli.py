@@ -1,6 +1,8 @@
+import copy
 import gzip
 import json
 import os
+import random
 import shlex
 import stat
 import subprocess
@@ -14,6 +16,7 @@ from spandecode import cli, harness
 from spandecode.cli import main
 from spandecode.mrqa import load_dataset
 from spandecode.prompting import get_template
+from spandecode.scorer import ScorerError, TableLM
 from spandecode.vocab import Vocabulary
 
 from conftest import TOY_PIECES, LoopbackScorer
@@ -481,6 +484,55 @@ class TestRssGen:
         assert not list(tmp_path.glob(".*.partial"))
 
 
+def test_written_records_keep_their_layout(workspace, monkeypatch):
+    """``eval --output``, ``subsample --output`` and an ``rss-gen`` row
+    write each record's keys in field order, and its tuples as lists."""
+
+    class AlbumFails(TableLM):
+        # Every example over a passage holding "album" is skipped.
+        def best_span(self, source, prefix, passage, *args):
+            if "album" in self.vocab.decode(passage):
+                raise ScorerError("boom")
+            return super().best_span(source, prefix, passage, *args)
+
+    monkeypatch.setattr(cli, "TableLM", AlbumFails)
+    data = str(many_questions(workspace))
+    report, splits, rows = (workspace["dir"] / name for name in ("report.json", "splits.json", "rss.jsonl"))
+    corpus = workspace["dir"] / "corpus.txt"
+    corpus.write_text("blue bird saw blue bird\n", encoding="utf-8")
+    assert main(base_args(workspace) + ["eval", "--input", data, "--output", str(report)]) == 0
+    assert main(["subsample", "--input", data, "--sizes", "2", "--num-samples", "2", "--output", str(splits)]) == 0
+    assert main(["rss-gen", "--input", str(corpus), "--output", str(rows)]) == 0
+
+    scores = {"count": 4, "f1": 1.0, "extractive": 1.0, "exactness": 1.0}
+    table = {
+        "overall": scores,
+        "S_in": {**scores, "share": 1.0},
+        "S_out": {"count": 0, "f1": None, "extractive": None, "exactness": None, "share": 0.0},
+    }
+    assert report.read_text(encoding="utf-8") == json.dumps(
+        {
+            "num_examples": 10,
+            "num_skipped": 6,
+            "skipped_ids": ["p1q0", "p1q1", "p2q0", "p2q1", "p4q0", "p4q1"],
+            "greedy": table,
+            "exact": table,
+        },
+        indent=2,
+    )
+    assert splits.read_text(encoding="utf-8") == json.dumps(
+        [
+            {"size": 2, "sample_index": 0, "example_ids": ["p0q1", "p1q0"]},
+            {"size": 2, "sample_index": 1, "example_ids": ["p0q1", "p4q1"]},
+        ],
+        indent=2,
+    )
+    assert rows.read_text(encoding="utf-8") == (
+        '{"masked_passage": "<extra_id_0> saw blue bird", "target": "<extra_id_0>blue bird<extra_id_1>", '
+        '"span_surface": "blue bird", "occurrence_count": 2}\n'
+    )
+
+
 class TestExitCodes:
     def test_unknown_scorer_spec_is_usage_error(self, workspace):
         code = main(
@@ -924,6 +976,18 @@ class TestMalformedInput:
                          id="prob-huge-int"),
             pytest.param('{"*#": {"0": null}}', "distribution '*#': probability of token 0 is null, not a number",
                          id="prob-null"),
+            # float() reads each of these as a number, and each loaded with exit 0.
+            pytest.param('{"*#": {"0": true}}', "distribution '*#': probability of token 0 is a boolean, not a number",
+                         id="prob-true"),
+            pytest.param('{"*#": {"0": 1.0, "1": false}}',
+                         "distribution '*#': probability of token 1 is a boolean, not a number", id="prob-false"),
+            pytest.param('{"*#": {"0": "1.0"}}', "distribution '*#': probability of token 0 is '1.0', not a number",
+                         id="prob-string"),
+            pytest.param('{"default": {"0": " 1 "}}',
+                         "distribution 'default': probability of token 0 is ' 1 ', not a number", id="prob-spaced-string"),
+            # Loaded as no default, with the uniform one.
+            pytest.param('{"default": null}', "distribution 'default' must be an object, not NoneType",
+                         id="default-null"),
             # int() reads each of these distribution ids as another token.
             pytest.param('{"*#": {"1_0": 1.0}}', "distribution '*#': '1_0' is not a decimal token id",
                          id="underscore-dist-id"),
@@ -1005,6 +1069,74 @@ def test_malformed_whole_file_input_is_one_line_naming_it(workspace, capsys, fla
     (line,) = err.splitlines()
     assert line.startswith(f"data error: {bad}")
     assert "Traceback" not in err
+
+
+# Values a type-swap puts in place of any value of an input file.
+SWAPS = [True, False, None, 0, 3, -1, 0.5, "", "x", "1.0", [], [1], {}, {"0": 1.0}]
+FUZZ_COMMANDS = [["decode", "--algo", "exact"], ["decode", "--algo", "greedy"], ["eval"]]
+
+
+def _places(node, path=()):
+    """The path of ``node`` and of every value inside it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _places(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _type_swapped(rng: random.Random, doc):
+    """``doc`` with one seeded change: a value swapped for one of SWAPS, a
+    key dropped, or a bad key added; and the change, as text."""
+    doc = copy.deepcopy(doc)
+    places = list(_places(doc))
+    how = rng.choice(["swap", "swap", "drop", "add"])
+    if how == "add":
+        parent = rng.choice([p for p in places if isinstance(_at(doc, p), dict)])
+        key = rng.choice(["", "zz", "*#x", "9#"])
+        _at(doc, parent)[key] = value = rng.choice(SWAPS)
+        return doc, f"add {parent + (key,)} = {value!r}"
+    path = rng.choice(places[1:])
+    parent = _at(doc, path[:-1])
+    if how == "drop":
+        del parent[path[-1]]
+        return doc, f"drop {path}"
+    parent[path[-1]] = value = rng.choice(SWAPS)
+    return doc, f"swap {path} = {value!r}"
+
+
+@pytest.mark.parametrize("name", ["vocab", "table", "dataset"])
+def test_type_swapped_inputs_end_in_one_data_error_line_or_succeed(workspace, capsys, name):
+    """Seeded changes to one input file: each run of decode (exact and
+    greedy) and eval exits 0, or 2 with one data error line."""
+    paths = {
+        "vocab": workspace["dir"] / "vocab.json",
+        "table": workspace["dir"] / "table.json",
+        "dataset": workspace["dir"] / "dev.jsonl",
+    }
+    original = json.loads(paths[name].read_text(encoding="utf-8"))
+    rng = random.Random(f"type-swap {name}")
+    changes = [(*_type_swapped(rng, original), False) for _ in range(60)]
+    if name == "table":
+        # Each of these once loaded with exit 0.
+        changes += [({**original, "default": value}, f"default = {value!r}", True)
+                    for value in ({"0": True}, {"0": "1.0"}, None)]
+    argv = base_args(workspace) + ["--input", workspace["dataset"], "--output", str(workspace["dir"] / "out")]
+    for doc, change, fails in changes:
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        for command in FUZZ_COMMANDS:
+            code = main(argv[:4] + command + argv[4:])
+            err = capsys.readouterr().err
+            assert code in ((2,) if fails else (0, 2)) and "Traceback" not in err, (name, change, command, err)
+            if code == 2:
+                assert err.startswith("data error: ") and err.count("\n") == 1, (name, change, command, err)
+            if fails:
+                assert err.startswith(f"data error: {paths[name]}: distribution 'default'"), err
 
 
 @pytest.mark.parametrize("command", ["decode", "eval"])

@@ -14,7 +14,7 @@
   every op level (one greedy request; a refused greedy request and one
   ``next_dist`` per step);
 - ``TableLM.greedy_steps``, which reads the argmaxes stored at load,
-  against ``argmax_steps`` over the checked distributions: the same
+  against ``Scorer.greedy_steps`` over the checked distributions: the same
   tokens, floats and passes;
 - ``TableLM`` forced scores against a per-step lookup in a plain dict of
   the registered contexts, also across sources and ``set_context`` calls,
@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
-from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, argmax_steps, logsumexp
+from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, logsumexp
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
 from conftest import LoopbackScorer, RecordingTableLM, bare_vocab
@@ -361,7 +361,7 @@ def test_table_lm_greedy_walk_equals_the_generic_loop(model, data):
     stops = data.draw(st.one_of(st.none(), st.frozensets(st.integers(0, vocab.size - 1), max_size=2)))
     got = lm.greedy_steps(source, prefix, max_steps, stops)
     walked = lm.pass_count()
-    want = argmax_steps(lm, source, prefix, lm.terminator_ids if stops is None else stops, max_steps)
+    want = Scorer.greedy_steps(lm, source, prefix, max_steps, stops)
     assert [(t, v.hex()) for t, v in got] == [(t, v.hex()) for t, v in want]
     assert walked == lm.pass_count() - walked == len(want)
 
