@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from . import harness, metrics, rss
+from . import harness, metrics
 from .decoding import GREEDY, NAIVE, DecodeConfig, exact_extract, greedy_decode, naive_exact
 from .mrqa import (
     DEFAULT_NUM_SAMPLES,
@@ -28,7 +28,6 @@ from .mrqa import (
     subsample,
 )
 from .prompting import CLOSE_SENTINEL, DEFAULT_TEMPLATE_ID, get_template
-from .remote import RemoteScorer, StdioScorer
 from .scorer import ScorerError, TableLM, positive_int
 from .vocab import Vocabulary
 
@@ -81,6 +80,9 @@ def make_scorer(spec: str, vocab: Vocabulary, terminator_mode: str = "sentinel")
     term_ids = _terminator_ids(vocab, terminator_mode)
     if spec.startswith("table:"):
         return TableLM.from_file(spec[len("table:"):], vocab, terminator_ids=term_ids)
+    # Imported here, so that a run over a table model does not load the transports.
+    from .remote import RemoteScorer, StdioScorer
+
     if spec.startswith("remote:"):
         return RemoteScorer(spec[len("remote:"):], vocab, terminator_ids=term_ids)
     if spec.startswith(("http://", "https://")):
@@ -290,6 +292,8 @@ def cmd_select_hp(args) -> int:
 
 
 def cmd_rss_gen(args) -> int:
+    from . import rss
+
     stopwords = rss.load_stopwords(args.stopwords) if args.stopwords else rss.default_stopwords()
     cfg = rss.RssConfig(
         stopwords=stopwords,

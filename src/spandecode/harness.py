@@ -11,7 +11,6 @@ performance / extractiveness / partition tables.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from . import metrics
@@ -80,6 +79,9 @@ def map_examples(fn: Callable, examples: Iterable, jobs: int = 1) -> Iterator:
     if jobs == 1:
         yield from map(fn, examples)
         return
+    # Imported here: concurrent.futures imports logging, which a serial run never needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(fn, examples)
 

@@ -295,12 +295,13 @@ class _IdMemo(dict):
 
 
 class _LogMemo(dict):
-    """``math.log`` of each probability looked up, computed once per distinct
-    value: a table's distributions mostly repeat a few probabilities, so
-    their entries share the floats instead of each holding its own."""
+    """``math.log`` of each probability looked up (-inf for 0), computed once
+    per distinct value: a table's distributions mostly repeat a few
+    probabilities, so their entries share the floats instead of each
+    holding its own."""
 
     def __missing__(self, prob: float) -> float:
-        value = self[prob] = math.log(prob)
+        value = self[prob] = math.log(prob) if prob else NEG_INF
         return value
 
 
@@ -335,6 +336,9 @@ class TableLM(Scorer):
     distribution becoming its entry as it is parsed. Its keys are "default"
     or "src#p1,p2,...", src "*" for any source; a key written twice keeps
     its last value. Every id, in a key or a distribution, is ASCII digits.
+    A distribution that lists every piece in id order, as a generated table
+    writes it, is built with one map (see ``_to_logdist``); any other
+    spelling loads to the same entry.
     """
 
     def __init__(self, vocab: Vocabulary, contexts=None, default=None, terminator_ids=None):
@@ -348,6 +352,9 @@ class TableLM(Scorer):
         self._last_nodes = None
         self._ids = _IdMemo()
         self._logs = _LogMemo()
+        # The keys of a distribution that lists every piece in id order, as
+        # a table file writes them.
+        self._dense_keys = list(map(str, range(vocab.size)))
         if default is None:
             default = {i: 1.0 / vocab.size for i in range(vocab.size)}
         self._set_default(self._entry(default))
@@ -362,11 +369,22 @@ class TableLM(Scorer):
         are finite, at least 0 and sum to 1 within DIST_SUM_TOL, and every
         id is a piece id, listed once.
 
-        The checks are C-level reductions, and the log of each distinct
-        probability is taken once per model and its float shared by every
-        entry that holds it."""
+        A distribution whose keys are ``"0"``, ``"1"``, ... up to the last
+        piece, in that order, is dense: its ids need no parse and no range
+        or duplicate check, and its log-dist is one map over its
+        probabilities. Any other spelling (int keys, some pieces left out,
+        another order, ``"01"``) takes the general path to the same entry.
+        The checks are C-level reductions, in the same order on both paths,
+        and the log of each distinct probability is taken once per model
+        and its float shared by every entry that holds it."""
         size = self.vocab.size
-        ids = list(map(self._ids.__getitem__, dist))
+        keys = list(dist)
+        dense = keys == self._dense_keys
+        if dense:
+            # The parser shares one string per distinct key, so holding the
+            # parsed keys makes the next file-read comparisons identity hits.
+            self._dense_keys = keys
+        ids = range(size) if dense else list(map(self._ids.__getitem__, dist))
         probs = dist.values()
         kinds = set(map(type, probs))
         try:
@@ -392,20 +410,27 @@ class TableLM(Scorer):
                     raise ValueError(f"probability {prob!r} of token {token_id} is not finite")
         if abs(total - 1.0) > DIST_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1.0")
-        if min(ids) < 0 or max(ids) >= size:
+        if not dense and (min(ids) < 0 or max(ids) >= size):
             token_id = next(t for t in ids if not 0 <= t < size)
             raise ValueError(f"token id {token_id} outside piece vocabulary")
+        logs = self._logs
+        out = [NEG_INF] * size
+        if dense:
+            try:
+                # Assigned in place: a list built from a map keeps spare
+                # capacity, about 10% of every entry.
+                out[:] = map(logs.__getitem__, probs)
+            except ValueError:  # math.log's domain: the sign check
+                raise ValueError("negative probability") from None
+            return out
         if min(probs) < 0:
             raise ValueError("negative probability")
         if len(set(ids)) < len(ids):
             ordered = sorted(ids)
             token_id = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
             raise ValueError(f"token id {token_id} listed twice")
-        out = [NEG_INF] * size
-        logs = self._logs
         for token_id, prob in zip(ids, probs):
-            if prob > 0:
-                out[token_id] = logs[prob]
+            out[token_id] = logs[prob]
         return out
 
     def _entry(self, dist: dict) -> tuple[list[float], float, int, float]:
@@ -499,9 +524,15 @@ class TableLM(Scorer):
             except ValueError as exc:
                 raise ValueError(f"distribution {key!r}: {exc}") from None
 
+        parsed: dict[str, tuple[int, ...]] = {"": ()}
+
         def ids(part):
-            # The empty part is the empty sequence; an empty item is an error.
-            return tuple(map(self._ids.__getitem__, part.split(","))) if part else ()
+            # Keys mostly repeat a few sources and prefixes, so each distinct
+            # part is parsed once. The empty part is the empty sequence; an
+            # empty item is an error.
+            if part not in parsed:
+                parsed[part] = tuple(map(self._ids.__getitem__, part.split(",")))
+            return parsed[part]
 
         if "default" in raw:
             self._set_default(entry("default", distribution("default")))

@@ -60,12 +60,17 @@ class Vocabulary:
     """Ordered piece inventory with terminator and sentinel special tokens.
 
     Piece index equals token id; byte-fallback ids occupy
-    ``[size, size + 256)`` and are not part of the piece table.
+    ``[size, size + 256)`` and are not part of the piece table. Pieces are
+    distinct and none is empty.
     """
 
     def __init__(self, pieces: list[str], terminator: str, sentinels: list[str]):
         if not pieces:
             raise ValueError("vocabulary must contain at least one piece")
+        if "" in pieces:
+            # encode never emits a zero-width piece, yet find_span could
+            # start a span on one.
+            raise ValueError(f"piece {pieces.index('')} is empty")
         if len(set(pieces)) != len(pieces):
             raise ValueError("duplicate pieces make token ids ambiguous")
         for special in [terminator, *sentinels]:

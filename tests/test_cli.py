@@ -921,6 +921,7 @@ class TestMalformedInput:
             pytest.param('{"pieces": ["a"], "terminator": "a", "sentinels": "a"}', "'sentinels' must be a list",
                          id="sentinels-string"),
             pytest.param('{"pieces": ["a"], "terminator": "</s>"}', "special token '</s>' missing", id="no-special"),
+            pytest.param('{"pieces": ["▁a", "", "</s>"], "terminator": "</s>"}', "piece 1 is empty", id="empty-piece"),
             pytest.param("{", "Expecting property name", id="invalid-json"),
         ],
     )
@@ -1194,3 +1195,20 @@ def test_decode_eval_and_serve_modules_load_no_openssl():
             "spandecode.cli.Vocabulary(['a', '</s>'], '</s>', [])\n" + probe)
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_decode_and_eval_over_a_table_load_no_transport_rss_or_thread_pool(workspace, tmp_path, command):
+    # Each is imported where it is needed: the transports for a scorer
+    # that is not a table, rss for rss-gen, and concurrent.futures (which
+    # imports logging) for --jobs > 1.
+    modules = ["spandecode.remote", "spandecode.rss", "concurrent.futures"]
+    probe = f"import sys; print([m for m in {modules!r} if m in sys.modules])"
+    bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    if bare.stdout.strip() != "[]":
+        pytest.skip(f"the bare interpreter already loads {bare.stdout.strip()}")
+    argv = ["--vocab", workspace["vocab"], "--scorer", workspace["table"], command,
+            "--input", workspace["dataset"], "--output", str(tmp_path / "out.json")]
+    code = f"from spandecode.cli import main\nassert main({argv!r}) == 0\n{probe}"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == "[]"

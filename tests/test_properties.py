@@ -21,6 +21,10 @@
   and in written cases of the lookup's precedence;
 - ``TableLM.from_file`` entries against ``math.log`` of each probability
   in the file, and ``logsumexp`` over the terminators;
+- a table distribution that lists every piece in id order (the dense
+  load) against the same one shuffled, without its zeros and set with int
+  keys (the general load): the same entry, floats included, and for a
+  fault the same message;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
   only ever begins a piece, against greedy longest match over the whole
   string.
@@ -28,6 +32,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +40,7 @@ from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
+from spandecode.mrqa import DataError
 from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, logsumexp
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
@@ -44,9 +50,10 @@ SETTINGS = settings(max_examples=300, deadline=None)
 EXTRACT, GREEDY = "extract", "greedy"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
-# the sentinels and the terminator.
+# the sentinels and the terminator. No piece is empty: a vocabulary
+# rejects one.
 PIECE_POOL = [
-    "", "▁", "▁▁", "\n", "▁\n", "\n▁", "\t", " ",
+    "▁", "▁▁", "\n", "▁\n", "\n▁", "\t", " ",
     "a", "b", "ab", "ba", "▁a", "▁b", "▁ab", "a▁", "b▁▁", "a\nb", "▁a▁b",
     "<extra_id_0>", "<extra_id_1>", "</s>",
 ]
@@ -507,6 +514,96 @@ def test_table_file_entries_are_the_logs_of_its_probabilities(tmp_path_factory, 
         assert top.hex() == want[token].hex() and top is logdist[token]
 
 
+# Each fault, and the words of the message that names it.
+FAULTS = {
+    "bool": "is a boolean, not a number",
+    "string": "', not a number",
+    "nan": "is not finite",
+    "negative": "negative probability",
+    "sum": "probabilities sum to",
+    "zero-padded": "listed twice",
+    "past-the-pieces": "outside piece vocabulary",
+}
+
+
+@st.composite
+def spelled_distributions(draw):
+    """A vocabulary, a terminator set, a distribution over every piece as
+    (id, probability) pairs in id order (floats, or ints where a
+    probability is 0 or 1) and one drawn fault, or None: a boolean, a
+    string, NaN, a negative value, a bad sum, "01" beside "1" (the one id
+    spelled as a string), or an id past the pieces. A fault after the type
+    check keeps the sum within DIST_SUM_TOL of 1, so that its own check is
+    the one that fails."""
+    size = draw(st.integers(2, 8))
+    stops = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        probs = [0] * size
+        probs[draw(st.integers(0, size - 1))] = 1
+    else:
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        assume(any(weights))
+        probs = [w / sum(weights) for w in weights]
+        assume(abs(sum(probs) - 1.0) <= DIST_SUM_TOL)
+        if draw(st.booleans()):
+            probs = [p if p else 0 for p in probs]
+    pairs = list(enumerate(probs))
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    t, u = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    if fault == "bool":
+        pairs[t] = (t, draw(st.booleans()))
+    elif fault == "string":
+        pairs[t] = (t, str(probs[t]))
+    elif fault == "nan":
+        pairs[t] = (t, math.nan)
+    elif fault == "negative":
+        pairs[t], pairs[u] = (t, -0.25), (u, probs[u] + probs[t] + 0.25)
+    elif fault == "sum":
+        pairs[t] = (t, probs[t] + 0.5)
+    elif fault in ("zero-padded", "past-the-pieces"):
+        # Token u's probability split between its own id and another.
+        extra = f"0{u}" if fault == "zero-padded" else size
+        pairs[u] = (u, probs[u] / 2)
+        pairs.insert(u + 1, (extra, probs[u] - probs[u] / 2))
+    return bare_vocab(size), stops, pairs, fault
+
+
+@SETTINGS
+@given(spelled_distributions(), st.data())
+def test_dense_and_general_loads_agree(tmp_path_factory, case, data):
+    """A distribution listing every piece in id order loads through the
+    dense path; shuffled, with its zeros left out, or set with int keys,
+    it takes the general path. All give the same entry, floats included,
+    and a fault the same message."""
+    vocab, stops, pairs, fault = case
+    path = tmp_path_factory.getbasetemp() / "table.json"
+
+    def from_file(items):
+        path.write_text(json.dumps({"*#": {str(t): p for t, p in items}}), encoding="utf-8")
+        return TableLM.from_file(path, vocab, terminator_ids=stops)
+
+    def set_context(items):
+        lm = TableLM(vocab, terminator_ids=stops)
+        lm.set_context((), dict(items))
+        return lm
+
+    if fault is not None:
+        with pytest.raises(ValueError, match=re.escape(FAULTS[fault])) as general:
+            set_context(pairs)
+        message = f"{path}: distribution '*#': {general.value}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            from_file(pairs)
+        return
+    shuffled = data.draw(st.permutations(pairs))
+    nonzero = [(t, p) for t, p in pairs if p]
+    entries = [lm._any_source[0] for lm in (from_file(pairs), from_file(shuffled), from_file(nonzero), set_context(pairs))]
+    logdist, term, token, top = entries[0]
+    for other in entries[1:]:
+        assert [v.hex() for v in other[0]] == [v.hex() for v in logdist]
+        assert other[1].hex() == term.hex()
+        assert other[2] == token and other[3].hex() == top.hex()
+
+
 def probe_encode(vocab, text):
     """The reference: greedy longest match over the whole marked string,
     probe by probe, with per-byte fallback."""
@@ -530,7 +627,7 @@ def probe_encode(vocab, text):
 # Pieces that begin with the marker or hold none, and pieces that hold it
 # after their first character.
 WORD_PIECES = [
-    "", "a", "b", "ab", "ba", "aba", "é", "\n", "a\nb", "▁", "▁a", "▁b", "▁ab", "▁ba", "▁\n",
+    "a", "b", "ab", "ba", "aba", "é", "\n", "a\nb", "▁", "▁a", "▁b", "▁ab", "▁ba", "▁\n",
 ]
 INNER_MARKER_PIECES = ["▁▁", "a▁", "b▁▁", "▁a▁b", "\n▁", "▁a▁"]
 

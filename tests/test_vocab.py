@@ -156,6 +156,12 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["a", "a", "</s>"], "</s>", [])
 
+    @pytest.mark.parametrize("pieces, index", [(["", "▁a", "</s>"], 0), (["▁a", "</s>", ""], 2)])
+    def test_empty_piece_rejected(self, pieces, index):
+        # A zero-width piece would let find_span start a span on it.
+        with pytest.raises(ValueError, match=f"^piece {index} is empty$"):
+            Vocabulary(pieces, "</s>", [])
+
     def test_vocab_id_is_the_sha1_of_the_vocabulary_json(self):
         import hashlib
         import json
