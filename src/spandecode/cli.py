@@ -134,14 +134,20 @@ def _replacing(path: str):
     moved over ``path`` only when the block completes, so that a run that
     fails leaves an existing ``path`` as it was and no partial file behind.
     A ``path`` that exists and is not a regular file, such as /dev/null or a
-    pipe, is written in place: a rename would replace the device itself."""
+    pipe, is written in place: a rename would replace the device itself.
+    An error creating the file beside ``path`` names ``path``."""
     output = Path(path)
     if output.exists() and not output.is_file():
         with open(output, "w", encoding="utf-8") as out:
             yield out
         return
     partial = output.with_name(f".{output.name}.{os.getpid()}.partial")
-    with open(partial, "x", encoding="utf-8") as out:
+    try:
+        out = open(partial, "x", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = path
+        raise
+    with out:
         try:
             yield out
         except BaseException:
@@ -249,7 +255,7 @@ def cmd_eval(args) -> int:
     finally:
         scorer.close()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
+        with _replacing(args.output) as f:
             json.dump(report.to_dict(), f, indent=2)
     print(report.render_table())
     return EXIT_OK
@@ -259,7 +265,7 @@ def cmd_subsample(args) -> int:
     dataset = load_dataset(args.input)
     validation = load_dataset(args.validation) if args.validation else None
     splits = subsample(dataset, args.sizes, args.num_samples, args.seed, validation)
-    with open(args.output, "w", encoding="utf-8") as f:
+    with _replacing(args.output) as f:
         json.dump([asdict(s) for s in splits], f, indent=2)
     print(f"wrote {len(splits)} splits")
     return EXIT_OK
@@ -277,7 +283,7 @@ def cmd_partition(args) -> int:
         counts[part] += 1
         records.append({"id": example.id, "partition": part})
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
+        with _replacing(args.output) as f:
             for record in records:
                 f.write(json.dumps(record) + "\n")
     total = len(dataset)
@@ -294,9 +300,8 @@ def cmd_select_hp(args) -> int:
 def cmd_rss_gen(args) -> int:
     from . import rss
 
-    stopwords = rss.load_stopwords(args.stopwords) if args.stopwords else rss.default_stopwords()
     cfg = rss.RssConfig(
-        stopwords=stopwords,
+        stopwords=rss.load_stopwords(args.stopwords or rss.STOPWORDS),
         min_span_words=args.min_span,
         max_span_words=args.max_span,
         rng_seed=args.seed,

@@ -1,6 +1,6 @@
 """Prompt templates for rendering (passage, question) into encoder input.
 
-Six templates ship as an embedded JSON resource and are kept byte-exact,
+Six templates ship as a JSON file in the package and are kept byte-exact,
 including trailing punctuation around the sentinel: prompt bytes change
 model scores, so fidelity beats aesthetics. Template 2
 ("Text:/Question:/Answer:") is the default.
@@ -13,9 +13,7 @@ prompt is rendered and encoded for the decoders.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .mrqa import read_json
@@ -24,6 +22,7 @@ OPEN_SENTINEL = "<extra_id_0>"
 CLOSE_SENTINEL = "<extra_id_1>"
 
 DEFAULT_TEMPLATE_ID = 2
+TEMPLATES = Path(__file__).with_name("data") / "templates.json"
 
 # The one target pattern: template files may carry it, as the built-in one does.
 TARGET_PATTERN = OPEN_SENTINEL + "{a}" + CLOSE_SENTINEL
@@ -66,10 +65,7 @@ def _load(raw) -> tuple[PromptTemplate, ...]:
 def list_templates(path: str | Path | None = None) -> tuple[PromptTemplate, ...]:
     """The built-in template library, or one loaded from an override file;
     DataError naming ``path`` when that file is not a valid library."""
-    if path is not None:
-        return read_json(path, _load)
-    data = resources.files("spandecode.data").joinpath("templates.json")
-    return _load(json.loads(data.read_text(encoding="utf-8")))
+    return read_json(TEMPLATES if path is None else path, _load)
 
 
 def get_template(template_id: int, path: str | Path | None = None) -> PromptTemplate:

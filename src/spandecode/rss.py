@@ -12,27 +12,22 @@ import gzip
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .mrqa import DataError, read_jsonl, read_lines
 from .prompting import CLOSE_SENTINEL, OPEN_SENTINEL
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
+STOPWORDS = Path(__file__).with_name("data") / "stopwords.txt"
 
 
-def default_stopwords() -> frozenset[str]:
-    text = resources.files("spandecode.data").joinpath("stopwords.txt").read_text()
-    return frozenset(w for w in text.split() if w)
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
+def load_stopwords(path: str | Path = STOPWORDS) -> frozenset[str]:
     return frozenset(line.strip() for _, line in read_lines(path) if line.strip())
 
 
 @dataclass(frozen=True)
 class RssConfig:
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
+    stopwords: frozenset[str] = field(default_factory=load_stopwords)
     min_span_words: int = 1
     max_span_words: int = 10
     rng_seed: int = 0
@@ -64,14 +59,6 @@ class RssExample:
         return asdict(self)
 
 
-def _words_with_spans(passage: str):
-    return [(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(passage)]
-
-
-def _is_stopword(word: str, stopwords) -> bool:
-    return word.lower() in stopwords
-
-
 def _non_overlapping_count(positions, length: int) -> int:
     count = 0
     next_free = -1
@@ -85,13 +72,13 @@ def _non_overlapping_count(positions, length: int) -> int:
 def find_recurring_spans(passage: str, cfg: RssConfig) -> list[RecurringSpan]:
     """Maximal word-aligned spans recurring at least twice.
 
-    A span qualifies if it recurs at >= 2 non-overlapping word positions,
-    contains at least one non-stopword, and is not stopword-bounded.
-    Occurrences extendable to a longer qualifying recurring span are
-    dropped, so only maximal occurrences remain maskable.
+    A span qualifies if it recurs at >= 2 non-overlapping word positions and
+    neither its first nor its last word is a stopword, so it holds a
+    non-stopword. An occurrence is maximal when neither of its one-word
+    extensions qualifies; only maximal occurrences are maskable.
     """
-    words = _words_with_spans(passage)
-    texts = [w[0] for w in words]
+    words = list(_WORD_RE.finditer(passage))
+    texts = [w.group() for w in words]
 
     positions: dict[tuple[int, tuple[str, ...]], list[int]] = {}
     for length in range(cfg.min_span_words, cfg.max_span_words + 1):
@@ -99,55 +86,34 @@ def find_recurring_spans(passage: str, cfg: RssConfig) -> list[RecurringSpan]:
             gram = tuple(texts[start : start + length])
             positions.setdefault((length, gram), []).append(start)
 
-    def qualifies(length: int, gram: tuple[str, ...]) -> bool:
-        if not cfg.min_span_words <= length <= cfg.max_span_words:
-            return False
-        occ = positions.get((length, gram))
-        if occ is None or _non_overlapping_count(occ, length) < 2:
-            return False
-        if _is_stopword(gram[0], cfg.stopwords) or _is_stopword(gram[-1], cfg.stopwords):
-            return False
-        return any(not _is_stopword(w, cfg.stopwords) for w in gram)
-
-    def occurrence_is_maximal(start: int, length: int) -> bool:
-        left = start - 1
-        if left >= 0 and qualifies(length + 1, tuple(texts[left : left + length + 1])):
-            return False
-        if start + length < len(texts) and qualifies(
-            length + 1, tuple(texts[start : start + length + 1])
-        ):
-            return False
-        return True
+    counts = {}
+    for (length, gram), occ in positions.items():
+        if gram[0].lower() in cfg.stopwords or gram[-1].lower() in cfg.stopwords:
+            continue
+        count = _non_overlapping_count(occ, length)
+        if count >= 2:
+            counts[(length, gram)] = count
 
     # Group maximal occurrences by identical surface text, so masking one
-    # occurrence always leaves a verbatim copy of the surface behind.
-    by_surface: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    totals: dict[tuple[str, int], int] = {}
-    for (length, gram), occ in positions.items():
-        if not qualifies(length, gram):
-            continue
-        for start in occ:
-            if not occurrence_is_maximal(start, length):
+    # occurrence always leaves a verbatim copy of the surface behind. The
+    # surface determines the gram, and so its count; a gram's starts ascend,
+    # so each group's spans are in order.
+    by_surface: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
+    for (length, gram), count in counts.items():
+        for start in positions[(length, gram)]:
+            if (length + 1, tuple(texts[start : start + length + 1])) in counts:
                 continue
-            char_start = words[start][1]
-            char_end = words[start + length - 1][2]
-            surface = passage[char_start:char_end]
-            key = (surface, length)
+            if start > 0 and (length + 1, tuple(texts[start - 1 : start + length])) in counts:
+                continue
+            char_start, char_end = words[start].start(), words[start + length - 1].end()
+            key = (passage[char_start:char_end], length, count)
             by_surface.setdefault(key, []).append((char_start, char_end))
-            totals[key] = _non_overlapping_count(occ, length)
 
-    spans = []
-    for (surface, length), occs in by_surface.items():
-        char_spans = tuple(sorted(set(occs)))
-        if len(char_spans) >= 2:
-            spans.append(
-                RecurringSpan(
-                    surface=surface,
-                    num_words=length,
-                    char_spans=char_spans,
-                    occurrence_count=totals[(surface, length)],
-                )
-            )
+    spans = [
+        RecurringSpan(surface, length, tuple(occs), count)
+        for (surface, length, count), occs in by_surface.items()
+        if len(occs) >= 2
+    ]
     spans.sort(key=lambda s: (s.char_spans[0], -s.num_words))
     return spans
 

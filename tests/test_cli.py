@@ -1072,6 +1072,20 @@ def test_malformed_whole_file_input_is_one_line_naming_it(workspace, capsys, fla
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "subsample", "partition", "rss-gen"])
+def test_output_in_a_missing_directory_is_one_data_error_line_naming_it(workspace, capsys, command):
+    # The line names the given --output, not the file written beside it.
+    corpus = workspace["dir"] / "corpus.txt"
+    corpus.write_text("blue bird saw blue bird\n", encoding="utf-8")
+    out = workspace["dir"] / "missing" / "out.json"
+    flags = {"subsample": ["--sizes", "2", "--num-samples", "1"]}.get(command, [])
+    source = corpus if command == "rss-gen" else many_questions(workspace)
+    code = main(base_args(workspace) + [command, "--input", str(source), "--output", str(out), *flags])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"data error: [Errno 2] No such file or directory: {str(out)!r}"
+
+
 # Values a type-swap puts in place of any value of an input file.
 SWAPS = [True, False, None, 0, 3, -1, 0.5, "", "x", "1.0", [], [1], {}, {"0": 1.0}]
 FUZZ_COMMANDS = [["decode", "--algo", "exact"], ["decode", "--algo", "greedy"], ["eval"]]
@@ -1212,3 +1226,15 @@ def test_decode_and_eval_over_a_table_load_no_transport_rss_or_thread_pool(works
     code = f"from spandecode.cli import main\nassert main({argv!r}) == 0\n{probe}"
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert child.stdout.splitlines()[-1] == "[]"
+
+
+def test_built_in_data_files_are_read_as_utf8():
+    # Under the C locale the default codec is ASCII: the child makes reading
+    # a text file without naming its encoding an error.
+    code = ("from spandecode import prompting, rss\n"
+            "rss.load_stopwords()\nrss.RssConfig()\nprompting.list_templates()\n")
+    child = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "LC_ALL": "C"},
+    )
+    assert child.returncode == 0, child.stderr

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import random
 import re
 
@@ -123,6 +124,78 @@ def test_seeded_choice_is_pinned(seed, surface, masked):
     passage = "Alan Turing was born in London and Alan Turing died in Wilmslow near London"
     example = make_example(passage, RssConfig(rng_seed=seed))
     assert (example.span_surface, example.masked_passage, example.occurrence_count) == (surface, masked, 2)
+
+
+def oracle_spans(passage, stopwords, min_words, max_words):
+    """The spans ``find_recurring_spans``'s docstring defines, by brute force
+    over every word span, as (surface, words, char spans, count) tuples."""
+    words = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\w+|[^\w\s]", passage)]
+    texts = [w[0] for w in words]
+
+    def count(i, n):
+        return count_word_occurrences(passage, " ".join(texts[i : i + n]))
+
+    def qualifies(i, n):
+        if not (min_words <= n <= max_words and 0 <= i and i + n <= len(texts)):
+            return False
+        gram = [w.lower() for w in texts[i : i + n]]
+        return (
+            gram[0] not in stopwords
+            and gram[-1] not in stopwords
+            and any(w not in stopwords for w in gram)
+            and count(i, n) >= 2
+        )
+
+    groups = {}
+    for n in range(min_words, max_words + 1):
+        for i in range(len(texts) - n + 1):
+            if qualifies(i, n) and not qualifies(i - 1, n + 1) and not qualifies(i, n + 1):
+                start, end = words[i][1], words[i + n - 1][2]
+                groups.setdefault((passage[start:end], n), []).append((start, end, count(i, n)))
+    spans = [
+        (surface, n, tuple(sorted((start, end) for start, end, _ in occs)), occs[0][2])
+        for (surface, n), occs in groups.items()
+        if len(occs) >= 2
+    ]
+    return sorted(spans, key=lambda s: (s[2][0], -s[1]))
+
+
+def oracle_example(passage, spans, seed):
+    """The record of one occurrence of one span, drawn by the passage's
+    seeded SHA-256, masked."""
+    if not spans:
+        return None
+    rng = random.Random(int(hashlib.sha256(f"{seed}:{passage}".encode("utf-8")).hexdigest(), 16))
+    surface, _, char_spans, count = spans[rng.randrange(len(spans))]
+    start, end = char_spans[rng.randrange(len(char_spans))]
+    return {
+        "masked_passage": passage[:start] + "<extra_id_0>" + passage[end:],
+        "target": f"<extra_id_0>{surface}<extra_id_1>",
+        "span_surface": surface,
+        "occurrence_count": count,
+    }
+
+
+def test_spans_and_examples_equal_a_brute_force_oracle():
+    rng = random.Random(23)
+    pool = ["Alan", "alan", "Turing", "the", "The", "a", "of", "fox", "Fox", "café", "Straße",
+            "bird", "x", "1971", ",", ".", "(", ")", "'", "and", "était"]
+    separators = [" ", " ", " ", "  ", "\t", "", " \t "]
+    with_spans = 0
+    for _ in range(1500):
+        words = rng.sample(pool, rng.randint(2, len(pool)))
+        passage = "".join(rng.choice(words) + rng.choice(separators) for _ in range(rng.randint(0, 40)))
+        low = rng.randint(1, 6)
+        high = rng.randint(low, 6)
+        stopwords = frozenset(w.lower() for w in rng.sample(pool, rng.randint(0, 10)))
+        config = RssConfig(stopwords, low, high, rng.randrange(10))
+        expected = oracle_spans(passage, stopwords, low, high)
+        spans = find_recurring_spans(passage, config)
+        assert [(s.surface, s.num_words, s.char_spans, s.occurrence_count) for s in spans] == expected, passage
+        example = make_example(passage, config)
+        assert (example and example.to_dict()) == oracle_example(passage, expected, config.rng_seed), passage
+        with_spans += bool(expected)
+    assert with_spans > 200
 
 
 class TestGenerateCorpus:
