@@ -22,14 +22,15 @@ S_IN = "S_in"
 S_OUT = "S_out"
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+# Deletes every ASCII punctuation character.
+_DROP_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop articles, drop punctuation, collapse whitespace."""
     text = text.lower()
     text = _ARTICLE_RE.sub(" ", text)
-    text = "".join(ch for ch in text if ch not in _PUNCT)
+    text = text.translate(_DROP_PUNCT)
     return " ".join(text.split())
 
 

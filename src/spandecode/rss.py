@@ -22,7 +22,9 @@ STOPWORDS = Path(__file__).with_name("data") / "stopwords.txt"
 
 
 def load_stopwords(path: str | Path = STOPWORDS) -> frozenset[str]:
-    return frozenset(line.strip() for _, line in read_lines(path) if line.strip())
+    """The words of ``path``, one a line, lowercased as the passage words
+    they are matched against are."""
+    return frozenset(line.strip().lower() for _, line in read_lines(path) if line.strip())
 
 
 @dataclass(frozen=True)

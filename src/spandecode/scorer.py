@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
 from pathlib import Path
 
 from .mrqa import read_json
@@ -37,7 +35,7 @@ class ScorerError(RuntimeError):
     """A scoring request could not be served."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreRequest:
     """One teacher-forced scoring request.
 
@@ -59,7 +57,7 @@ class ScoreRequest:
             raise VocabularyMismatchError("request sequences use different vocabularies")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepScores:
     """Per-step scores for a forced target of length m.
 
@@ -154,20 +152,24 @@ def best_span_of(rows, allow_empty_span: bool) -> tuple[int, int, float]:
     e(i, j) its terminator log-prob after j tokens.
 
     Length 0 is a candidate only at start 0 with ``allow_empty_span``.
-    Ties go to the earliest start, then the shortest span: rows are visited
-    by start, ``max()``/``index()`` take a row's first maximum, and a strict
-    ``>`` across rows keeps the earlier one. When every span scores -inf,
-    the first candidate wins: (0, 1, -inf), or (0, 0, -inf) with the empty
-    span allowed."""
-    best_score = None
+    Ties go to the earliest start, then the shortest span: one running pass
+    visits the candidates by start, then by length, and a strict ``>``
+    keeps the first maximum. The first candidate is the best before any is
+    compared, so when every span scores -inf it wins: (0, 1, -inf), or
+    (0, 0, -inf) with the empty span allowed."""
+    best_score, best_i, best_j = NEG_INF, 0, 1
     for i, scores in enumerate(rows):
-        first = 0 if allow_empty_span and i == 0 else 1
-        row = list(map(add, accumulate(scores.gold_logprob, initial=0.0), scores.term_logprob))
-        if first:
-            row[0] = NEG_INF
-        top = max(row)
-        if best_score is None or top > best_score:
-            best_score, best_i, best_j = top, i, row.index(top, first)
+        term = scores.term_logprob
+        total = 0.0
+        if allow_empty_span and not i:
+            best_score, best_j = total + term[0], 0
+        j = 0
+        for gold in scores.gold_logprob:
+            j += 1
+            total += gold
+            score = total + term[j]
+            if score > best_score:
+                best_score, best_i, best_j = score, i, j
     return best_i, best_j, best_score
 
 

@@ -23,6 +23,7 @@ except ImportError:
 
 SPACE_MARKER = "▁"  # "▁" marks a word boundary in piece surfaces
 NUM_BYTE_TOKENS = 256
+_INT = {int}
 
 
 class VocabularyMismatchError(ValueError):
@@ -33,7 +34,7 @@ class UnknownTokenError(ValueError):
     """A token id is not valid under the vocabulary it was decoded with."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSeq:
     """An immutable sequence of token ids tied to the vocabulary that produced it."""
 
@@ -80,10 +81,18 @@ class Vocabulary:
         self.terminator = terminator
         self.sentinels = list(sentinels)
         self._piece_to_id = {p: i for i, p in enumerate(pieces)}
-        self._max_piece_len = max(len(p) for p in pieces)
         # When the marker only ever begins a piece, no match crosses a word
         # boundary, so encode can take the marked string one word at a time.
         self._split_words = not any(SPACE_MARKER in p[1:] for p in pieces)
+        # The id of each piece that is the marker and a word, by the word.
+        self._word_to_id = {p[1:]: i for i, p in enumerate(pieces) if p[0] == SPACE_MARKER}
+        # The lengths of the pieces of two or more characters, longest
+        # first, by their first two characters.
+        lengths: dict[str, set[int]] = {}
+        for p in pieces:
+            if len(p) > 1:
+                lengths.setdefault(p[:2], set()).add(len(p))
+        self._lengths = {pair: sorted(found, reverse=True) for pair, found in lengths.items()}
         digest = sha1(
             json.dumps(
                 {"pieces": pieces, "terminator": terminator, "sentinels": sentinels},
@@ -145,41 +154,52 @@ class Vocabulary:
         piece covers are emitted as per-byte fallback tokens.
 
         If no piece holds the marker after its first character, the marked
-        string is split before each marker and every word that is a piece
-        costs one lookup; only the other words are matched probe by probe.
-        Otherwise the whole string is matched probe by probe.
+        string is split before each marker, and every word is looked up at
+        once, by one map over a table of the pieces that are the marker and
+        a word; only the words that miss it are matched by ``_match``.
+        Otherwise the whole string is matched by ``_match``.
         """
         if not text:
             return TokenSeq((), self.vocab_id)
         marked = text.replace(" ", SPACE_MARKER)
-        ids: list[int] = []
         if not self._split_words:
+            ids: list[int] = []
             self._match(SPACE_MARKER + marked, ids)
             return TokenSeq(tuple(ids), self.vocab_id)
-        get = self._piece_to_id.get
-        for word in marked.split(SPACE_MARKER):
-            word = SPACE_MARKER + word
-            token = get(word)
+        words = marked.split(SPACE_MARKER)
+        found = list(map(self._word_to_id.get, words))
+        if None not in found:
+            return TokenSeq(tuple(found), self.vocab_id)
+        ids = []
+        for word, token in zip(words, found):
             if token is None:
-                self._match(word, ids)
+                self._match(SPACE_MARKER + word, ids)
             else:
                 ids.append(token)
         return TokenSeq(tuple(ids), self.vocab_id)
 
     def _match(self, s: str, ids: list[int]) -> None:
         """Append the greedy longest-match segmentation of ``s`` to ``ids``:
-        at each position the longest piece, else the character's bytes."""
-        pos = 0
-        while pos < len(s):
-            for length in range(min(self._max_piece_len, len(s) - pos), 0, -1):
-                token = self._piece_to_id.get(s[pos : pos + length])
+        at each position the longest piece, else the character's bytes.
+
+        Only the lengths of the pieces that begin with the two characters
+        at the position are probed, longest first, then the one character.
+        A length past the end of ``s`` probes ``s[pos:]``, which, if it is
+        a piece, is the longest one there, so the lengths need no bound."""
+        get, lengths = self._piece_to_id.get, self._lengths
+        pos, end = 0, len(s)
+        while pos < end:
+            for length in lengths.get(s[pos : pos + 2], ()):
+                token = get(s[pos : pos + length])
                 if token is not None:
-                    ids.append(token)
-                    pos += length
                     break
             else:
+                length, token = 1, get(s[pos])
+            if token is None:
                 ids.extend(self.byte_id(b) for b in s[pos].encode("utf-8"))
-                pos += 1
+            else:
+                ids.append(token)
+            pos += length
 
     def decode(self, seq: TokenSeq | list[int] | tuple[int, ...]) -> str:
         """Concatenate piece surfaces, rendering the boundary marker as a space."""
@@ -229,11 +249,12 @@ class Vocabulary:
     def seq(self, ids) -> TokenSeq:
         """Wrap raw ids as a TokenSeq, validating them against this vocabulary."""
         ids = tuple(ids)
-        # is_valid_id inlined: serve validates every id of every request.
+        # C-level reductions: serve validates every id of every request.
+        # Exact types: a bool is an int to Python.
         limit = len(self.pieces) + NUM_BYTE_TOKENS
-        for token_id in ids:
-            if type(token_id) is not int or not 0 <= token_id < limit:
-                raise UnknownTokenError(f"{token_id!r} is not a token id of this vocabulary")
+        if ids and not (set(map(type, ids)) == _INT and min(ids) >= 0 and max(ids) < limit):
+            bad = next(t for t in ids if not self.is_valid_id(t))
+            raise UnknownTokenError(f"{bad!r} is not a token id of this vocabulary")
         return TokenSeq(ids, self.vocab_id)
 
 

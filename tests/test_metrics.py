@@ -1,8 +1,11 @@
 import json
 import random
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spandecode import metrics
 from spandecode.metrics import (
@@ -190,8 +193,23 @@ class TestAggregate:
             aggregate([])
 
 
+def normalize_by_generator(text: str) -> str:
+    """normalize_answer with punctuation dropped one character at a time."""
+    text = metrics._ARTICLE_RE.sub(" ", text.lower())
+    text = "".join(ch for ch in text if ch not in set(string.punctuation))
+    return " ".join(text.split())
+
+
 class TestNormalization:
     def test_pipeline(self):
         assert normalize_answer("The  IRA!") == "ira"
         assert normalize_answer("A    B.C.") == "bc"
         assert normalize_answer("") == ""
+
+    def test_non_ascii_punctuation_is_kept(self):
+        assert normalize_answer("¿Qué? ¡Sí!") == "¿qué ¡sí"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=string.punctuation + "¿¡«»—…\u00a0 \tAaTthEen.", max_size=40))
+    def test_equals_the_generator_form(self, text):
+        assert normalize_answer(text) == normalize_by_generator(text)

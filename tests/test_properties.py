@@ -25,9 +25,13 @@
   load) against the same one shuffled, without its zeros and set with int
   keys (the general load): the same entry, floats included, and for a
   fault the same message;
+- ``best_span_of``'s running pass against a scan of every (i, j) under
+  ``decoding._better``, the tie-break that ``naive_exact`` uses: the same
+  span and score, bit for bit;
 - ``Vocabulary.encode``, which looks whole words up when the word marker
-  only ever begins a piece, against greedy longest match over the whole
-  string.
+  only ever begins a piece and probes only the lengths of the pieces that
+  begin with the two characters at a position, against greedy longest
+  match over the whole string.
 """
 
 import json
@@ -38,10 +42,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spandecode.decoding import DecodeConfig, exact_extract, greedy_decode, naive_exact
+from spandecode.decoding import DecodeConfig, _better, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
 from spandecode.mrqa import DataError
-from spandecode.scorer import DIST_SUM_TOL, NEG_INF, Scorer, ScoreRequest, TableLM, logsumexp
+from spandecode.scorer import (
+    DIST_SUM_TOL,
+    LOGPROB_TOL,
+    NEG_INF,
+    Scorer,
+    ScoreRequest,
+    StepScores,
+    TableLM,
+    best_span_of,
+    logsumexp,
+)
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
 from conftest import LoopbackScorer, RecordingTableLM, bare_vocab
@@ -625,9 +639,12 @@ def probe_encode(vocab, text):
 
 
 # Pieces that begin with the marker or hold none, and pieces that hold it
-# after their first character.
+# after their first character. Several share their first two characters
+# at different lengths ("ab", "aba", "abab", "abbab"; "▁a", "▁ab",
+# "▁aba", "▁abab"), and one-character pieces begin longer ones.
 WORD_PIECES = [
-    "a", "b", "ab", "ba", "aba", "é", "\n", "a\nb", "▁", "▁a", "▁b", "▁ab", "▁ba", "▁\n",
+    "a", "b", "ab", "ba", "aba", "abab", "abbab", "é", "éz", "éza", "\n", "a\nb",
+    "▁", "▁a", "▁b", "▁ab", "▁ba", "▁aba", "▁abab", "▁\n",
 ]
 INNER_MARKER_PIECES = ["▁▁", "a▁", "b▁▁", "▁a▁b", "\n▁", "▁a▁"]
 
@@ -643,6 +660,11 @@ def encode_cases(draw):
     # Runs of spaces, a literal marker, a newline, characters only some
     # vocabularies cover and two that none does (byte fallback).
     text = draw(st.text(alphabet="ab  ▁\néz☃", max_size=16))
+    # Sometimes the text ends inside a longer piece: a proper prefix of it.
+    longer = [p for p in extra if len(p) > 1]
+    if longer and draw(st.booleans()):
+        piece = draw(st.sampled_from(longer))
+        text += piece[: draw(st.integers(1, len(piece) - 1))]
     return vocab, inner, text
 
 
@@ -655,3 +677,50 @@ def test_encode_equals_the_probe_loop(case):
     assert seq == TokenSeq(probe_encode(vocab, text), vocab.vocab_id)
     # The marker stands for a space, so a literal one decodes as a space.
     assert vocab.decode(seq) == text.replace(SPACE_MARKER, " ")
+
+
+# Gold and terminator log-probs: ties (repeated values), -inf, both zeros,
+# the largest value a scorer may return and values in between.
+ROW_VALUES = st.one_of(
+    st.sampled_from([NEG_INF, 0.0, -0.0, LOGPROB_TOL, -0.5, -1.0, -1.5]),
+    st.floats(min_value=-8.0, max_value=LOGPROB_TOL),
+)
+
+
+@st.composite
+def span_rows(draw):
+    """Suffix-table rows: row 0 holds 1..K gold log-probs (a passage has a
+    token), a later row 0..K; a row's terminator log-probs number one more."""
+    cap = draw(st.integers(1, 5))
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        gold = draw(st.lists(ROW_VALUES, min_size=0 if i else 1, max_size=cap))
+        term = draw(st.lists(ROW_VALUES, min_size=len(gold) + 1, max_size=len(gold) + 1))
+        rows.append(StepScores(tuple(gold), tuple(term)))
+    return rows, draw(st.booleans())
+
+
+def scan_best_span(rows, allow_empty_span):
+    """Every (i, j) scored on its own, L(i, j) summed from 0.0 in step
+    order, under naive_exact's tie-break."""
+    best = None
+    for i, scores in enumerate(rows):
+        for j in range(0 if allow_empty_span and i == 0 else 1, len(scores.gold_logprob) + 1):
+            total = 0.0
+            for gold in scores.gold_logprob[:j]:
+                total += gold
+            total += scores.term_logprob[j]
+            if _better(total, i, j, best):
+                best = (total, i, j)
+    score, i, j = best
+    return i, j, score.hex()
+
+
+@SETTINGS
+@given(span_rows())
+def test_best_span_of_equals_a_scan_of_every_span(case):
+    rows, allow = case
+    start, length, score = best_span_of(rows, allow)
+    assert (start, length, score.hex()) == scan_best_span(rows, allow)
+    # Rows as a generator, as TableLM.best_span passes them.
+    assert best_span_of(iter(rows), allow) == (start, length, score)

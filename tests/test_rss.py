@@ -10,6 +10,7 @@ from spandecode.rss import (
     RssConfig,
     find_recurring_spans,
     generate_corpus,
+    load_stopwords,
     make_example,
     read_passages,
 )
@@ -37,6 +38,16 @@ def count_word_occurrences(passage: str, surface: str) -> int:
         else:
             i += 1
     return count
+
+
+@pytest.mark.parametrize("written", ["the", "The", "THE"])
+def test_a_stopword_file_matches_in_any_case(tmp_path, written):
+    path = tmp_path / "stopwords.txt"
+    path.write_text(f"{written}\n", encoding="utf-8")
+    stopwords = load_stopwords(path)
+    assert stopwords == {"the"}
+    spans = find_recurring_spans("The bird saw The bird", cfg(stopwords=stopwords))
+    assert [span.surface for span in spans] == ["bird"]
 
 
 class TestFindRecurringSpans:

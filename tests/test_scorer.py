@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -581,6 +582,28 @@ class TestBestSpanOf:
         assert scorer.pass_count() == 3
         if wire != "in-process":
             assert scorer.ops() == ["extract"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda vocab, last: vocab.seq((0, last)),
+        lambda vocab, last: make_request(vocab, (0, last), (2,), (3,)),
+        lambda vocab, last: StepScores((-1.0, -0.5), (-2.0, NEG_INF, -last / 4)),
+    ],
+    ids=["TokenSeq", "ScoreRequest", "StepScores"],
+)
+def test_per_pass_records_are_frozen_values(make):
+    vocab = bare_vocab(5)
+    record, same, other = make(vocab, 1), make(vocab, 1), make(vocab, 2)
+    assert record is not same and record == same and hash(record) == hash(same)
+    assert record != other
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(other, field))
+    assert record == same
+    # Slots: no per-instance dict.
+    assert not hasattr(record, "__dict__")
 
 
 def naive_span(lm, source, prefix, passage, cap=None, allow=False):

@@ -68,6 +68,14 @@ class TestDecode:
         with pytest.raises(UnknownTokenError):
             toy_vocab.seq([0, bad])
 
+    @pytest.mark.parametrize("bad", [True, False, -1, 16 + 256, 10**30, "3", 2.0, None])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_seq_names_the_first_bad_id(self, toy_vocab, bad, at):
+        ids = [0, 1, 16 + 255][:at] + [bad, -5, "x"]
+        with pytest.raises(UnknownTokenError) as raised:
+            toy_vocab.seq(iter(ids))
+        assert str(raised.value) == f"{bad!r} is not a token id of this vocabulary"
+
     def test_vocab_mismatch_rejected(self, toy_vocab):
         other = TokenSeq((0,), "deadbeef")
         with pytest.raises(VocabularyMismatchError):
