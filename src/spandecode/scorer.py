@@ -35,29 +35,31 @@ class ScorerError(RuntimeError):
     """A scoring request could not be served."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScoreRequest:
     """One teacher-forced scoring request.
 
     ``forced_prefix`` is the decoder prefix fed before the target (e.g. the
     opening sentinel); ``forced_target`` is the sequence whose per-step
-    scores are wanted.
-    """
+    scores are wanted. All three sequences must share one vocabulary, else
+    VocabularyMismatchError, raised before any field is set.
+
+    A frozen, slotted value, built once per pass: like ``TokenSeq``, its
+    written-out ``__init__`` stores each field through its slot descriptor."""
 
     source: TokenSeq
     forced_target: TokenSeq
     forced_prefix: TokenSeq
 
-    def __post_init__(self):
-        if not (
-            self.source.vocab_id
-            == self.forced_target.vocab_id
-            == self.forced_prefix.vocab_id
-        ):
+    def __init__(self, source: TokenSeq, forced_target: TokenSeq, forced_prefix: TokenSeq):
+        if not source.vocab_id == forced_target.vocab_id == forced_prefix.vocab_id:
             raise VocabularyMismatchError("request sequences use different vocabularies")
+        _set_source(self, source)
+        _set_forced_target(self, forced_target)
+        _set_forced_prefix(self, forced_prefix)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StepScores:
     """Per-step scores for a forced target of length m.
 
@@ -65,10 +67,25 @@ class StepScores:
     ``term_logprob[k]`` is the log-probability of terminating after
     ``prefix + target[:k]`` (log-sum over the configured terminator set),
     so it has m + 1 entries.
-    """
+
+    A frozen, slotted value, built once per pass: like ``TokenSeq``, its
+    written-out ``__init__`` stores each field through its slot descriptor."""
 
     gold_logprob: tuple[float, ...]
     term_logprob: tuple[float, ...]
+
+    def __init__(self, gold_logprob: tuple[float, ...], term_logprob: tuple[float, ...]):
+        _set_gold_logprob(self, gold_logprob)
+        _set_term_logprob(self, term_logprob)
+
+
+# The slot descriptors' setters, which a frozen class's own ``__setattr__``
+# cannot reach.
+_set_source = ScoreRequest.source.__set__
+_set_forced_target = ScoreRequest.forced_target.__set__
+_set_forced_prefix = ScoreRequest.forced_prefix.__set__
+_set_gold_logprob = StepScores.gold_logprob.__set__
+_set_term_logprob = StepScores.term_logprob.__set__
 
 
 def _check_logprobs(values, what: str) -> None:
@@ -82,29 +99,6 @@ def _check_logprobs(values, what: str) -> None:
         raise ScorerError(f"{what} hold NaN or +inf")
     if values and max(values) > LOGPROB_TOL:
         raise ScorerError(f"{what} hold a positive log-probability {max(values)!r}")
-
-
-def check_step_scores(scores: StepScores, m: int) -> StepScores:
-    """Return ``scores`` if they are valid for a forced target of length m:
-    m gold and m + 1 terminator log-probabilities, each passing
-    ``_check_logprobs``; else raise ScorerError.
-
-    Both tuples are checked by the same reductions at once: the terminator
-    sum started from the gold sum is NaN or +inf exactly when either sum
-    is (valid sums are at most about m * LOGPROB_TOL, so they cannot
-    overflow), and a max over each catches a positive value. Only a
-    rejected pass checks the tuples one by one, gold first, to name its
-    fault as ``_check_logprobs`` does."""
-    gold, term = scores.gold_logprob, scores.term_logprob
-    if len(gold) != m or len(term) != m + 1:
-        raise ScorerError(
-            f"scorer returned {len(gold)}/{len(term)} scores for a target of length {m}"
-        )
-    total = sum(term, sum(gold))
-    if total != total or total == POS_INF or max(term) > LOGPROB_TOL or (m and max(gold) > LOGPROB_TOL):
-        _check_logprobs(gold, "forced log-probs")
-        _check_logprobs(term, "forced log-probs")
-    return scores
 
 
 def positive_int(value, name: str) -> int:
@@ -209,12 +203,36 @@ class Scorer:
 
     # -- public interface -----------------------------------------------
     def teacher_forced_pass(self, req: ScoreRequest) -> StepScores:
-        """Score a forced target in one counted pass; invalid scores raise
-        ScorerError instead of reaching the decoders."""
-        self._check_vocab(req.source)
+        """Score a forced target of length m in one counted pass.
+
+        VocabularyMismatchError unless the source is in the scorer's
+        vocabulary. The scores must hold m gold and m + 1 terminator
+        log-probabilities, each passing ``_check_logprobs``; else
+        ScorerError, so that invalid scores never reach the decoders.
+
+        Exact-extract makes one call per suffix, so the checks are inline.
+        Both tuples are checked by the same reductions at once: the
+        terminator sum started from the gold sum is NaN or +inf exactly
+        when either sum is (valid sums are at most about m * LOGPROB_TOL,
+        so they cannot overflow), and a max over each catches a positive
+        value. Only a rejected pass checks the tuples one by one, gold
+        first, to name its fault as ``_check_logprobs`` does."""
+        if req.source.vocab_id != self.vocab.vocab_id:
+            raise VocabularyMismatchError("request vocabulary does not match the scorer's")
         with self._lock:
             self._passes += 1
-        return check_step_scores(self._score_forced(req), len(req.forced_target.ids))
+        scores = self._score_forced(req)
+        gold, term = scores.gold_logprob, scores.term_logprob
+        m = len(req.forced_target.ids)
+        if len(gold) != m or len(term) != m + 1:
+            raise ScorerError(
+                f"scorer returned {len(gold)}/{len(term)} scores for a target of length {m}"
+            )
+        total = sum(term, sum(gold))
+        if total != total or total == POS_INF or max(term) > LOGPROB_TOL or (m and max(gold) > LOGPROB_TOL):
+            _check_logprobs(gold, "forced log-probs")
+            _check_logprobs(term, "forced log-probs")
+        return scores
 
     def best_span(
         self,
@@ -586,26 +604,31 @@ class TableLM(Scorer):
         L(i, j) + e(i, j) cannot grow for j >= k, the row's first maximum
         lies at j <= max(k, 1), and the forced part holds it, summed in the
         same order. A default with a log-prob above 0, or a subclass that
-        rescores (overrides ``_score_forced``), forces full suffixes."""
+        rescores (overrides ``_score_forced``), forces full suffixes.
+
+        Each suffix is one ``self.teacher_forced_pass(ScoreRequest(...))``,
+        looked up through the class, so that a wrapper on
+        ``Scorer.teacher_forced_pass`` sees every pass and its forced
+        target. Each row goes to ``best_span_of`` as it is scored, not held
+        for all n."""
         cap = suffix_cap(passage, max_span_len)
         full = self._default_rises or type(self)._score_forced is not TableLM._score_forced
         nodes = self._nodes(source.ids, prefix.ids)
-        ids = passage.ids
+        ids, vocab_id = passage.ids, passage.vocab_id
         n = len(ids)
         forced = self.teacher_forced_pass
 
         def rows():
             for i in range(n):
                 pinned, any_node = nodes
-                k, limit = 0, min(cap, n - i)
+                k, limit = 0, cap if cap < n - i else n - i
                 while k < limit and (full or pinned or any_node):
                     token = ids[i + k]
                     pinned = pinned and pinned[1].get(token)
                     any_node = any_node and any_node[1].get(token)
                     k += 1
-                yield forced(ScoreRequest(source, TokenSeq(ids[i : i + (k or 1)], passage.vocab_id), prefix))
+                yield forced(ScoreRequest(source, TokenSeq(ids[i : i + (k or 1)], vocab_id), prefix))
 
-        # Each row goes to the argmax as it is scored, not held for all n.
         return best_span_of(rows(), allow_empty_span)
 
     def greedy_steps(
@@ -642,7 +665,13 @@ class TableLM(Scorer):
         """Each step's entry (pinned, then any-source, then the default),
         both nodes stepped down the target, and last the terminator
         log-prob of the context after the whole target."""
-        pinned, any_node = self._nodes(req.source.ids, req.forced_prefix.ids)
+        source, prefix = req.source.ids, req.forced_prefix.ids
+        # ``_nodes``' memo, read here: every pass of one ``best_span`` hits it.
+        last = self._last_nodes
+        if last is not None and last[0] is source and last[1] is prefix:
+            pinned, any_node = last[2]
+        else:
+            pinned, any_node = self._nodes(source, prefix)
         default = self._default
         size = len(default[0])
         gold: list[float] = []

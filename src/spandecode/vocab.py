@@ -34,12 +34,22 @@ class UnknownTokenError(ValueError):
     """A token id is not valid under the vocabulary it was decoded with."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TokenSeq:
-    """An immutable sequence of token ids tied to the vocabulary that produced it."""
+    """An immutable sequence of token ids tied to the vocabulary that produced it.
+
+    A frozen, slotted value: equality, hash, repr, ``dataclasses.replace``,
+    copying and pickling are the dataclass's own. Exact-extract builds one
+    per suffix, so ``__init__`` is written out: it stores each field through
+    its slot descriptor, one C call each, where the generated frozen
+    ``__init__`` makes one ``object.__setattr__`` call per field."""
 
     ids: tuple[int, ...]
     vocab_id: str
+
+    def __init__(self, ids: tuple[int, ...], vocab_id: str):
+        _set_ids(self, ids)
+        _set_vocab_id(self, vocab_id)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -50,11 +60,19 @@ class TokenSeq:
         return self.ids[index]
 
     def __add__(self, other: "TokenSeq") -> "TokenSeq":
+        if not isinstance(other, TokenSeq):
+            return NotImplemented
         if other.vocab_id != self.vocab_id:
             raise VocabularyMismatchError(
                 "cannot concatenate sequences from different vocabularies"
             )
         return TokenSeq(self.ids + other.ids, self.vocab_id)
+
+
+# The slot descriptors' setters, which a frozen class's own ``__setattr__``
+# cannot reach.
+_set_ids = TokenSeq.ids.__set__
+_set_vocab_id = TokenSeq.vocab_id.__set__
 
 
 class Vocabulary:

@@ -12,7 +12,7 @@ from spandecode.decoding import (
     greedy_decode,
     naive_exact,
 )
-from spandecode.scorer import ScoreRequest, TableLM
+from spandecode.scorer import ScoreRequest, Scorer, TableLM
 
 from conftest import bare_vocab, random_table_lm
 
@@ -126,6 +126,36 @@ class TestExactExtract:
         assert result.length == 1
         oracle = naive_exact(passage, empty(vocab), empty(vocab), lm, cfg)
         assert (result.start, result.length) == (oracle.start, oracle.length)
+
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    def test_every_suffix_is_one_pass_through_the_base_class(self, monkeypatch, cap):
+        # Wrapped on the class, as the benchmark's tracer counts passes and
+        # forced tokens: a subclass that records its own calls would not see
+        # a TableLM that stopped reaching Scorer.teacher_forced_pass.
+        targets = []
+        original = Scorer.teacher_forced_pass
+
+        def recording(self, req):
+            targets.append(req.forced_target)
+            return original(self, req)
+
+        monkeypatch.setattr(Scorer, "teacher_forced_pass", recording)
+        rng = random.Random(43)
+        longest = 0
+        for _ in range(60):
+            vocab, lm, passage = random_table_lm(rng, max_vocab=10, max_len=10)
+            prefix = vocab.seq((rng.randrange(vocab.size),)) if rng.random() < 0.3 else empty(vocab)
+            targets.clear()
+            result = exact_extract(passage, empty(vocab), prefix, lm, DecodeConfig(max_span_len=cap))
+            n = len(passage)
+            assert len(targets) == result.passes_used == lm.pass_count() == n
+            for i, target in enumerate(targets):
+                k = len(target)
+                assert 1 <= k <= min(cap or n, n - i)
+                assert target == passage[i : i + k]
+                longest = max(longest, k)
+        # Some suffix is forced past its first token, where the cap allows.
+        assert longest == 1 if cap == 1 else longest > 1
 
     def test_allow_empty_span(self):
         vocab = bare_vocab(4)

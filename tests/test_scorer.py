@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
 import re
 
@@ -584,26 +586,58 @@ class TestBestSpanOf:
             assert scorer.ops() == ["extract"]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda vocab, last: vocab.seq((0, last)),
-        lambda vocab, last: make_request(vocab, (0, last), (2,), (3,)),
-        lambda vocab, last: StepScores((-1.0, -0.5), (-2.0, NEG_INF, -last / 4)),
-    ],
-    ids=["TokenSeq", "ScoreRequest", "StepScores"],
-)
-def test_per_pass_records_are_frozen_values(make):
+# Each record's field values, in field order, and other values for them.
+RECORD_VALUES = {
+    "TokenSeq": (TokenSeq, lambda vocab: ((0, 1), vocab.vocab_id), lambda vocab: ((2,), "deadbeef")),
+    "ScoreRequest": (
+        ScoreRequest,
+        lambda vocab: (vocab.seq((3,)), vocab.seq((0, 1)), vocab.seq((2,))),
+        lambda vocab: (vocab.seq(()), vocab.seq((4,)), vocab.seq((1, 1))),
+    ),
+    "StepScores": (StepScores, lambda vocab: ((-1.0, -0.5), (-2.0, NEG_INF, -0.25)), lambda vocab: ((), (0.0,))),
+}
+
+
+@pytest.mark.parametrize("cls, values, others", RECORD_VALUES.values(), ids=RECORD_VALUES.keys())
+def test_per_pass_records_are_frozen_values(cls, values, others):
     vocab = bare_vocab(5)
-    record, same, other = make(vocab, 1), make(vocab, 1), make(vocab, 2)
-    assert record is not same and record == same and hash(record) == hash(same)
-    assert record != other
-    field = dataclasses.fields(record)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(record, field, getattr(other, field))
-    assert record == same
-    # Slots: no per-instance dict.
-    assert not hasattr(record, "__dict__")
+    values, others = values(vocab), others(vocab)
+    names = [field.name for field in dataclasses.fields(cls)]
+    record = cls(*values)
+    keyword = cls(**dict(zip(names, values)))
+    assert record is not keyword and record == keyword and hash(record) == hash(keyword)
+    assert [getattr(record, name) for name in names] == list(values)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    # Copies: each keeps the fields and the frozen slots.
+    copies = [dataclasses.replace(record), copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for name, other in zip(names, others):
+        changed = dataclasses.replace(record, **{name: other})
+        assert getattr(changed, name) == other and changed != record
+        copies.append(dataclasses.replace(changed, **{name: getattr(record, name)}))
+    for same in copies:
+        assert type(same) is cls and same == record and hash(same) == hash(record)
+        assert not hasattr(same, "__dict__")
+        for name, other in zip(names, others):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(same, name, other)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(same, name)
+        assert same == record
+
+
+@pytest.mark.parametrize("field", ["source", "forced_target", "forced_prefix"])
+def test_a_score_request_takes_sequences_of_one_vocabulary(field):
+    vocab, other = bare_vocab(5), bare_vocab(6)
+    fields = {"source": vocab.seq((3,)), "forced_target": vocab.seq((0, 1)), "forced_prefix": vocab.seq((2,))}
+    foreign = other.seq(fields[field].ids)
+    request = ScoreRequest(**fields)
+    with pytest.raises(VocabularyMismatchError):
+        ScoreRequest(**{**fields, field: foreign})
+    with pytest.raises(VocabularyMismatchError):
+        ScoreRequest(*{**fields, field: foreign}.values())
+    with pytest.raises(VocabularyMismatchError):
+        dataclasses.replace(request, **{field: foreign})
 
 
 def naive_span(lm, source, prefix, passage, cap=None, allow=False):

@@ -133,6 +133,24 @@ class TestSubsequence:
             assert got == expected
 
 
+class TestConcatenate:
+    def test_joins_ids_of_one_vocabulary(self, toy_vocab):
+        joined = toy_vocab.seq((1, 2)) + toy_vocab.seq((3,))
+        assert joined == toy_vocab.seq((1, 2, 3))
+
+    @pytest.mark.parametrize("operand", [(3,), [3], 3, None, "x"])
+    def test_an_operand_that_is_no_sequence_is_a_type_error(self, toy_vocab, operand):
+        seq = toy_vocab.seq((1, 2))
+        with pytest.raises(TypeError):
+            seq + operand
+        with pytest.raises(TypeError):
+            operand + seq
+
+    def test_vocab_mismatch(self, toy_vocab):
+        with pytest.raises(VocabularyMismatchError):
+            toy_vocab.seq((1,)) + TokenSeq((1,), "deadbeef")
+
+
 class TestPieceSurface:
     def test_every_slice_is_a_substring(self, toy_vocab):
         seq = toy_vocab.encode("The album released in the (1971) IRA.")
