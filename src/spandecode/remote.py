@@ -2,7 +2,8 @@
 
 Requests and responses are single JSON objects, newline-delimited over a
 child process's stdio or POSTed one at a time to an HTTP ``/score``
-endpoint. One scoring pass per request:
+endpoint. Each POST is its own connection, so an HTTP server need not
+support keep-alive. One scoring pass per request:
 
     request:  {"id": u64, "op": "teacher_forced" | "next_dist",
                "source_ids": [u32], "prefix_ids": [u32], "target_ids": [u32],
@@ -286,30 +287,28 @@ class _WireScorer(Scorer):
 
 
 class RemoteScorer(_WireScorer):
-    """Scores via HTTP POST /score, one JSON object per request."""
+    """Scores via HTTP POST /score, one JSON object per request, each over
+    its own connection."""
 
     def __init__(self, url: str, vocab: Vocabulary, terminator_ids=None, timeout: float = 30.0):
-        # Imported here, the one place HTTP is used: loading requests costs
-        # every other command and the stdio server tens of milliseconds and
-        # megabytes at start-up.
-        import requests
-
         super().__init__(vocab, terminator_ids)
         self.url = url.rstrip("/") + "/score"
         self.timeout = timeout
-        self._session = requests.Session()
-        # What a round trip raises for an unreachable server or a bad reply.
-        self._failures = (requests.RequestException, ValueError)
-
-    def close(self) -> None:
-        self._session.close()
 
     def _roundtrip(self, payload: dict) -> dict:
+        # Imported here, the one place HTTP is used, so that every other
+        # command and the stdio server start without loading it.
+        import http.client
+        from urllib.request import Request, urlopen
+
+        body = json.dumps(payload).encode("ascii")
         try:
-            resp = self._session.post(self.url, json=payload, timeout=self.timeout)
-            resp.raise_for_status()
-            return resp.json()
-        except self._failures as exc:
+            request = Request(self.url, body, {"Content-Type": "application/json"})
+            if request.type not in ("http", "https"):
+                raise ValueError("not an http or https URL")
+            with urlopen(request, timeout=self.timeout) as resp:
+                return json.load(resp)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"remote scorer at {self.url}: {exc}") from exc
 
 

@@ -1,6 +1,8 @@
 import io
 import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -119,3 +121,49 @@ class LoopbackScorer(_WireScorer):
         serve(self.backend, io.StringIO(json.dumps(served) + "\n"), out)
         reply = json.loads(out.getvalue())
         return self.edit(payload, reply) if self.edit else reply
+
+
+class TableHandler(BaseHTTPRequestHandler):
+    """Answers POST /score with ``remote.serve`` over the class's ``lm``;
+    any other path gets a 404. It writes the headers and the body in two
+    sends and leaves Nagle's algorithm on, as ``http.server`` does."""
+
+    lm = None
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        if self.path != "/score":
+            self.send_error(404)
+            return
+        length = int(self.headers["Content-Length"])
+        req = json.loads(self.rfile.read(length))
+        in_stream = io.StringIO(json.dumps(req) + "\n")
+        out_stream = io.StringIO()
+        serve(self.lm, in_stream, out_stream)
+        body = out_stream.getvalue().encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def http_server():
+    """``start(handler, server=HTTPServer)`` serves ``handler`` on a
+    loopback port in a thread and returns the server's URL; every server
+    started is shut down after the test."""
+    started = []
+
+    def start(handler, server=HTTPServer):
+        httpd = server(("127.0.0.1", 0), handler)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        started.append(httpd)
+        return f"http://127.0.0.1:{httpd.server_address[1]}"
+
+    yield start
+    for httpd in started:
+        httpd.shutdown()
+        httpd.server_close()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -19,7 +20,7 @@ from spandecode.prompting import get_template
 from spandecode.scorer import ScorerError, TableLM
 from spandecode.vocab import Vocabulary
 
-from conftest import TOY_PIECES, LoopbackScorer
+from conftest import TOY_PIECES, LoopbackScorer, TableHandler
 
 
 @pytest.fixture
@@ -101,6 +102,14 @@ def server_spec(ws, k=None) -> str:
             f"serve(lm, itertools.islice(sys.stdin, {k}), sys.stdout)\n",
         ]
     return "stdio:" + shlex.join(child)
+
+
+def http_spec(ws, http_server) -> str:
+    """A remote spec for a threading HTTP server over the workspace table."""
+    vocab = Vocabulary.from_file(ws["vocab"])
+    close_id = TOY_PIECES.index("<extra_id_1>")
+    lm = TableLM.from_file(ws["table"].removeprefix("table:"), vocab, terminator_ids={close_id})
+    return "remote:" + http_server(type("Table", (TableHandler,), {"lm": lm}), ThreadingHTTPServer)
 
 
 CONTEXTS = [
@@ -205,10 +214,16 @@ class TestDecode:
         assert want[0] == 0 and len(want[1].splitlines()) == 10
         assert self.decode_file(workspace, packed) == want
 
-    @pytest.mark.parametrize("transport", ["table", "stdio"])
+    @pytest.mark.parametrize("transport", ["table", "stdio", "http"])
     @pytest.mark.parametrize("algo", ["exact", "naive", "greedy"])
-    def test_jobs_write_the_same_file(self, workspace, monkeypatch, transport, algo):
-        spec = workspace["table"] if transport == "table" else server_spec(workspace)
+    def test_jobs_write_the_same_file(self, workspace, monkeypatch, http_server, transport, algo):
+        # Over HTTP, each thread's requests go to a threading server, each
+        # request over its own connection.
+        spec = workspace["table"]
+        if transport == "stdio":
+            spec = server_spec(workspace)
+        elif transport == "http":
+            spec = http_spec(workspace, http_server)
         path = many_questions(workspace)
         serial = self.decode_file(workspace, path, "--algo", algo, spec=spec)
         assert serial[0] == 0 and len(serial[1].splitlines()) == 10
@@ -567,6 +582,24 @@ class TestExitCodes:
              "decode", "--input", workspace["dataset"], "--output", "/dev/null"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command, code, says",
+        [
+            ("decode", 3, "scorer error: remote scorer at {url}/score: HTTP Error 500: Internal Server Error\n"),
+            # eval skips each example its scorer fails, and fails when none is left.
+            ("eval", 2, "data error: every example failed to score\n"),
+        ],
+    )
+    def test_http_error_status_is_one_line_and_an_exit_code(self, workspace, http_server, capsys, command, code, says):
+        class Failing(TableHandler):
+            def do_POST(self):
+                self.send_error(500)
+
+        url = http_server(Failing)
+        got = main(["--vocab", workspace["vocab"], "--scorer", f"remote:{url}",
+                    command, "--input", workspace["dataset"], "--output", "/dev/null"])
+        assert (got, capsys.readouterr().err) == (code, says.format(url=url))
 
     def test_dead_stdio_scorer_is_transport_error(self, workspace):
         command = shlex.join([sys.executable, "-c", "pass"])

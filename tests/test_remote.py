@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -25,7 +25,7 @@ from spandecode.remote import RemoteScorer, StdioScorer, TransportError, _floats
 from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of, suffix_scores
 from spandecode.vocab import Vocabulary
 
-from conftest import TOY_PIECES, LoopbackScorer, RecordingTableLM, bare_vocab
+from conftest import TOY_PIECES, LoopbackScorer, RecordingTableLM, TableHandler, bare_vocab
 
 # Span caps and empty-span settings under which wire and in-process
 # exact-extract must agree.
@@ -845,8 +845,8 @@ class TestFloatForms:
             )
             wire = StdioScorer(f"{shlex.quote(sys.executable)} -c {shlex.quote(child)}", local.vocab)
         else:
-            _TableHandler.lm = local
-            wire = RemoteScorer(http_server(_TableHandler), local.vocab)
+            TableHandler.lm = local
+            wire = RemoteScorer(http_server(TableHandler), local.vocab)
         try:
             assert_scores_cross_bit_for_bit(wire, local)
         finally:
@@ -1496,78 +1496,86 @@ class TestStdioScorer:
             scorer.close()
 
 
-class _TableHandler(BaseHTTPRequestHandler):
-    lm = None
+def _replying(raw: bytes):
+    """A handler that reads each POST and writes ``raw`` as the whole response."""
 
-    def log_message(self, *args):
-        pass
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
 
-    def do_POST(self):
-        if self.path != "/score":
-            self.send_error(404)
-            return
-        length = int(self.headers["Content-Length"])
-        req = json.loads(self.rfile.read(length))
-        in_stream = io.StringIO(json.dumps(req) + "\n")
-        out_stream = io.StringIO()
-        serve(self.lm, in_stream, out_stream)
-        body = out_stream.getvalue().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.wfile.write(raw)
 
-
-class _GarbageHandler(BaseHTTPRequestHandler):
-    def log_message(self, *args):
-        pass
-
-    def do_POST(self):
-        body = b"<html>definitely not json</html>"
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
-@pytest.fixture
-def http_server():
-    started = []
-
-    def start(handler):
-        server = HTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        started.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}"
-
-    yield start
-    for server in started:
-        server.shutdown()
-        server.server_close()
+    return Handler
 
 
 def test_cli_and_stdio_server_start_without_the_http_library():
-    # Only RemoteScorer needs requests; it imports it when built.
-    code = "import sys, spandecode, spandecode.cli, spandecode.remote; print('requests' in sys.modules)"
+    # Only RemoteScorer's round trip needs the HTTP client; it imports it there.
+    code = (
+        "import sys, spandecode, spandecode.cli, spandecode.remote; "
+        "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+def test_round_trip_needs_no_third_party_package():
+    # python -S leaves site-packages off sys.path: only the standard
+    # library and the package itself can be imported.
+    code = """
+import io, sys, threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from spandecode.remote import RemoteScorer, serve
+from spandecode.scorer import TableLM
+from spandecode.vocab import Vocabulary
+
+vocab = Vocabulary(["a", "b", "</s>"], terminator="</s>", sentinels=[])
+lm = TableLM.uniform(vocab)
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        out = io.StringIO()
+        serve(lm, io.StringIO(self.rfile.read(int(self.headers["Content-Length"])).decode()), out)
+        body = out.getvalue().encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+server = HTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+remote = RemoteScorer(f"http://127.0.0.1:{server.server_address[1]}", vocab)
+empty = vocab.seq(())
+print(remote.next_token_distribution(empty, empty) == lm.next_token_distribution(empty, empty),
+      any("site-packages" in path for path in sys.path))
+server.shutdown()
+server.server_close()
+"""
+    src = os.path.dirname(os.path.dirname(remote.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True False\n")
 
 
 class TestRemoteScorer:
     def test_matches_local_table(self, tmp_path, http_server):
         vocab, _, table_path, local = reference_setup(tmp_path)
-        _TableHandler.lm = TableLM.from_file(table_path, vocab)
-        url = http_server(_TableHandler)
+        TableHandler.lm = TableLM.from_file(table_path, vocab)
+        url = http_server(TableHandler)
         remote = RemoteScorer(url, vocab)
         req = ScoreRequest(vocab.seq((0,)), vocab.seq((1, 2)), vocab.seq(()))
         assert remote.teacher_forced_pass(req) == local.teacher_forced_pass(req)
 
     def test_exact_extract_matches_in_process_bit_for_bit(self, tmp_path, http_server):
         vocab, _, table_path, local = reference_setup(tmp_path)
-        _TableHandler.lm = TableLM.from_file(table_path, vocab)
-        remote = RemoteScorer(http_server(_TableHandler), vocab)
+        TableHandler.lm = TableLM.from_file(table_path, vocab)
+        remote = RemoteScorer(http_server(TableHandler), vocab)
         try:
             assert_wire_matches_in_process(remote, local, vocab)
         finally:
@@ -1575,18 +1583,94 @@ class TestRemoteScorer:
 
     def test_trailing_slash_normalized(self, tmp_path, http_server):
         vocab, _, table_path, _ = reference_setup(tmp_path)
-        _TableHandler.lm = TableLM.from_file(table_path, vocab)
-        url = http_server(_TableHandler)
+        TableHandler.lm = TableLM.from_file(table_path, vocab)
+        url = http_server(TableHandler)
         remote = RemoteScorer(url + "/", vocab)
         assert remote.url.endswith("/score")
         remote.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
     def test_non_json_body_raises(self, http_server):
         vocab = bare_vocab(4)
-        url = http_server(_GarbageHandler)
+        body = b"<html>definitely not json</html>"
+        url = http_server(_replying(b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)))
         remote = RemoteScorer(url, vocab)
         with pytest.raises(TransportError):
             remote.next_token_distribution(vocab.seq(()), vocab.seq(()))
+
+    @pytest.mark.parametrize(
+        "raw, says",
+        [
+            (b"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n", "HTTP Error 404: Not Found"),
+            (b"HTTP/1.0 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n",
+             "HTTP Error 500: Internal Server Error"),
+            # A POST is not sent again to where a 307 or 308 points.
+            (b"HTTP/1.0 307 Temporary Redirect\r\nLocation: /elsewhere\r\n\r\n",
+             "HTTP Error 307: Temporary Redirect"),
+            (b"garbage\r\n", "garbage"),
+            (b"", "Remote end closed connection without response"),
+            (b'HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{"id"', "IncompleteRead(5 bytes read"),
+        ],
+        ids=["404", "500", "post-307", "bad-status-line", "no-reply", "incomplete-body"],
+    )
+    def test_failed_reply_raises(self, http_server, raw, says):
+        vocab = bare_vocab(4)
+        url = http_server(_replying(raw))
+        empty = vocab.seq(())
+        with pytest.raises(TransportError, match=f"^remote scorer at {re.escape(url)}/score: {re.escape(says)}"):
+            RemoteScorer(url, vocab).next_token_distribution(empty, empty)
+
+    def test_slow_reply_times_out(self, http_server):
+        release = threading.Event()
+
+        class Silent(BaseHTTPRequestHandler):
+            def do_POST(self):
+                release.wait(10)  # then close without a reply
+
+        vocab = bare_vocab(4)
+        remote = RemoteScorer(http_server(Silent), vocab, timeout=0.3)
+        empty = vocab.seq(())
+        start = time.monotonic()
+        try:
+            with pytest.raises(TransportError, match="timed out"):
+                remote.next_token_distribution(empty, empty)
+            assert time.monotonic() - start < 1.0
+        finally:
+            release.set()
+
+    @pytest.mark.parametrize(
+        "url, says",
+        [
+            ("ftp://127.0.0.1:1", "not an http or https URL"),
+            # A file: URL would read the file <path>/score as every reply.
+            ("file:///tmp", "not an http or https URL"),
+            ("127.0.0.1:1", "not an http or https URL"),
+            ("/score", "unknown url type: '/score/score'"),
+            ("http://[::1", "Invalid IPv6 URL"),
+        ],
+    )
+    def test_url_it_cannot_post_to_raises(self, url, says):
+        vocab = bare_vocab(4)
+        with pytest.raises(TransportError, match=f"^remote scorer at {re.escape(url)}/score: {re.escape(says)}$"):
+            RemoteScorer(url, vocab, timeout=2.0).next_token_distribution(vocab.seq(()), vocab.seq(()))
+
+    def test_keep_alive_server_with_nagle_on_does_not_stall(self, tmp_path, http_server):
+        # An HTTP/1.1 handler keeps the connection open, and with Nagle's
+        # algorithm on it holds back the body's send until the headers'
+        # send is acknowledged: a client that reused the connection waited
+        # out a delayed ACK, about 40 ms, on every request.
+        vocab, _, table_path, _ = reference_setup(tmp_path)
+        lm = TableLM.from_file(table_path, vocab)
+        handler = type("KeepAlive", (TableHandler,), {"lm": lm, "protocol_version": "HTTP/1.1"})
+        remote = RemoteScorer(http_server(handler, ThreadingHTTPServer), vocab)
+        empty = vocab.seq(())
+        try:
+            remote.next_token_distribution(empty, empty)
+            start = time.monotonic()
+            for _ in range(20):
+                assert remote.next_token_distribution(empty, empty) == lm.next_token_distribution(empty, empty)
+            assert time.monotonic() - start < 0.4
+        finally:
+            remote.close()
 
     def test_connection_refused_raises(self):
         vocab = bare_vocab(4)
