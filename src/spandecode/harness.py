@@ -129,21 +129,22 @@ def run_eval(
     jobs: int = 1,
 ) -> EvalReport:
     """Evaluate every example; per-example scorer failures are recorded and
-    skipped so long remote-scored runs survive transient faults."""
+    skipped so long remote-scored runs survive transient faults. When every
+    example fails, the first example's ScorerError is raised."""
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
 
-    def run_one(example: QAExample) -> dict | None:
+    def run_one(example: QAExample) -> dict | ScorerError:
         try:
             return evaluate_example(example, scorer, template, vocab, cfg)
-        except ScorerError:
-            return None
+        except ScorerError as exc:
+            return exc
 
     results = list(map_examples(run_one, dataset, jobs))
-    done = [result for result in results if result is not None]
+    done = [result for result in results if not isinstance(result, ScorerError)]
     if not done:
-        raise DataError("every example failed to score")
-    skipped = tuple(example.id for example, result in zip(dataset, results) if result is None)
+        raise results[0]
+    skipped = tuple(example.id for example, result in zip(dataset, results) if isinstance(result, ScorerError))
     return EvalReport(
         num_examples=len(dataset),
         num_skipped=len(skipped),

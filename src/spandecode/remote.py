@@ -299,6 +299,7 @@ class RemoteScorer(_WireScorer):
         # Imported here, the one place HTTP is used, so that every other
         # command and the stdio server start without loading it.
         import http.client
+        from urllib.error import HTTPError
         from urllib.request import Request, urlopen
 
         body = json.dumps(payload).encode("ascii")
@@ -309,6 +310,8 @@ class RemoteScorer(_WireScorer):
             with urlopen(request, timeout=self.timeout) as resp:
                 return json.load(resp)
         except (OSError, http.client.HTTPException, ValueError) as exc:
+            if isinstance(exc, HTTPError):
+                exc.close()  # the error status's reply, still open
             raise TransportError(f"remote scorer at {self.url}: {exc}") from exc
 
 

@@ -10,7 +10,9 @@ be asserted in tests.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +31,11 @@ LOGPROB_TOL = 1e-6
 # A probability that is no number, named by its JSON kind: else an object (or its entry), or a string's repr.
 _NOT_A_NUMBER = {bool: "a boolean", list: "a list", type(None): "null", int: "an integer past the float range"}
 _NUMBERS = {float, int}
+# A table file is read this many characters at a time (see ``_read_members``).
+_READ_SIZE = 64 * 1024
+# What follows the brace that closes a table member before the next member.
+_NEXT_MEMBER = re.compile(r"[ \t\n\r]*,")
+_WHITESPACE = json.decoder.WHITESPACE
 
 
 class ScorerError(RuntimeError):
@@ -325,6 +332,57 @@ class _LogMemo(dict):
         return value
 
 
+def _read_members(path: str | Path, object_hook):
+    """The table file ``path`` as ``json.load`` with ``object_hook`` reads
+    it, holding one read of text at a time; ValueError for text of any
+    other shape.
+
+    A distribution is a flat object, so the last ``}`` of a read that a
+    comma follows ends a member. Each read's complete members, after the
+    text left over from the read before, are decoded as one object by one
+    ``raw_decode`` call: the parser shares one string per distinct key
+    within a call, which ``TableLM._to_logdist``'s dense-key check relies
+    on. The members go into one dict in file order, a repeated key keeping
+    its first place and its last value, and the dict goes through the hook
+    last, as ``json.load``'s whole object does. A split anywhere else, such
+    as at a ``}`` in a key, leaves text that does not decode whole."""
+    decode = json.JSONDecoder(object_hook=object_hook).raw_decode
+
+    def whole(text: str):
+        value, end = decode(text, _WHITESPACE.match(text).end())
+        if _WHITESPACE.match(text, end).end() != len(text):
+            raise ValueError("text after the value")
+        return value
+
+    def members(text: str) -> dict:
+        value = whole(text)
+        # A read's members follow a comma, so none (a trailing comma) is a fault.
+        if type(value) is not dict or not value:
+            raise ValueError("not the members of a table")
+        return value
+
+    table: dict = {}
+    # Text not yet decoded: the file's start, or "{" and the members after
+    # the last member decoded.
+    head = ""
+    with open(path, encoding="utf-8") as f:
+        while piece := f.read(_READ_SIZE):
+            end = piece.rfind("}")
+            while end >= 0 and not (after := _NEXT_MEMBER.match(piece, end + 1)):
+                end = piece.rfind("}", 0, end)
+            if end < 0:
+                head += piece
+                continue
+            # One copy of the piece: "%.*s" writes its first end + 1
+            # characters without a slice.
+            table.update(members("%s%.*s}" % (head, end + 1, piece)))
+            head = "{" + piece[after.end() :]
+    if not table:  # no member ended in a read: ``head`` is the whole file
+        return whole(head)
+    table.update(members(head))
+    return object_hook(table)
+
+
 class TableLM(Scorer):
     """Deterministic language model backed by explicit probability tables.
 
@@ -353,7 +411,9 @@ class TableLM(Scorer):
     scanning a distribution.
 
     A table file (``from_file``) is one JSON object, parsed once, each
-    distribution becoming its entry as it is parsed. Its keys are "default"
+    distribution becoming its entry as it is parsed. The file is read in
+    pieces, so a load never holds the whole file's text either: it peaks at
+    what it keeps plus about one piece. Its keys are "default"
     or "src#p1,p2,...", src "*" for any source; a key written twice keeps
     its last value. Every id, in a key or a distribution, is ASCII digits.
     A distribution that lists every piece in id order, as a generated table
@@ -401,8 +461,9 @@ class TableLM(Scorer):
         keys = list(dist)
         dense = keys == self._dense_keys
         if dense:
-            # The parser shares one string per distinct key, so holding the
-            # parsed keys makes the next file-read comparisons identity hits.
+            # The parser shares one string per distinct key within a decode
+            # call (one read of a table file), so holding the parsed keys
+            # makes the next comparisons of that read identity hits.
             self._dense_keys = keys
         ids = range(size) if dense else list(map(self._ids.__getitem__, dist))
         probs = dist.values()
@@ -515,9 +576,16 @@ class TableLM(Scorer):
         valid JSON or not such a map of distributions.
 
         The file is parsed once, each distribution becoming its entry while
-        it is (see ``_parsed``)."""
+        it is (see ``_parsed``), and read a piece at a time (see
+        ``_read_members``): a load holds what it keeps plus about one piece,
+        never the whole file's text."""
         lm = cls(vocab, terminator_ids=terminator_ids)
-        read_json(path, lm._load, object_hook=lm._parsed)
+        try:
+            lm._load(_read_members(path, lm._parsed))
+        except ValueError:
+            # Text of any other shape, or a table that does not load: parsed
+            # whole, so that each fault keeps ``read_json``'s message.
+            read_json(path, lm._load, object_hook=lm._parsed)
         return lm
 
     def _load(self, raw) -> None:

@@ -587,8 +587,9 @@ class TestExitCodes:
         "command, code, says",
         [
             ("decode", 3, "scorer error: remote scorer at {url}/score: HTTP Error 500: Internal Server Error\n"),
-            # eval skips each example its scorer fails, and fails when none is left.
-            ("eval", 2, "data error: every example failed to score\n"),
+            # eval skips each example its scorer fails, and when none is left
+            # fails with the first example's fault.
+            ("eval", 3, "scorer error: remote scorer at {url}/score: HTTP Error 500: Internal Server Error\n"),
         ],
     )
     def test_http_error_status_is_one_line_and_an_exit_code(self, workspace, http_server, capsys, command, code, says):
@@ -694,8 +695,9 @@ class TestExitCodes:
         argv = ["--vocab", workspace["vocab"], "--scorer", spec,
                 command, "--input", workspace["dataset"], "--output", str(out)]
         code = main(argv)
-        # eval skips the failing example, then finds every example skipped.
-        expected = 0 if healthy else (3 if command == "decode" else 2)
+        # eval skips the failing example, then finds every example skipped
+        # and fails with the first one's scorer error.
+        expected = 0 if healthy else 3
         assert code == expected
         (scorer,) = opened
         assert scorer._proc.poll() is not None
@@ -770,8 +772,8 @@ class TestExitCodes:
             report = json.loads(out.read_text(encoding="utf-8"))
             assert report["skipped_ids"] == [f"q{i}" for i in range(done, 4)]
         else:
-            # Every example skipped.
-            assert code == 2
+            # Every example skipped: the first one's scorer error.
+            assert code == 3
         (scorer,) = opened
         assert scorer._proc.returncode is not None
 

@@ -439,8 +439,21 @@ class TestRunEval:
             ).ids
             for ex in dataset
         }
-        with pytest.raises(DataError):
+        with pytest.raises(ScorerError, match="^synthetic outage$"):
             run_eval(dataset, FlakyScorer(vocab, sources), get_template(2), vocab)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_failures_raise_the_first_examples_fault(self, jobs):
+        vocab = qa_vocab()
+        dataset = self.dataset()
+        first = vocab.encode(render_encoder_input(get_template(2), dataset[0].context, dataset[0].question)).ids
+
+        class Failing(TableLM):
+            def _score_forced(self, req):
+                raise ScorerError("first" if req.source.ids == first else "later")
+
+        with pytest.raises(ScorerError, match="^first$"):
+            run_eval(dataset, Failing(vocab), get_template(2), vocab, jobs=jobs)
 
     def test_empty_dataset_rejected(self):
         vocab = qa_vocab()

@@ -25,6 +25,10 @@
   load) against the same one shuffled, without its zeros and set with int
   keys (the general load): the same entry, floats included, and for a
   fault the same message;
+- ``TableLM.from_file``, which reads a table file a piece at a time,
+  against the whole file parsed at once, at read sizes down to one
+  character, over valid and corrupted files: the same model, floats
+  included, or the same DataError text;
 - ``best_span_of``'s running pass against a scan of every (i, j) under
   ``decoding._better``, the tie-break that ``naive_exact`` uses: the same
   span and score, bit for bit;
@@ -37,6 +41,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,7 +49,7 @@ from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, _better, exact_extract, greedy_decode, naive_exact
 from spandecode.metrics import find_span, strip_sentinels
-from spandecode.mrqa import DataError
+from spandecode.mrqa import DataError, read_json
 from spandecode.scorer import (
     DIST_SUM_TOL,
     LOGPROB_TOL,
@@ -724,3 +729,149 @@ def test_best_span_of_equals_a_scan_of_every_span(case):
     assert (start, length, score.hex()) == scan_best_span(rows, allow)
     # Rows as a generator, as TableLM.best_span passes them.
     assert best_span_of(iter(rows), allow) == (start, length, score)
+
+
+def hexed_model(lm):
+    """A loaded model's default and trees, every float as ``.hex()`` and
+    every node's children in the order they were made."""
+
+    def entry(e):
+        return None if e is None else ([x.hex() for x in e[0]], e[1].hex(), e[2], e[3].hex())
+
+    def tree(node):
+        return entry(node[0]), [(token, tree(child)) for token, child in node[1].items()]
+
+    by_source = [(source, tree(node)) for source, node in lm._by_source.items()]
+    return entry(lm._default), tree(lm._any_source), by_source
+
+
+# The spellings of a table file: indented, compact and spaced, and spaced
+# with whitespace before each comma and colon.
+LAYOUTS = [
+    {"indent": 2},
+    {"separators": (",", ":")},
+    {},
+    {"separators": (" ,\r\n", " :\t")},
+]
+# What a corruption puts in the file: bytes that are not UTF-8, a
+# two-byte character, and single characters of JSON's syntax or none.
+STRAY = [b"\xff", b"\xc3\xa9", b"}", b",", b"{", b'"', b":", b"x", b" "]
+
+
+class Members(dict):
+    """A dict that ``json.dumps`` writes as the (key, value) pairs it is
+    given, a key written twice included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+@st.composite
+def table_texts(draw):
+    """A vocabulary, a terminator set, the bytes of a table file and
+    whether it is left whole. The table is a dict of distributions
+    (dense, sparse or of integer probabilities) under pinned and
+    any-source keys, ``"default"`` anywhere among them, a key sometimes
+    written twice; or ``{}``; or itself one distribution. The file is
+    laid out as ``json.dumps`` writes it, indented, compact or spaced,
+    and sometimes corrupted: cut at any offset, a stray byte put in, a
+    BOM before it, text after it, a ``}`` in a key, a comma after the
+    last member, or members that are probabilities after the others."""
+    size = draw(st.integers(2, 6))
+    token = st.integers(0, size - 1)
+    stops = draw(st.sets(token, min_size=1, max_size=2))
+
+    def ids():
+        return ",".join(map(str, draw(st.lists(token, max_size=3))))
+
+    def dist():
+        kind = draw(st.sampled_from(["dense", "sparse", "integer"]))
+        if kind == "integer":
+            top = draw(token)
+            return {str(t): int(t == top) for t in range(size)}
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        if not any(weights):
+            weights[-1] = 1.0
+        probs = [w / sum(weights) for w in weights]
+        assume(abs(sum(probs) - 1.0) <= DIST_SUM_TOL)
+        return {str(t): p for t, p in enumerate(probs) if p or kind == "dense"}
+
+    shape = draw(st.sampled_from(["table", "table", "table", "empty", "one distribution"]))
+    if shape == "table":
+        keys = []
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(["any", "pinned", "default", "again"]))
+            if kind == "again" and keys:
+                keys.append(draw(st.sampled_from(keys)))
+            elif kind == "default":
+                keys.append("default")
+            else:
+                keys.append(f"*#{ids()}" if kind == "any" else f"{ids()}#{ids()}")
+        members = [(key, dist()) for key in keys]
+        corruption = draw(st.sampled_from([None, None, "cut", "stray", "bom", "after", "brace", "comma", "numbers"]))
+        if corruption == "numbers":
+            # Members that are probabilities, which together would make a
+            # distribution.
+            members += dist().items()
+        elif corruption == "brace":
+            i = draw(st.integers(0, len(members) - 1))
+            key = members[i][0]
+            at = draw(st.integers(0, len(key)))
+            members[i] = (key[:at] + draw(st.sampled_from(["}", "},", "} ,"])) + key[at:], members[i][1])
+        text = json.dumps(Members(members), **draw(st.sampled_from(LAYOUTS)))
+        if corruption == "comma":
+            end = text.rindex("}")
+            text = text[:end] + "," + text[end:]
+    else:
+        corruption = draw(st.sampled_from([None, "cut", "stray", "bom", "after"]))
+        text = json.dumps({} if shape == "empty" else dist(), **draw(st.sampled_from(LAYOUTS)))
+    data = text.encode("utf-8")
+    if corruption == "cut":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif corruption == "stray":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(STRAY)) + data[at:]
+    elif corruption == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif corruption == "after":
+        data += draw(st.sampled_from([b"x", b"{}", b",", b" }", b"\n0"]))
+    return bare_vocab(size), stops, data, corruption is None and shape != "one distribution"
+
+
+@SETTINGS
+@given(table_texts(), st.data())
+def test_streamed_load_equals_the_whole_file_parse(tmp_path_factory, case, data):
+    """``from_file`` at any read size, down to one character, against the
+    whole file parsed at once: the same entries, floats included, and the
+    same trees and default, as ``_load`` of ``json.load``'s table for a
+    whole file; or the same DataError text."""
+    vocab, stops, raw, whole = case
+    path = tmp_path_factory.getbasetemp() / "table.json"
+    path.write_bytes(raw)
+
+    def outcome(load):
+        try:
+            return hexed_model(load(TableLM(vocab, terminator_ids=stops)))
+        except DataError as exc:
+            return str(exc)
+
+    def parsed_whole(lm):
+        # How ``from_file`` read a table before it read one in pieces.
+        read_json(path, lm._load, object_hook=lm._parsed)
+        return lm
+
+    def plain(lm):
+        with open(path, encoding="utf-8") as f:
+            lm._load(json.load(f))
+        return lm
+
+    want = outcome(parsed_whole)
+    if whole:
+        assert outcome(plain) == want
+    read_size = data.draw(st.integers(1, len(raw) + 1), label="read size")
+    with mock.patch("spandecode.scorer._READ_SIZE", read_size):
+        assert outcome(lambda _: TableLM.from_file(path, vocab, terminator_ids=stops)) == want

@@ -10,7 +10,7 @@ import pytest
 
 from spandecode.decoding import DecodeConfig, naive_exact
 from spandecode.mrqa import DataError
-from spandecode.scorer import NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
+from spandecode.scorer import _READ_SIZE, NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
 from conftest import LoopbackScorer, RecordingTableLM, bare_vocab, random_distribution
@@ -392,6 +392,27 @@ class TestFileLoading:
         # The 60 parsed dicts take several times what the file's text, the
         # entries and one dict at a time do (about 0.86 MB against 0.31 MB).
         assert peak(lambda: TableLM.from_file(path, vocab)) < peak(plain) / 2
+
+    def test_load_holds_what_it_keeps_and_about_one_read(self, tmp_path):
+        import tracemalloc
+
+        size = 201
+        vocab = bare_vocab(size)
+        table = {f"*#{k}": {str(t): 0.5 if t == k % size else 0.0025 for t in range(size)} for k in range(400)}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table, separators=(",", ":")), encoding="utf-8")
+        assert path.stat().st_size > 1_000_000
+
+        tracemalloc.start()
+        try:
+            lm = TableLM.from_file(path, vocab)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lm._any_source[1]) == 400
+        # About 1.8 reads above what the model keeps (0.85 MB); the file's
+        # text read whole would be more than 1 MB above it.
+        assert peak - kept < 4 * _READ_SIZE
 
     def test_duplicate_key_keeps_its_last_value(self, tmp_path):
         vocab = bare_vocab(4)
