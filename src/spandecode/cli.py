@@ -121,13 +121,6 @@ def _read_decode_inputs(path: str) -> list[QAExample]:
     return examples
 
 
-def _template(args):
-    try:
-        return get_template(args.prompt_id, args.prompt_file)
-    except KeyError as exc:
-        raise DataError(exc.args[0]) from exc
-
-
 @contextmanager
 def _replacing(path: str):
     """``path`` open for writing text: the text goes to a file beside it,
@@ -222,7 +215,7 @@ def cmd_decode(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     scorer = make_scorer(_require(args.scorer, "--scorer"), vocab, args.terminator_mode)
     try:
-        template = _template(args)
+        template = get_template(args.prompt_id, args.prompt_file)
         cfg = DecodeConfig(max_span_len=args.max_span_len)
         examples = _read_decode_inputs(args.input)
 
@@ -248,7 +241,7 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary.from_file(_require(args.vocab, "--vocab"))
     scorer = make_scorer(_require(args.scorer, "--scorer"), vocab, args.terminator_mode)
     try:
-        template = _template(args)
+        template = get_template(args.prompt_id, args.prompt_file)
         dataset = load_dataset(args.input)
         cfg = DecodeConfig(max_span_len=args.max_span_len)
         report = harness.run_eval(dataset, scorer, template, vocab, cfg, jobs=args.jobs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .mrqa import read_json
+from .mrqa import DataError, read_json
 
 OPEN_SENTINEL = "<extra_id_0>"
 CLOSE_SENTINEL = "<extra_id_1>"
@@ -69,10 +69,12 @@ def list_templates(path: str | Path | None = None) -> tuple[PromptTemplate, ...]
 
 
 def get_template(template_id: int, path: str | Path | None = None) -> PromptTemplate:
+    """The template ``template_id`` of ``list_templates(path)``; DataError
+    when there is none."""
     for tpl in list_templates(path):
         if tpl.id == template_id:
             return tpl
-    raise KeyError(f"no template with id {template_id}" + (f" in {path}" if path else ""))
+    raise DataError(f"no template with id {template_id}" + (f" in {path}" if path else ""))
 
 
 def render_encoder_input(tpl: PromptTemplate, passage: str, question: str) -> str:

@@ -327,10 +327,11 @@ class StdioScorer(_WireScorer):
         self.command = command
         self.timeout = timeout
         try:
-            self._proc = subprocess.Popen(
-                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
-            )
-        except OSError as exc:
+            argv = shlex.split(command)
+            if not argv:
+                raise ValueError("no command given")
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        except (OSError, ValueError) as exc:
             raise TransportError(f"cannot start scorer process {command!r}: {exc}") from exc
         self._io_lock = threading.Lock()
         # Both pipes are used raw and waited on with poll, which bounds the

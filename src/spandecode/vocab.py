@@ -59,15 +59,6 @@ class TokenSeq:
             return TokenSeq(self.ids[index], self.vocab_id)
         return self.ids[index]
 
-    def __add__(self, other: "TokenSeq") -> "TokenSeq":
-        if not isinstance(other, TokenSeq):
-            return NotImplemented
-        if other.vocab_id != self.vocab_id:
-            raise VocabularyMismatchError(
-                "cannot concatenate sequences from different vocabularies"
-            )
-        return TokenSeq(self.ids + other.ids, self.vocab_id)
-
 
 # The slot descriptors' setters, which a frozen class's own ``__setattr__``
 # cannot reach.

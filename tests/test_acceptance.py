@@ -66,7 +66,7 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_pass_complexity():
     with criterion(2, "pass complexity"):
         vocab = bare_vocab(8)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         rng = random.Random(10_02)
         for n in range(1, 33):
             passage = vocab.seq(rng.randrange(7) for _ in range(n))
@@ -159,7 +159,7 @@ def test_criterion_05_tokenization_partition():
         for i in range(len(passage)):
             for j in range(1, len(passage) - i + 1):
                 assert vocab.decode(passage[i : i + j]).strip() != gold
-        uniform = exact_extract(passage, empty(vocab), empty(vocab), TableLM.uniform(vocab))
+        uniform = exact_extract(passage, empty(vocab), empty(vocab), TableLM(vocab))
         assert uniform.text != gold
 
         # A greedy path can emit the single-piece "1971" surface, which

@@ -238,6 +238,19 @@ class TestDecode:
         assert self.decode_file(workspace, path, "--algo", algo, spec=spec, jobs="4") == serial
         assert seen == [4]
 
+    def test_bare_url_and_env_var_decode_as_the_table(self, workspace, monkeypatch, http_server):
+        # An http:// spec needs no "remote:"; it is what the environment
+        # variable usually holds.
+        url = http_spec(workspace, http_server).removeprefix("remote:")
+        path = many_questions(workspace)
+        want = self.decode_file(workspace, path)
+        assert want[0] == 0 and len(want[1].splitlines()) == 10
+        assert self.decode_file(workspace, path, spec=url) == want
+        monkeypatch.setenv(cli.SCORER_URL_ENV, url)
+        out = workspace["dir"] / "env_out.jsonl"
+        assert main(["--vocab", workspace["vocab"], "decode", "--input", str(path), "--output", str(out)]) == 0
+        assert out.read_bytes() == want[1]
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_jobs_with_a_child_that_exits_after_k_requests(self, workspace, monkeypatch, capsys, k):
         # An exact decode is one request per example, and examples run two
@@ -601,6 +614,21 @@ class TestExitCodes:
         got = main(["--vocab", workspace["vocab"], "--scorer", f"remote:{url}",
                     command, "--input", workspace["dataset"], "--output", "/dev/null"])
         assert (got, capsys.readouterr().err) == (code, says.format(url=url))
+
+    @pytest.mark.parametrize(
+        "command, says",
+        [
+            pytest.param("", "cannot start scorer process '': no command given", id="empty"),
+            pytest.param("  ", "cannot start scorer process '  ': no command given", id="spaces"),
+            pytest.param("'x", "cannot start scorer process \"'x\": No closing quotation", id="unclosed-quote"),
+            pytest.param("spandecode-no-such-scorer", "cannot start scorer process 'spandecode-no-such-scorer': "
+                         "[Errno 2] No such file or directory: 'spandecode-no-such-scorer'", id="missing"),
+        ],
+    )
+    def test_stdio_command_that_cannot_start_is_one_transport_error_line(self, workspace, capsys, command, says):
+        code = main(["--vocab", workspace["vocab"], "--scorer", f"stdio:{command}",
+                     "decode", "--input", workspace["dataset"], "--output", "/dev/null"])
+        assert (code, capsys.readouterr().err) == (3, f"scorer error: {says}\n")
 
     def test_dead_stdio_scorer_is_transport_error(self, workspace):
         command = shlex.join([sys.executable, "-c", "pass"])
@@ -1231,6 +1259,24 @@ class TestTerminatorMode:
         assert code == 0
         record = json.loads(out.read_text().splitlines()[0])
         assert record["text"] != "IRA"
+
+    @pytest.mark.parametrize("stop", ["<extra_id_1>", "</s>"])
+    def test_combined_mode_stops_on_either_terminator(self, workspace, stop):
+        vocab = Vocabulary.from_file(workspace["vocab"])
+        close, stop_id = vocab.piece_id("<extra_id_1>"), vocab.piece_id(stop)
+        assert cli.make_scorer(workspace["table"], vocab, "combined").terminator_ids == {close, vocab.terminator_id}
+        # The workspace table, with ``stop`` where its contexts close "IRA".
+        path = workspace["dir"] / "table.json"
+        table = json.loads(path.read_text(encoding="utf-8"))
+        for key, dist in table.items():
+            if key != "default":
+                table[key] = {str(stop_id) if t == str(close) else t: p for t, p in dist.items()}
+        path.write_text(json.dumps(table), encoding="utf-8")
+        out = workspace["dir"] / "combined_out.jsonl"
+        code = main(base_args(workspace) + ["--terminator-mode", "combined", "decode",
+                                            "--input", workspace["dataset"], "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["text"] == "IRA"
 
 
 def test_decode_eval_and_serve_modules_load_no_openssl():

@@ -42,14 +42,14 @@ def five_token_lm():
 class TestBuildSpanTable:
     def test_single_token_passage(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         table = build_span_table(vocab.seq((1,)), empty(vocab), empty(vocab), lm)
         assert table.n == 1
         assert table.L[0] == [0.0, table.ell[0][0]]
 
     def test_uniform_cumulative_scores(self):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         passage = vocab.seq((0, 1, 2, 3))
         table = build_span_table(passage, empty(vocab), empty(vocab), lm)
         p = math.log(1 / 5)
@@ -79,14 +79,14 @@ class TestBuildSpanTable:
 
     def test_exactly_n_passes(self):
         vocab = bare_vocab(6)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         passage = vocab.seq((0, 1, 2, 3, 4, 0, 1))
         build_span_table(passage, empty(vocab), empty(vocab), lm)
         assert lm.pass_count() == 7
 
     def test_empty_passage_rejected(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         with pytest.raises(ValueError):
             build_span_table(empty(vocab), empty(vocab), empty(vocab), lm)
 
@@ -94,13 +94,13 @@ class TestBuildSpanTable:
 class TestExactExtract:
     def test_single_token_passage(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         result = exact_extract(vocab.seq((2,)), empty(vocab), empty(vocab), lm)
         assert (result.start, result.length) == (0, 1)
 
     def test_uniform_ties_break_to_first_shortest(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         passage = vocab.seq((0, 1, 2))
         result = exact_extract(passage, empty(vocab), empty(vocab), lm)
         assert (result.start, result.length) == (0, 1)
@@ -174,14 +174,14 @@ class TestExactExtract:
 class TestNaiveExact:
     def test_single_token_pass_count(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         result = naive_exact(vocab.seq((1,)), empty(vocab), empty(vocab), lm)
         assert result.passes_used == 1
         assert (result.start, result.length) == (0, 1)
 
     def test_quadratic_pass_count(self):
         vocab = bare_vocab(6)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         result = naive_exact(vocab.seq((0, 1, 2, 3)), empty(vocab), empty(vocab), lm)
         assert result.passes_used == 10  # 4 * 5 / 2
 
@@ -272,7 +272,7 @@ def test_decoders_sharing_a_scorer_report_their_own_passes():
     # Threads switch every microsecond, so the decoders' passes interleave
     # on the one scorer; each result still reports the passes it made.
     vocab = bare_vocab(6)
-    lm = TableLM.uniform(vocab)
+    lm = TableLM(vocab)
     passages = [vocab.seq(range(n)) for n in (1, 2, 3, 4, 5)] * 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

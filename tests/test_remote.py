@@ -331,7 +331,7 @@ class TestSuffixes:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), refuse={EXTRACT}, edit=corrupt_album, old_client=old_client)
+        wire = LoopbackScorer(TableLM(vocab), refuse={EXTRACT}, edit=corrupt_album, old_client=old_client)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
@@ -562,7 +562,7 @@ class TestExtract:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), edit=corrupt_album, old_client=old_client)
+        wire = LoopbackScorer(TableLM(vocab), edit=corrupt_album, old_client=old_client)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
@@ -776,7 +776,7 @@ class TestGreedy:
                 return edit(payload, reply)
             return reply
 
-        wire = LoopbackScorer(TableLM.uniform(vocab), edit=corrupt_album, old_client=old_client)
+        wire = LoopbackScorer(TableLM(vocab), edit=corrupt_album, old_client=old_client)
         report = run_eval(dataset, wire, template, vocab)
         assert report.skipped_ids == ("q-album",)
         assert report.greedy["overall"]["count"] == 1
@@ -990,7 +990,7 @@ class TestServe:
 
     def test_teacher_forced_reply_shape(self):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         replies = self.run(
             lm,
             [
@@ -1017,7 +1017,7 @@ class TestServe:
         vocab = bare_vocab(5)
         line = {**EXTRACT_LINE, "op": op, "target_ids": [0, 1]}
         lines = [{**line, "terminator_ids": stops} for stops in ([4], [0, 4], [5], None)]
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         plain, same, other, out_of_range, null = self.run(lm, [line, *lines])
         assert same == plain and "error" not in plain
         assert other == {"id": 3, "error": "bad request: terminator_ids [0, 4] differ from the server's [4]"}
@@ -1027,7 +1027,7 @@ class TestServe:
 
     def test_next_dist_reply_shape(self):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         replies = self.run(
             lm,
             [{"id": 1, "op": "next_dist", "source_ids": [], "prefix_ids": [0], "target_ids": []}],
@@ -1036,7 +1036,7 @@ class TestServe:
 
     def test_unknown_op_reports_error(self):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         replies = self.run(
             lm,
             [{"id": 3, "op": "sample", "source_ids": [], "prefix_ids": [], "target_ids": []}],
@@ -1046,7 +1046,7 @@ class TestServe:
 
     def test_blank_lines_skipped(self):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         in_stream = io.StringIO("\n\n")
         out_stream = io.StringIO()
         serve(lm, in_stream, out_stream)
@@ -1064,7 +1064,7 @@ class TestServe:
         answered = set(re.findall(r'\bop == "(\w+)"', inspect.getsource(remote._answer)))
         assert documented == answered
         lines = [{"id": i, "op": op, "source_ids": [], "prefix_ids": []} for i, op in enumerate(sorted(documented))]
-        for reply in self.run(TableLM.uniform(bare_vocab(5)), lines):
+        for reply in self.run(TableLM(bare_vocab(5)), lines):
             assert remote.UNKNOWN_OP not in reply.get("error", "")
 
     def test_docstring_names_every_request_field_the_server_reads(self):
@@ -1099,7 +1099,7 @@ class TestServe:
         ]
         documented = documented_fields("response")
         assert {line["op"] for line in lines} == documented.keys()
-        for line, reply in zip(lines, self.run(TableLM.uniform(bare_vocab(5)), lines)):
+        for line, reply in zip(lines, self.run(TableLM(bare_vocab(5)), lines)):
             assert "error" not in reply
             assert reply.keys() <= documented[line["op"]], line["op"]
 
@@ -1107,7 +1107,7 @@ class TestServe:
         # Per op, the fields of what a wire scorer sends for one call
         # against the fields of the protocol docstring's request line.
         vocab = bare_vocab(5)
-        wire = LoopbackScorer(TableLM.uniform(vocab))
+        wire = LoopbackScorer(TableLM(vocab))
         source, prefix, target = vocab.seq((0,)), vocab.seq(()), vocab.seq((1, 2))
         wire.teacher_forced_pass(ScoreRequest(source, target, prefix))
         wire.next_token_distribution(source, prefix)
@@ -1123,7 +1123,7 @@ class TestServe:
         # An op of earlier versions gets the unknown-op error that makes a
         # client step down, and serving goes on.
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         retired = {
             "id": 9, "op": op, "source_ids": [0], "prefix_ids": [1], "targets": [[1, 2], [3]],
             "passage_ids": [1, 2, 3], "max_span_len": None,
@@ -1201,7 +1201,7 @@ class TestServe:
     )
     def test_bad_extract_line_gets_an_error_and_serving_goes_on(self, bad):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         error, answer = self.run(lm, [bad, {**EXTRACT_LINE, "id": 4}])
         assert error["id"] == 3
         assert isinstance(error["error"], str) and error["error"]
@@ -1214,7 +1214,7 @@ class TestServe:
         # next_token_distribution, as a scorer wrapper that times them does;
         # any other attribute ``serve`` reached for would raise.
         vocab = bare_vocab(5)
-        forwarding = ForwardingScorer(TableLM.uniform(vocab))
+        forwarding = ForwardingScorer(TableLM(vocab))
         lines = [
             {"id": 1, "op": "teacher_forced", "source_ids": [0], "prefix_ids": [], "target_ids": [1, 2]},
             {"id": 2, "op": "next_dist", "source_ids": [0], "prefix_ids": [], "target_ids": []},
@@ -1251,7 +1251,7 @@ class TestServe:
     @pytest.mark.parametrize("max_steps", [True, 0, 1.0])
     @pytest.mark.parametrize("wrap", [lambda lm: lm, ForwardingScorer], ids=["table-lm", "forwarding"])
     def test_greedy_step_cap_is_an_integer_above_zero(self, max_steps, wrap):
-        lm = TableLM.uniform(bare_vocab(5))
+        lm = TableLM(bare_vocab(5))
         (error,) = self.run(wrap(lm), [{**GREEDY_LINE, "max_steps": max_steps}])
         assert error == {"id": 3, "error": f"bad request: max_steps must be an integer >= 1, not {max_steps!r}"}
         assert lm.pass_count() == 0
@@ -1284,7 +1284,7 @@ class TestServe:
     def test_bad_greedy_line_gets_an_error_and_serving_goes_on(self, bad):
         vocab = bare_vocab(5)
         good = {**GREEDY_LINE, "id": 4}
-        error, answer = self.run(TableLM.uniform(vocab), [bad, good])
+        error, answer = self.run(TableLM(vocab), [bad, good])
         assert error["id"] == 3
         assert isinstance(error["error"], str) and error["error"]
         # All five pieces tie, so every step takes id 0.
@@ -1310,7 +1310,7 @@ class TestServe:
         good = {"id": 10, "op": "next_dist", "source_ids": [], "prefix_ids": [0], "target_ids": []}
         in_stream = io.StringIO(bad_line + "\n" + json.dumps(good) + "\n")
         out_stream = io.StringIO()
-        serve(TableLM.uniform(vocab), in_stream, out_stream)
+        serve(TableLM(vocab), in_stream, out_stream)
         error, answer = [json.loads(line) for line in out_stream.getvalue().splitlines()]
         assert error["id"] == error_id
         assert isinstance(error["error"], str) and error["error"]
@@ -1320,7 +1320,7 @@ class TestServe:
     def test_scorer_error_gets_an_error_and_serving_goes_on(self):
         vocab = bare_vocab(5)
         replies = self.run(
-            NanTableLM.uniform(vocab),
+            NanTableLM(vocab),
             [
                 {"id": 1, "op": "teacher_forced", "source_ids": [], "prefix_ids": [], "target_ids": [0]},
                 {"id": 2, "op": "next_dist", "source_ids": [], "prefix_ids": [], "target_ids": []},
@@ -1531,7 +1531,7 @@ from spandecode.scorer import TableLM
 from spandecode.vocab import Vocabulary
 
 vocab = Vocabulary(["a", "b", "</s>"], terminator="</s>", sentinels=[])
-lm = TableLM.uniform(vocab)
+lm = TableLM(vocab)
 
 class Handler(BaseHTTPRequestHandler):
     def do_POST(self):

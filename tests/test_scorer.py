@@ -27,7 +27,7 @@ def make_request(vocab, target_ids, prefix_ids=(), source_ids=()):
 class TestTeacherForcedPass:
     def test_empty_target_still_scores_terminator(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         scores = lm.teacher_forced_pass(make_request(vocab, ()))
         assert scores.gold_logprob == ()
         assert len(scores.term_logprob) == 1
@@ -49,7 +49,7 @@ class TestTeacherForcedPass:
 
     def test_uniform_all_entries_equal(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         scores = lm.teacher_forced_pass(make_request(vocab, (0, 1, 2)))
         assert all(g == pytest.approx(math.log(0.25)) for g in scores.gold_logprob)
         assert len(scores.gold_logprob) == 3
@@ -65,7 +65,7 @@ class TestTeacherForcedPass:
 
     def test_vocab_mismatch(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         alien = TokenSeq((0,), "deadbeef")
         with pytest.raises(VocabularyMismatchError):
             lm.teacher_forced_pass(ScoreRequest(alien, alien, alien))
@@ -74,7 +74,7 @@ class TestTeacherForcedPass:
 class TestNextTokenDistribution:
     def test_uniform(self):
         vocab = bare_vocab(5)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         dist = lm.next_token_distribution(vocab.seq(()), vocab.seq((1, 2)))
         assert all(v == pytest.approx(math.log(0.2)) for v in dist)
 
@@ -110,7 +110,7 @@ class TestNextTokenDistribution:
 class TestPassAccounting:
     def test_counter_lifecycle(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         assert lm.pass_count() == 0
         lm.teacher_forced_pass(make_request(vocab, (0, 1)))
         assert lm.pass_count() == 1
@@ -119,7 +119,7 @@ class TestPassAccounting:
 
     def test_one_pass_regardless_of_target_length(self):
         vocab = bare_vocab(4)
-        lm = TableLM.uniform(vocab)
+        lm = TableLM(vocab)
         lm.teacher_forced_pass(make_request(vocab, tuple([0] * 50)))
         assert lm.pass_count() == 1
 
@@ -426,8 +426,18 @@ class TestFileLoading:
         path = tmp_path / "table.json"
         path.write_text("{}", encoding="utf-8")
         lm = TableLM.from_file(path, vocab)
-        assert _hexed(lm._default) == _hexed(TableLM.uniform(vocab)._default)
+        assert _hexed(lm._default) == _hexed(TableLM(vocab)._default)
         assert lm._any_source == [None, {}] and lm._by_source == {}
+
+    def test_loads_over_a_vocabulary_whose_uniform_default_sums_plainly_off_one(self, tmp_path):
+        # Before its file is read, a load builds the uniform default, whose
+        # 100,000 probabilities sum plainly (Python 3.10 and 3.11) to about
+        # 1 - 1.9e-12, outside the tolerance; their exact sum is within it.
+        vocab = bare_vocab(100_000)
+        path = tmp_path / "table.json"
+        path.write_text('{"default": {"0": 1.0}}\n', encoding="utf-8")
+        lm = TableLM.from_file(path, vocab)
+        assert lm._default[0][0] == 0.0 and lm._default[0].count(NEG_INF) == 99_999
 
 
 class Scripted(TableLM):

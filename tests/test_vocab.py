@@ -134,10 +134,6 @@ class TestSubsequence:
 
 
 class TestConcatenate:
-    def test_joins_ids_of_one_vocabulary(self, toy_vocab):
-        joined = toy_vocab.seq((1, 2)) + toy_vocab.seq((3,))
-        assert joined == toy_vocab.seq((1, 2, 3))
-
     @pytest.mark.parametrize("operand", [(3,), [3], 3, None, "x"])
     def test_an_operand_that_is_no_sequence_is_a_type_error(self, toy_vocab, operand):
         seq = toy_vocab.seq((1, 2))
@@ -145,10 +141,6 @@ class TestConcatenate:
             seq + operand
         with pytest.raises(TypeError):
             operand + seq
-
-    def test_vocab_mismatch(self, toy_vocab):
-        with pytest.raises(VocabularyMismatchError):
-            toy_vocab.seq((1,)) + TokenSeq((1,), "deadbeef")
 
 
 class TestPieceSurface:
