@@ -5,7 +5,8 @@
 Each PYTHON is an interpreter path or a command on PATH; with none, the
 script takes each of ``python3.10`` to ``python3.13`` that starts. Under
 each interpreter it runs ``benchmarks/run.py --seed 1 --seconds 2`` on every
-workload of ``BENCHMARK.json`` and checks that the run's result line reads
+workload of ``BENCHMARK.json``, once with ``--trace 0`` and once with
+``--trace 1`` as CI does, and checks that each run's result line reads
 ``"correct": true``, then runs the tier-1 tests when ``import pytest,
 hypothesis`` works there. It prints one line per step, and names each
 interpreter and step it skipped, with the reason. It exits 1 when a step
@@ -55,8 +56,8 @@ def _version(python: str) -> tuple[str | None, str]:
     return out.strip(), ""
 
 
-def _smoke(python: str, workload: str) -> tuple[bool, str]:
-    argv = [python, "benchmarks/run.py", "--workload", workload, "--seed", "1", "--seconds", "2"]
+def _smoke(python: str, workload: str, trace: str) -> tuple[bool, str]:
+    argv = [python, "benchmarks/run.py", "--workload", workload, "--seed", "1", "--seconds", "2", "--trace", trace]
     code, out, err, took = _run(argv, SMOKE_TIMEOUT_S)
     if code is None:
         return False, f"timed out after {SMOKE_TIMEOUT_S} s"
@@ -97,9 +98,10 @@ def main(argv=None) -> int:
         started += 1
         print(f"{python}: Python {version}")
         for workload in workloads:
-            ok, says = _smoke(python, workload)
-            failed += not ok
-            print(f"  smoke {workload}: {'ok' if ok else 'FAILED'}, {says}")
+            for trace in ("0", "1"):
+                ok, says = _smoke(python, workload, trace)
+                failed += not ok
+                print(f"  smoke {workload} --trace {trace}: {'ok' if ok else 'FAILED'}, {says}")
         ok, says = _tier1(python)
         if ok is None:
             print(f"  tier-1: skipped, {says}")

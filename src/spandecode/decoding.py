@@ -147,9 +147,11 @@ def exact_extract(
     The span comes from one ``scorer.best_span`` call, which makes the n
     passes, one per suffix, and takes the argmax under the shared
     tie-break; a remote scorer answers it with one request."""
-    start, length, logprob = scorer.best_span(
-        rendered_prompt, prefix, passage, cfg.max_span_len, cfg.allow_empty_span
-    )
+    span = scorer.best_span(rendered_prompt, prefix, passage, cfg.max_span_len, cfg.allow_empty_span)
+    return _extract_result(passage, scorer, *span)
+
+
+def _extract_result(passage: TokenSeq, scorer: Scorer, start: int, length: int, logprob: float) -> DecodeResult:
     return DecodeResult(
         start=start,
         length=length,
@@ -210,10 +212,14 @@ def greedy_decode(
     the metrics module); outputs with no matching span are marked
     non-extractive.
     """
+    steps = scorer.greedy_steps(rendered_prompt, prefix, cfg.max_greedy_steps)
+    return _greedy_result(steps, scorer, passage)
+
+
+def _greedy_result(steps: list[tuple[int, float]], scorer: Scorer, passage: TokenSeq | None) -> DecodeResult:
     from .metrics import find_span
 
     vocab = scorer.vocab
-    steps = scorer.greedy_steps(rendered_prompt, prefix, cfg.max_greedy_steps)
     # Summed in step order from 0.0, as the steps were taken.
     logprob = 0.0
     for _, top in steps:
@@ -241,3 +247,15 @@ def greedy_decode(
         extractive=extractive,
         truncated=truncated,
     )
+
+
+def exact_and_greedy(
+    passage: TokenSeq, rendered_prompt: TokenSeq, prefix: TokenSeq, scorer: Scorer, cfg: DecodeConfig = DecodeConfig()
+) -> tuple[DecodeResult, DecodeResult]:
+    """``exact_extract`` and ``greedy_decode`` matched back to ``passage``,
+    from one ``scorer.best_span_and_greedy_steps`` call, which a remote
+    scorer answers with one request."""
+    span, steps = scorer.best_span_and_greedy_steps(
+        rendered_prompt, prefix, passage, cfg.max_span_len, cfg.allow_empty_span, cfg.max_greedy_steps
+    )
+    return _extract_result(passage, scorer, *span), _greedy_result(steps, scorer, passage)

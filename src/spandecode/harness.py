@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 from . import metrics
-from .decoding import DecodeConfig, exact_extract, greedy_decode
+from .decoding import DecodeConfig, exact_and_greedy
 from .mrqa import DataError, QAExample
 from .prompting import OPEN_SENTINEL, PromptTemplate, render_encoder_input
 from .scorer import Scorer, ScorerError
@@ -96,8 +96,7 @@ def evaluate_example(
     """Run both decoders on one example and compute all metrics."""
     source, prefix, passage = prepare_example(example, template, vocab)
 
-    exact_result = exact_extract(passage, source, prefix, scorer, cfg)
-    greedy_result = greedy_decode(source, prefix, scorer, cfg, passage=passage)
+    exact_result, greedy_result = exact_and_greedy(passage, source, prefix, scorer, cfg)
 
     partition = metrics.partition_example(example.answers, example.context, vocab)
     agrees = metrics.exactness(greedy_result.text, exact_result.text)

@@ -53,10 +53,24 @@ maximum. The client counts k passes, one per step, after checking that
 before the last step and that the last step is one when k < max_steps, and
 that every value is a log-probability.
 
+An ``eval`` example's two decodes, after one source and prefix, are one
+``extract_greedy`` request: ``extract``'s fields plus ``max_steps``. The
+server answers it through the same scorer calls as ``extract`` and
+``greedy``, the loop stopping on the request's ``terminator_ids``:
+
+    request:  {"id": u64, "op": "extract_greedy", "source_ids": [u32], "prefix_ids": [u32],
+               "passage_ids": [u32] (at least one), "max_span_len": u32 >= 1 | null,
+               "allow_empty_span": bool, "terminator_ids": [u32], "max_steps": u32 >= 1}
+    response: {"id": u64, "start": u32, "length": u32, "logprob": [f64 of 1],
+               "token_ids": [u32 of k], "greedy_logprob": [f64 of k]}
+
+The client checks the span as for ``extract`` and the steps as for
+``greedy``, and counts n + k passes only when both checks pass.
+
 ``terminator_ids`` is optional on ``teacher_forced`` and ``extract``, and the
 client always sends it: their terminator log-probs are the server's, so a
 server whose scorer has another set refuses the request with a ``bad
-request`` error naming both sets.
+request`` error naming both sets, as it does an ``extract_greedy`` request.
 
 Every float list (each ``[f64]`` above) is a JSON list of numbers; a
 ``floats`` field sent by earlier clients is ignored.
@@ -65,11 +79,12 @@ A request that cannot be answered gets ``{"id": u64 | null, "error": str}``
 (``null`` when the request's id could not be read), and the client raises
 ``TransportError`` with the server's text. A server that answers an op
 with an error naming an unknown op does not speak it, and the client steps
-down, once per scorer: from ``extract`` to one ``teacher_forced`` request
-per suffix and the argmax in the client; from ``greedy`` to one
-``next_dist`` request per step. The reference server answers every other
-op with that error, ``teacher_forced_batch`` and ``teacher_forced_suffixes``
-of earlier versions among them.
+down, once per scorer: from ``extract_greedy`` to an ``extract`` and a
+``greedy`` request, each with its own step-down; from ``extract`` to one
+``teacher_forced`` request per suffix and the argmax in the client; from
+``greedy`` to one ``next_dist`` request per step. The reference server
+answers every other op with that error, ``teacher_forced_batch`` and
+``teacher_forced_suffixes`` of earlier versions among them.
 
 This module also provides a reference server (``python -m spandecode.remote``)
 that exposes a TableLM over stdio, used to exercise the protocol end to end.
@@ -80,9 +95,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import select
-import shlex
-import subprocess
 import sys
 import threading
 import time
@@ -130,6 +142,7 @@ class _WireScorer(Scorer):
         # Each False once the server has refused the op as unknown.
         self._extract = True
         self._greedy = True
+        self._extract_greedy = True
 
     def _take_id(self) -> int:
         with self._id_lock:
@@ -188,26 +201,47 @@ class _WireScorer(Scorer):
         client for a server that does not know the op."""
         cap = suffix_cap(passage, max_span_len)
         if self._extract:
-            for seq in (source, prefix, passage):
-                self._check_vocab(seq)
-            allow = bool(allow_empty_span)
-            reply = self._call_unless_unknown(
-                "extract", source, prefix,
-                passage_ids=list(passage.ids), max_span_len=max_span_len, allow_empty_span=allow,
-                terminator_ids=sorted(self.terminator_ids),
-            )
+            reply = self._extract_call("extract", source, prefix, passage, max_span_len, allow_empty_span)
             if reply is not None:
-                span = self._span(reply, len(passage), cap, allow)
+                span = self._span(reply, "extract", len(passage), cap, allow_empty_span)
                 self._count_pass(len(passage))
                 return span
             self._extract = False
         return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
 
-    def _span(self, reply: dict, n: int, cap: int, allow_empty_span: bool) -> tuple[int, int, float]:
-        """The span of an extract reply, checked: integer start and length
+    def best_span_and_greedy_steps(
+        self, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len: int | None,
+        allow_empty_span: bool, max_steps: int,
+    ) -> tuple[tuple[int, int, float], list[tuple[int, float]]]:
+        """Both in one ``extract_greedy`` request, n + k counted passes; for a
+        server without it, ``best_span`` and ``greedy_steps``, each stepping down."""
+        cap = suffix_cap(passage, max_span_len)
+        positive_int(max_steps, "max_steps")
+        if self._extract_greedy:
+            reply = self._extract_call(
+                "extract_greedy", source, prefix, passage, max_span_len, allow_empty_span, max_steps=max_steps
+            )
+            if reply is not None:
+                span = self._span(reply, "extract_greedy", len(passage), cap, allow_empty_span)
+                steps = self._greedy_steps(reply, "extract_greedy", max_steps, self.terminator_ids)
+                self._count_pass(len(passage) + len(steps))
+                return span, steps
+            self._extract_greedy = False
+        return super().best_span_and_greedy_steps(source, prefix, passage, max_span_len, allow_empty_span, max_steps)
+
+    def _extract_call(self, op, source, prefix, passage, max_span_len, allow_empty_span, **fields) -> dict | None:
+        """The reply to ``op`` with extract's fields and ``fields``, or None."""
+        for seq in (source, prefix, passage):
+            self._check_vocab(seq)
+        return self._call_unless_unknown(
+            op, source, prefix, passage_ids=list(passage.ids), max_span_len=max_span_len,
+            allow_empty_span=bool(allow_empty_span), terminator_ids=sorted(self.terminator_ids), **fields)
+
+    def _span(self, reply: dict, op: str, n: int, cap: int, allow_empty_span: bool) -> tuple[int, int, float]:
+        """The span of an ``op`` reply, checked: integer start and length
         naming a candidate of the table, one log-probability."""
-        start, length = self._read(reply, "extract", "start", "length", read=lambda v: v)
-        (logprob,) = self._read(reply, "extract", "logprob")
+        start, length = self._read(reply, op, "start", "length", read=lambda v: v)
+        (logprob,) = self._read(reply, op, "logprob")
         shortest = 0 if allow_empty_span and start == 0 else 1
         # Exact types: JSON's true and false are ints to Python.
         if not (
@@ -217,7 +251,7 @@ class _WireScorer(Scorer):
             and shortest <= length <= min(n - start, cap)
         ):
             raise ScorerError(
-                f"extract span ({start!r:.20}, {length!r:.20}) is not a candidate "
+                f"{op} span ({start!r:.20}, {length!r:.20}) is not a candidate "
                 f"in a passage of {n} tokens under a cap of {cap}"
             )
         if len(logprob) != 1:
@@ -240,14 +274,14 @@ class _WireScorer(Scorer):
                 "greedy", source, prefix, terminator_ids=sorted(stops), max_steps=max_steps
             )
             if reply is not None:
-                steps = self._greedy_steps(reply, max_steps, stops)
+                steps = self._greedy_steps(reply, "greedy", max_steps, stops)
                 self._count_pass(len(steps))
                 return steps
             self._greedy = False
         return super().greedy_steps(source, prefix, max_steps, stops)
 
-    def _greedy_steps(self, reply: dict, max_steps: int, stops) -> list[tuple[int, float]]:
-        """The k steps of a greedy reply, checked: 1 <= k <= max_steps, one
+    def _greedy_steps(self, reply: dict, op: str, max_steps: int, stops) -> list[tuple[int, float]]:
+        """The k steps of an ``op`` reply, checked: 1 <= k <= max_steps, one
         log-prob per step, piece ids, a terminator only at the end and there
         unless the loop ran out of steps, every value a log-probability."""
         def ids(field):
@@ -256,8 +290,8 @@ class _WireScorer(Scorer):
                 raise TypeError(f"not a list of token ids: {field!r:.40}")
             return field
 
-        (tokens,) = self._read(reply, "greedy", "token_ids", read=ids)
-        (logprob,) = self._read(reply, "greedy", "logprob")
+        (tokens,) = self._read(reply, op, "token_ids", read=ids)
+        (logprob,) = self._read(reply, op, "logprob" if op == "greedy" else "greedy_logprob")
         k = len(tokens)
         if not 1 <= k <= max_steps or len(logprob) != k:
             raise ScorerError(
@@ -323,6 +357,11 @@ class StdioScorer(_WireScorer):
     call raises TransportError, as every later call then does at once."""
 
     def __init__(self, command: str, vocab: Vocabulary, terminator_ids=None, timeout: float = 30.0):
+        # Imported here, the one client of them, so the stdio server starts without them.
+        import select
+        import shlex
+        import subprocess
+
         super().__init__(vocab, terminator_ids)
         self.command = command
         self.timeout = timeout
@@ -349,6 +388,8 @@ class StdioScorer(_WireScorer):
     def close(self) -> None:
         """Close the child's stdin, wait for it to exit (kill it after 10 s)
         and close its stdout."""
+        import subprocess
+
         proc = self._proc
         try:
             proc.stdin.close()
@@ -418,14 +459,40 @@ def _stop_ids(value, vocab: Vocabulary) -> frozenset:
     return frozenset(value)
 
 
+def _span_reply(scorer: Scorer, req: dict, source: TokenSeq, prefix: TokenSeq) -> dict:
+    """The span fields of the reply to an extract request."""
+    allow = req["allow_empty_span"]
+    if type(allow) is not bool:
+        raise ValueError(f"allow_empty_span must be true or false, not {allow!r:.40}")
+    passage = scorer.vocab.seq(req["passage_ids"])
+    # The scorer's own best_span where it has one (a TableLM forces each
+    # suffix only as far as can change the answer); Scorer's otherwise,
+    # which needs only teacher_forced_pass.
+    best_span = getattr(type(scorer), "best_span", Scorer.best_span)
+    start, length, logprob = best_span(scorer, source, prefix, passage, req["max_span_len"], allow)
+    return {"start": start, "length": length, "logprob": [logprob]}
+
+
+def _steps_reply(scorer: Scorer, req: dict, source: TokenSeq, prefix: TokenSeq, logprob_field: str) -> dict:
+    """The step fields of the reply to a greedy request, its log-probs under ``logprob_field``."""
+    # The client's terminator set decides where the loop stops.
+    stops = _stop_ids(req["terminator_ids"], scorer.vocab)
+    # The scorer's own greedy_steps where it has one (a TableLM reads the
+    # argmaxes it stored at load); Scorer's otherwise, which needs only
+    # next_token_distribution.
+    greedy_steps = getattr(type(scorer), "greedy_steps", Scorer.greedy_steps)
+    steps = greedy_steps(scorer, source, prefix, req["max_steps"], stops)
+    return {"token_ids": [token for token, _ in steps], logprob_field: [top for _, top in steps]}
+
+
 def _answer(scorer: Scorer, req: dict) -> dict:
     vocab = scorer.vocab
     source = vocab.seq(req["source_ids"])
     prefix = vocab.seq(req["prefix_ids"])
     op = req["op"]
-    # Both replies hold terminator log-probs under the served scorer's set;
+    # These replies hold terminator log-probs under the served scorer's set;
     # an older client sends none. getattr: a wrapper may expose only vocab.
-    if op in ("teacher_forced", "extract") and "terminator_ids" in req:
+    if op in ("teacher_forced", "extract", "extract_greedy") and "terminator_ids" in req:
         stops = _stop_ids(req["terminator_ids"], vocab)
         served = getattr(scorer, "terminator_ids", None)
         if served is not None and stops != frozenset(served):
@@ -439,32 +506,15 @@ def _answer(scorer: Scorer, req: dict) -> dict:
             "term_logprob": scores.term_logprob,
         }
     if op == "extract":
-        allow = req["allow_empty_span"]
-        if type(allow) is not bool:
-            raise ValueError(f"allow_empty_span must be true or false, not {allow!r:.40}")
-        passage = vocab.seq(req["passage_ids"])
-        # The scorer's own best_span where it has one (a TableLM forces each
-        # suffix only as far as can change the answer); Scorer's otherwise,
-        # which needs only teacher_forced_pass.
-        best_span = getattr(type(scorer), "best_span", Scorer.best_span)
-        start, length, logprob = best_span(scorer, source, prefix, passage, req["max_span_len"], allow)
-        return {"id": req["id"], "start": start, "length": length, "logprob": [logprob]}
+        return {"id": req["id"], **_span_reply(scorer, req, source, prefix)}
     if op == "next_dist":
         dist = scorer.next_token_distribution(source, prefix)
         return {"id": req["id"], "logits_logprob": dist}
     if op == "greedy":
-        # The client's terminator set decides where the loop stops.
-        stops = _stop_ids(req["terminator_ids"], vocab)
-        # The scorer's own greedy_steps where it has one (a TableLM reads the
-        # argmaxes it stored at load); Scorer's otherwise, which needs only
-        # next_token_distribution.
-        greedy_steps = getattr(type(scorer), "greedy_steps", Scorer.greedy_steps)
-        steps = greedy_steps(scorer, source, prefix, req["max_steps"], stops)
-        return {
-            "id": req["id"],
-            "token_ids": [token for token, _ in steps],
-            "logprob": [top for _, top in steps],
-        }
+        return {"id": req["id"], **_steps_reply(scorer, req, source, prefix, "logprob")}
+    if op == "extract_greedy":
+        span = _span_reply(scorer, req, source, prefix)
+        return {"id": req["id"], **span, **_steps_reply(scorer, req, source, prefix, "greedy_logprob")}
     return {"id": req["id"], "error": f"{UNKNOWN_OP} {op!r}"}
 
 

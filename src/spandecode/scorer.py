@@ -256,6 +256,15 @@ class Scorer:
         rows = suffix_scores(self, source, prefix, passage, max_span_len)
         return best_span_of(rows, allow_empty_span)
 
+    def best_span_and_greedy_steps(
+        self, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len: int | None,
+        allow_empty_span: bool, max_steps: int,
+    ) -> tuple[tuple[int, int, float], list[tuple[int, float]]]:
+        """``best_span`` and then ``greedy_steps`` after the same source and
+        prefix; a transport can override this to ask for both at once."""
+        span = self.best_span(source, prefix, passage, max_span_len, allow_empty_span)
+        return span, self.greedy_steps(source, prefix, max_steps)
+
     def next_token_distribution(self, source: TokenSeq, prefix: TokenSeq):
         """Full next-token log-distribution after ``prefix``; one counted pass."""
         self._check_vocab(source)
@@ -389,8 +398,8 @@ class TableLM(Scorer):
     Contexts map a decoder prefix (optionally pinned to a specific source)
     to a full next-token distribution; anything unlisted falls back to a
     single default distribution. All distributions live over the piece
-    vocabulary (byte-fallback ids excluded) and must sum to 1 within 1e-12;
-    one whose exact sum does is valid on every Python.
+    vocabulary (byte-fallback ids excluded), and the exact sum of each
+    one's probabilities must lie within 1e-12 of 1, on every Python.
 
     The contexts live in prefix trees: one for any source and one per
     pinned source. A node is ``[entry or None, {token id: child node}]``;
@@ -490,8 +499,11 @@ class TableLM(Scorer):
             for token_id, prob in zip(ids, probs):
                 if not math.isfinite(prob):
                     raise ValueError(f"probability {prob!r} of token {token_id} is not finite")
-        # Python 3.12+ compensates the plain sum, 3.10 and 3.11 do not: a miss is retaken exactly.
-        if abs(total - 1.0) > DIST_SUM_TOL and abs(math.fsum(probs) - 1.0) > DIST_SUM_TOL:
+        # The plain sum (compensated on Python 3.12+, not on 3.10 and 3.11) is
+        # within n * 2**-52 of the exact one, which decides where that matters.
+        if abs(abs(total - 1.0) - DIST_SUM_TOL) <= len(probs) * 2.0**-52:
+            total = math.fsum(probs)
+        if abs(total - 1.0) > DIST_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1.0")
         if not dense and (min(ids) < 0 or max(ids) >= size):
             token_id = next(t for t in ids if not 0 <= t < size)

@@ -13,7 +13,7 @@ from http.server import ThreadingHTTPServer
 
 import pytest
 
-from spandecode import cli, harness
+from spandecode import cli, harness, remote
 from spandecode.cli import main
 from spandecode.mrqa import load_dataset
 from spandecode.prompting import get_template
@@ -82,24 +82,35 @@ def base_args(ws):
     return ["--vocab", ws["vocab"], "--scorer", ws["table"]]
 
 
-def server_spec(ws, k=None) -> str:
+def server_spec(ws, k=None, refuse=None) -> str:
     """A stdio spec for the reference server over the workspace table; with
-    ``k``, a server that answers k request lines and then exits."""
+    ``k``, a server that answers k request lines and then exits; with
+    ``refuse``, one that does not know that op."""
     table = ws["table"].removeprefix("table:")
     close_id = TOY_PIECES.index("<extra_id_1>")
-    if k is None:
+    if k is None and refuse is None:
         child = [sys.executable, "-m", "spandecode.remote", "--vocab", ws["vocab"],
                  "--table", table, "--terminator-ids", str(close_id)]
     else:
+        if refuse is None:
+            loop = f"serve(lm, itertools.islice(sys.stdin, {k}), sys.stdout)\n"
+        else:
+            loop = (
+                "for line in sys.stdin:\n"
+                "    req = json.loads(line)\n"
+                f"    if req['op'] == {refuse!r}:\n"
+                "        print(json.dumps({'id': req['id'], 'error': 'unknown op %r' % req['op']}), flush=True)\n"
+                "    else:\n"
+                "        serve(lm, [line], sys.stdout)\n"
+            )
         child = [
             sys.executable, "-c",
-            "import itertools, sys\n"
+            "import itertools, json, sys\n"
             "from spandecode.remote import serve\n"
             "from spandecode.scorer import TableLM\n"
             "from spandecode.vocab import Vocabulary\n"
             f"vocab = Vocabulary.from_file({ws['vocab']!r})\n"
-            f"lm = TableLM.from_file({table!r}, vocab, terminator_ids={{{close_id}}})\n"
-            f"serve(lm, itertools.islice(sys.stdin, {k}), sys.stdout)\n",
+            f"lm = TableLM.from_file({table!r}, vocab, terminator_ids={{{close_id}}})\n" + loop,
         ]
     return "stdio:" + shlex.join(child)
 
@@ -298,6 +309,43 @@ class TestEval:
         first = capsys.readouterr().out
         assert main(["report", "--input", str(out)]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "transport, refused",
+        [("loopback", False), ("stdio", False), ("http", False), ("loopback", True), ("stdio", True)],
+    )
+    def test_each_example_is_one_request_and_the_report_is_the_table_s(
+        self, workspace, monkeypatch, http_server, capsys, transport, refused
+    ):
+        # One extract_greedy request per example; a server that does not know
+        # the op refuses it once, and each example then sends extract and
+        # greedy. Output file, stdout and stderr are the table run's.
+        data = str(many_questions(workspace))
+        out = workspace["dir"] / "report.json"
+
+        def run(spec):
+            assert main(["--vocab", workspace["vocab"], "--scorer", spec, "eval", "--input", data,
+                         "--output", str(out)]) == 0
+            return out.read_bytes(), capsys.readouterr()
+
+        want = run(workspace["table"])
+        ops = []
+        call = remote._WireScorer._call
+        monkeypatch.setattr(remote._WireScorer, "_call", lambda self, op, *a, **k: ops.append(op) or call(self, op, *a, **k))
+        spec = workspace["table"]
+        if transport == "loopback":
+            make_scorer = cli.make_scorer
+            refuse = {"extract_greedy"} if refused else ()
+            monkeypatch.setattr(cli, "make_scorer", lambda *args: LoopbackScorer(make_scorer(*args), refuse=refuse))
+        elif transport == "stdio":
+            spec = server_spec(workspace, refuse="extract_greedy" if refused else None)
+        else:
+            spec = http_spec(workspace, http_server)
+        assert run(spec) == want
+        if refused:
+            assert ops == ["extract_greedy"] + ["extract", "greedy"] * 10
+        else:
+            assert ops == ["extract_greedy"] * 10
 
     @pytest.mark.parametrize(
         "text",

@@ -13,6 +13,9 @@
 - ``greedy_decode`` over the wire against in process, bit for bit, at
   every op level (one greedy request; a refused greedy request and one
   ``next_dist`` per step);
+- ``harness.evaluate_example`` over the wire against in process, bit for
+  bit: both decodes in one ``extract_greedy`` request, or refused and
+  stepped down at every op level below it;
 - ``TableLM.greedy_steps``, which reads the argmaxes stored at load,
   against ``Scorer.greedy_steps`` over the checked distributions: the same
   tokens, floats and passes;
@@ -48,8 +51,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spandecode.decoding import DecodeConfig, _better, exact_extract, greedy_decode, naive_exact
+from spandecode.harness import evaluate_example
 from spandecode.metrics import find_span, strip_sentinels
-from spandecode.mrqa import DataError, read_json
+from spandecode.mrqa import DataError, QAExample, read_json
+from spandecode.prompting import list_templates
 from spandecode.scorer import (
     DIST_SUM_TOL,
     LOGPROB_TOL,
@@ -63,10 +68,10 @@ from spandecode.scorer import (
 )
 from spandecode.vocab import SPACE_MARKER, TokenSeq, Vocabulary
 
-from conftest import LoopbackScorer, RecordingTableLM, bare_vocab
+from conftest import TOY_PIECES, LoopbackScorer, RecordingTableLM, bare_vocab
 
 SETTINGS = settings(max_examples=300, deadline=None)
-EXTRACT, GREEDY = "extract", "greedy"
+EXTRACT, GREEDY, EXTRACT_GREEDY = "extract", "greedy", "extract_greedy"
 
 # Whitespace-only and newline pieces, words with inner and outer markers,
 # the sentinels and the terminator. No piece is empty: a vocabulary
@@ -376,6 +381,59 @@ def test_greedy_over_the_wire_equals_in_process(model, data):
     k = want.passes_used
     assert 1 <= k <= cfg.max_greedy_steps and wire.pass_count() == k
     assert wire.ops() == [GREEDY] + ["next_dist"] * k * len(refuse)
+
+
+# Words that the toy vocabulary encodes to pieces alone.
+TOY_WORDS = ("the", "The", "IRA", "was", "active", "active.", "album", "released", "in", "1971", "(1971)")
+
+
+@st.composite
+def eval_cases(draw):
+    """A TableLM over the toy vocabulary, with random contexts after the
+    decoder prefix, and an example of toy words under a random template."""
+    vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
+    size = vocab.size
+    opener = vocab.encode("<extra_id_0>").ids
+    stops = draw(st.sampled_from([{vocab.terminator_id}, {size - 2}, {size - 2, vocab.terminator_id}]))
+
+    token = st.integers(0, size - 1)
+
+    def dist():
+        weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        weights[draw(token)] += 1
+        return {t: w / sum(weights) for t, w in enumerate(weights) if w}
+
+    contexts = {opener + tuple(draw(st.lists(token, max_size=3))): dist() for _ in range(draw(st.integers(0, 6)))}
+    lm = TableLM(vocab, contexts=contexts, default=dist(), terminator_ids=stops)
+    words = st.lists(st.sampled_from(TOY_WORDS), min_size=1, max_size=8).map(" ".join)
+    example = QAExample(id="x", context=draw(words), question=draw(words), answers=(draw(st.sampled_from(TOY_WORDS)),))
+    template = draw(st.sampled_from(list_templates()))
+    return vocab, lm, example, template
+
+
+@SETTINGS
+@given(eval_cases(), st.data())
+def test_eval_example_over_the_wire_equals_in_process(case, data):
+    vocab, lm, example, template = case
+    cfg = DecodeConfig(
+        max_span_len=data.draw(st.sampled_from([None, 1, 2, 4])),
+        allow_empty_span=data.draw(st.booleans()),
+        max_greedy_steps=data.draw(st.integers(1, 6)),
+    )
+    # One extract_greedy request, or a refused one and then extract and
+    # greedy requests, each of which may be refused and stepped down.
+    refuse = data.draw(st.sampled_from([(), (EXTRACT_GREEDY,), (EXTRACT_GREEDY, EXTRACT), (EXTRACT_GREEDY, GREEDY),
+                                        (EXTRACT_GREEDY, EXTRACT, GREEDY)]))
+    wire = LoopbackScorer(lm, refuse=refuse)
+    got = evaluate_example(example, wire, template, vocab, cfg)
+    want = evaluate_example(example, lm, template, vocab, cfg)
+    assert got == want
+    for decoder in ("exact", "greedy"):
+        assert got[decoder].span_logprob.hex() == want[decoder].span_logprob.hex()
+    assert wire.pass_count() == want["exact"].passes_used + want["greedy"].passes_used
+    ops = wire.ops()
+    assert ops[0] == EXTRACT_GREEDY and EXTRACT_GREEDY not in ops[1:]
+    assert (len(ops) == 1) == (not refuse)
 
 
 @SETTINGS

@@ -17,8 +17,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from spandecode import remote
-from spandecode.decoding import DecodeConfig, build_span_table, exact_extract, greedy_decode
-from spandecode.harness import run_eval
+from spandecode.decoding import DecodeConfig, build_span_table, exact_and_greedy, exact_extract, greedy_decode
+from spandecode.harness import evaluate_example, run_eval
 from spandecode.mrqa import QAExample
 from spandecode.prompting import get_template, render_encoder_input
 from spandecode.remote import RemoteScorer, StdioScorer, TransportError, _floats, _WireScorer, serve
@@ -33,7 +33,7 @@ CONFIGS = [
     DecodeConfig(max_span_len=cap, allow_empty_span=empty)
     for cap, empty in itertools.product([None, 1, 3, 8, 20], [False, True])
 ]
-EXTRACT, GREEDY = "extract", "greedy"
+EXTRACT, GREEDY, EXTRACT_GREEDY = "extract", "greedy", "extract_greedy"
 
 
 def write_fixture_files(tmp_path, vocab, table: dict):
@@ -206,6 +206,30 @@ class TestWireFraming:
             scorer.next_token_distribution(vocab.seq(()), vocab.seq(()))
 
 
+ALBUM_DATASET = [
+    QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
+    QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
+]
+
+
+def eval_with_album_reply_edited(edit, op, refuse=(), old_client=False):
+    """``run_eval`` over a LoopbackScorer on two toy examples, each ``op``
+    reply to the second ("q-album") changed by ``edit``; the report and
+    the scorer."""
+    vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
+    template = get_template(2)
+    bad = ALBUM_DATASET[1]
+    bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
+
+    def corrupt_album(payload, reply):
+        if payload["op"] == op and payload["source_ids"] == bad_source:
+            return edit(payload, reply)
+        return reply
+
+    wire = LoopbackScorer(TableLM(vocab), refuse=refuse, edit=corrupt_album, old_client=old_client)
+    return run_eval(ALBUM_DATASET, wire, template, vocab), wire
+
+
 def both_clients(*edits):
     """Each edit with the request as earlier clients sent it, carrying
     ``"floats": "b64-f64le"``, under its own name, and as this client sends
@@ -317,25 +341,10 @@ class TestSuffixes:
         "edit, old_client", both_clients(short_total, nan_value, positive_value)
     )
     def test_invalid_reply_skips_the_example(self, edit, old_client):
-        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
-        template = get_template(2)
-        dataset = [
-            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
-            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
-        ]
-        bad = dataset[1]
-        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
-
-        def corrupt_album(payload, reply):
-            if payload["op"] == "teacher_forced" and payload["source_ids"] == bad_source:
-                return edit(payload, reply)
-            return reply
-
-        wire = LoopbackScorer(TableLM(vocab), refuse={EXTRACT}, edit=corrupt_album, old_client=old_client)
-        report = run_eval(dataset, wire, template, vocab)
+        report, wire = eval_with_album_reply_edited(edit, "teacher_forced", {EXTRACT_GREEDY, EXTRACT}, old_client)
         assert report.skipped_ids == ("q-album",)
         assert report.exact["overall"]["count"] == 1
-        assert wire.ops().count(EXTRACT) == 1
+        assert wire.ops().count(EXTRACT_GREEDY) == wire.ops().count(EXTRACT) == 1
 
 
 def span_edit(change):
@@ -548,34 +557,23 @@ class TestExtract:
 
     @pytest.mark.parametrize("edit, old_client", both_clients(start_past_end, two_logprobs, nan_span_logprob))
     def test_invalid_reply_skips_the_example(self, edit, old_client):
-        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
-        template = get_template(2)
-        dataset = [
-            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
-            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
-        ]
-        bad = dataset[1]
-        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
-
-        def corrupt_album(payload, reply):
-            if payload["op"] == EXTRACT and payload["source_ids"] == bad_source:
-                return edit(payload, reply)
-            return reply
-
-        wire = LoopbackScorer(TableLM(vocab), edit=corrupt_album, old_client=old_client)
-        report = run_eval(dataset, wire, template, vocab)
-        assert report.skipped_ids == ("q-album",)
-        assert report.exact["overall"]["count"] == 1
-        assert wire.ops().count(EXTRACT) == 2
+        # The span of an extract_greedy reply, and of an extract reply from
+        # a server that refuses extract_greedy, which is not asked again.
+        for op, refuse in [(EXTRACT_GREEDY, ()), (EXTRACT, {EXTRACT_GREEDY})]:
+            report, wire = eval_with_album_reply_edited(edit, op, refuse, old_client)
+            assert report.skipped_ids == ("q-album",)
+            assert report.exact["overall"]["count"] == 1
+            assert wire.ops().count(op) == 2 and wire.ops().count(EXTRACT_GREEDY) == 2 - len(refuse)
 
 
 def greedy_edit(change):
-    """A greedy reply tamper: ``change(tokens, logprob, payload)`` returns the
-    new fields."""
+    """A greedy or extract_greedy reply tamper: ``change(tokens, logprob,
+    payload)`` returns the new steps."""
 
     def edit(payload, reply):
-        tokens, logprob = change(reply["token_ids"], reply["logprob"], payload)
-        return {**reply, "token_ids": tokens, "logprob": logprob}
+        key = "logprob" if payload["op"] == GREEDY else "greedy_logprob"
+        tokens, logprob = change(reply["token_ids"], reply[key], payload)
+        return {**reply, "token_ids": tokens, key: logprob}
 
     edit.__name__ = change.__name__
     return edit
@@ -762,25 +760,174 @@ class TestGreedy:
 
     @pytest.mark.parametrize("edit, old_client", both_clients(*GREEDY_TAMPERS))
     def test_invalid_reply_skips_the_example(self, edit, old_client):
-        vocab = Vocabulary(TOY_PIECES, terminator="</s>", sentinels=["<extra_id_0>", "<extra_id_1>"])
-        template = get_template(2)
-        dataset = [
-            QAExample(id="q-ira", context="the IRA was active", question="who?", answers=("IRA",)),
-            QAExample(id="q-album", context="The album released in 1971.", question="when?", answers=("1971",)),
-        ]
-        bad = dataset[1]
-        bad_source = list(vocab.encode(render_encoder_input(template, bad.context, bad.question)).ids)
+        # The steps of an extract_greedy reply, and of a greedy reply from a
+        # server that refuses extract_greedy, which is not asked again.
+        for op, refuse in [(EXTRACT_GREEDY, ()), (GREEDY, {EXTRACT_GREEDY})]:
+            report, wire = eval_with_album_reply_edited(edit, op, refuse, old_client)
+            assert report.skipped_ids == ("q-album",)
+            assert report.greedy["overall"]["count"] == 1
+            assert wire.ops().count(op) == 2 and wire.ops().count(EXTRACT_GREEDY) == 2 - len(refuse)
 
-        def corrupt_album(payload, reply):
-            if payload["op"] == GREEDY and payload["source_ids"] == bad_source:
-                return edit(payload, reply)
+
+def field_edit(field, value):
+    """An extract_greedy reply tamper that sets ``field`` to ``value``, or
+    drops it when ``value`` is ``...``."""
+
+    def edit(payload, reply):
+        reply = {k: v for k, v in reply.items() if k != field}
+        return reply if value is ... else {**reply, field: value}
+
+    edit.__name__ = f"{field}={value!r}"
+    return edit
+
+
+# A malformed value, or none, in each field of an extract_greedy reply.
+FIELD_TAMPERS = tuple(
+    field_edit(field, value)
+    for field in ("start", "length", "logprob", "token_ids", "greedy_logprob")
+    for value in (..., None, "1", [True], 1.5)
+)
+
+
+def both_outcomes(results):
+    exact, greedy = results
+    return span_outcome(exact), greedy_outcome(greedy)
+
+
+class TestExtractGreedy:
+    """The extract_greedy op: both decodes of an eval example in one request."""
+
+    setup_model = TestGreedy.setup_model
+
+    def decode(self, scorer, cap=None, empty=False, max_steps=10):
+        vocab = scorer.vocab
+        passage, source, prefix = vocab.seq((1, 2, 3, 0, 1)), vocab.seq((0, 1)), vocab.seq(())
+        cfg = DecodeConfig(max_span_len=cap, allow_empty_span=empty, max_greedy_steps=max_steps)
+        return exact_and_greedy(passage, source, prefix, scorer, cfg)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("max_steps", [1, 10])
+    def test_example_is_one_request(self, cap, empty, max_steps):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        got = self.decode(wire, cap, empty, max_steps)
+        assert wire.sent == [{
+            "id": 1, "op": EXTRACT_GREEDY, "source_ids": [0, 1], "prefix_ids": [],
+            "passage_ids": [1, 2, 3, 0, 1], "max_span_len": cap, "allow_empty_span": empty,
+            "terminator_ids": [vocab.terminator_id], "max_steps": max_steps,
+        }]
+        assert both_outcomes(got) == both_outcomes(self.decode(lm, cap, empty, max_steps))
+        # n passes for the span, one per greedy step.
+        assert wire.pass_count() == 5 + min(max_steps, 4) == got[0].passes_used + got[1].passes_used
+
+    def test_results_equal_the_two_decoders(self):
+        vocab, lm = self.setup_model()
+        passage, source, prefix = vocab.seq((1, 2, 3, 0, 1)), vocab.seq((0, 1)), vocab.seq(())
+        exact = exact_extract(passage, source, prefix, lm)
+        greedy = greedy_decode(source, prefix, lm, passage=passage)
+        assert self.decode(lm, max_steps=DecodeConfig().max_greedy_steps) == (exact, greedy)
+
+    @pytest.mark.parametrize(
+        "refuse, first, later",
+        [
+            ((), [EXTRACT, GREEDY], [EXTRACT, GREEDY]),
+            ((EXTRACT,), [EXTRACT] + ["teacher_forced"] * 5 + [GREEDY], ["teacher_forced"] * 5 + [GREEDY]),
+            ((GREEDY,), [EXTRACT, GREEDY] + ["next_dist"] * 4, [EXTRACT] + ["next_dist"] * 4),
+            (
+                (EXTRACT, GREEDY),
+                [EXTRACT] + ["teacher_forced"] * 5 + [GREEDY] + ["next_dist"] * 4,
+                ["teacher_forced"] * 5 + ["next_dist"] * 4,
+            ),
+        ],
+        ids=["extract+greedy", "teacher-forced+greedy", "extract+next-dist", "teacher-forced+next-dist"],
+    )
+    def test_unknown_op_steps_down_once_per_scorer(self, refuse, first, later):
+        # Refused, extract_greedy is not asked again; best_span and
+        # greedy_steps then step down on their own, each once.
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse={EXTRACT_GREEDY, *refuse})
+        want = both_outcomes(self.decode(lm))
+        assert both_outcomes(self.decode(wire)) == want
+        assert both_outcomes(self.decode(wire)) == want
+        assert wire.ops() == [EXTRACT_GREEDY] + first + later
+        assert wire.pass_count() == 2 * (5 + 4)
+
+    def test_other_errors_raise_and_keep_the_op(self):
+        vocab, lm = self.setup_model()
+
+        def overloaded_once(payload, reply):
+            if payload["id"] == 1:
+                return {"id": 1, "error": "overloaded, retry later"}
             return reply
 
-        wire = LoopbackScorer(TableLM(vocab), edit=corrupt_album, old_client=old_client)
-        report = run_eval(dataset, wire, template, vocab)
+        wire = LoopbackScorer(lm, edit=overloaded_once)
+        with pytest.raises(TransportError, match="overloaded, retry later"):
+            self.decode(wire)
+        self.decode(wire)
+        assert wire.ops() == [EXTRACT_GREEDY, EXTRACT_GREEDY] and wire.pass_count() == 5 + 4
+
+    def test_server_with_other_terminators_refuses_the_request(self):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        wire.terminator_ids = frozenset({3, 1})
+        message = rf"bad request: terminator_ids \[1, 3\] differ from the server's \[{vocab.terminator_id}\]"
+        with pytest.raises(TransportError, match=message):
+            self.decode(wire)
+        assert wire.ops() == [EXTRACT_GREEDY] and wire.pass_count() == 0
+
+    @pytest.mark.parametrize("edit", [*SPAN_TAMPERS, *GREEDY_TAMPERS, *FIELD_TAMPERS], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_malformed_reply_raises_and_counts_no_pass(self, edit, cap):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, edit=edit)
+        with pytest.raises(ScorerError):
+            self.decode(wire, cap)
+        assert wire.ops() == [EXTRACT_GREEDY] and wire.pass_count() == 0
+
+    @pytest.mark.parametrize("edit", FIELD_TAMPERS, ids=lambda e: e.__name__)
+    def test_malformed_reply_skips_the_example(self, edit):
+        report, wire = eval_with_album_reply_edited(edit, EXTRACT_GREEDY)
         assert report.skipped_ids == ("q-album",)
-        assert report.greedy["overall"]["count"] == 1
-        assert wire.ops().count(GREEDY) == 2
+        assert report.exact["overall"]["count"] == report.greedy["overall"]["count"] == 1
+        assert wire.ops() == [EXTRACT_GREEDY] * 2
+        # Only the other example's passes are counted.
+        ira = evaluate_example(ALBUM_DATASET[0], wire.backend, get_template(2), wire.vocab)
+        assert wire.pass_count() == ira["exact"].passes_used + ira["greedy"].passes_used
+
+    @pytest.mark.parametrize("cap, passage, max_steps", [(0, (1,), 3), (None, (), 3), (None, (1,), 0), (2, (1,), True)])
+    def test_bad_arguments_raise_before_any_request(self, cap, passage, max_steps):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm)
+        empty = vocab.seq(())
+        for scorer in (wire, lm):
+            with pytest.raises(ValueError):
+                scorer.best_span_and_greedy_steps(empty, empty, vocab.seq(passage), cap, False, max_steps)
+        assert wire.sent == [] and wire.pass_count() == 0
+
+    def test_docstring_names_exactly_the_fields_of_the_op(self):
+        vocab, lm = self.setup_model()
+        replies = []
+        wire = LoopbackScorer(lm, edit=lambda payload, reply: replies.append(reply) or reply)
+        self.decode(wire)
+        assert wire.sent[0].keys() == documented_fields("request")[EXTRACT_GREEDY]
+        assert replies[0].keys() == documented_fields("response")[EXTRACT_GREEDY]
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_a_forwarding_scorer_answers_as_a_table_lm(self, cap, empty):
+        # Only vocab, teacher_forced_pass and next_token_distribution: serve
+        # answers the op through Scorer's best_span and greedy_steps.
+        vocab, lm = self.setup_model()
+        line = {
+            "id": 5, "op": EXTRACT_GREEDY, "source_ids": [0, 1], "prefix_ids": [], "passage_ids": [1, 2, 3, 0, 1],
+            "max_span_len": cap, "allow_empty_span": empty, "terminator_ids": [vocab.terminator_id], "max_steps": 10,
+        }
+        (want,) = TestServe().run(lm, [line])
+        assert want.keys() == {"id", "start", "length", "logprob", "token_ids", "greedy_logprob"}
+        forwarding = ForwardingScorer(lm)
+        assert TestServe().run(forwarding, [line]) == [want]
+        assert forwarding.forced_calls == 5
 
 
 # Valid log-probs at the edges of binary64: -inf, -0.0, the smallest
@@ -1074,7 +1221,7 @@ class TestServe:
         # protocol docstring's request line for the op.
         def fields(source):
             read = set(re.findall(r'\breq(?:\["|\.get\(")(\w+)"', source))
-            for helper in re.findall(r"\b(_\w+)\(scorer, req\)", source):
+            for helper in re.findall(r"\b(_\w+)\(scorer, req\b", source):
                 read |= fields(inspect.getsource(getattr(remote, helper)))
             return read
 
@@ -1096,6 +1243,7 @@ class TestServe:
             {"id": 2, "op": "next_dist", "source_ids": [0], "prefix_ids": [], "target_ids": []},
             EXTRACT_LINE,
             GREEDY_LINE,
+            {**EXTRACT_LINE, **GREEDY_LINE, "op": EXTRACT_GREEDY},
         ]
         documented = documented_fields("response")
         assert {line["op"] for line in lines} == documented.keys()
@@ -1113,6 +1261,7 @@ class TestServe:
         wire.next_token_distribution(source, prefix)
         wire.best_span(source, prefix, target)
         wire.greedy_steps(source, prefix, 3)
+        wire.best_span_and_greedy_steps(source, prefix, target, None, False, 3)
         documented = documented_fields("request")
         assert sorted(wire.ops()) == sorted(documented)
         for payload in wire.sent:
@@ -1517,6 +1666,18 @@ def test_cli_and_stdio_server_start_without_the_http_library():
         "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_stdio_server_starts_without_the_child_process_modules():
+    # Only StdioScorer starts and polls a child; it imports what it needs there.
+    code = "import sys{}; print(sorted({{'subprocess', 'shlex', 'select'}} & set(sys.modules)))"
+    bare = subprocess.run([sys.executable, "-c", code.format("")], capture_output=True, text=True, timeout=60, check=True)
+    if bare.stdout != "[]\n":
+        pytest.skip(f"the bare interpreter already loads {bare.stdout.strip()}")
+    proc = subprocess.run(
+        [sys.executable, "-c", code.format(", spandecode.remote")], capture_output=True, text=True, timeout=60, check=True
+    )
     assert proc.stdout == "[]\n"
 
 

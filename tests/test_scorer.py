@@ -10,7 +10,7 @@ import pytest
 
 from spandecode.decoding import DecodeConfig, naive_exact
 from spandecode.mrqa import DataError
-from spandecode.scorer import _READ_SIZE, NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
+from spandecode.scorer import _READ_SIZE, DIST_SUM_TOL, NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
 from conftest import LoopbackScorer, RecordingTableLM, bare_vocab, random_distribution
@@ -439,6 +439,16 @@ class TestFileLoading:
         lm = TableLM.from_file(path, vocab)
         assert lm._default[0][0] == 0.0 and lm._default[0].count(NEG_INF) == 99_999
 
+
+    def test_refuses_a_default_whose_exact_sum_is_off_one_though_its_plain_sum_is_not(self):
+        # 50,000 probabilities of (1 - 1.7e-12) / 50,000 sum plainly to about
+        # 1 - 3.9e-13 on Python 3.10 and 3.11, inside the tolerance, and
+        # exactly to 1 - 1.7e-12, outside it: refused on every Python.
+        size = 50_000
+        prob = (1 - 1.7e-12) / size
+        assert abs(math.fsum([prob] * size) - 1.0) > DIST_SUM_TOL
+        with pytest.raises(ValueError, match="probabilities sum to 0.99999999999"):
+            TableLM(bare_vocab(size), default=dict.fromkeys(range(size), prob))
 
 class Scripted(TableLM):
     """Returns the table model's scores with one step or entry replaced."""
