@@ -3,8 +3,8 @@
 ``decode`` and ``eval`` take one path from example to decoders: each
 example is encoded by ``prepare_example``, and ``map_examples`` runs the
 per-example work, serially or on a thread pool, in input order. Per
-example, ``run_eval`` runs greedy and exact decoding and the full metric
-suite, then folds the scores into an EvalReport shaped like the
+example, ``run_eval`` runs greedy and exact decoding and the report's
+metrics, then folds the scores into an EvalReport shaped like the
 performance / extractiveness / partition tables.
 """
 
@@ -93,7 +93,7 @@ def evaluate_example(
     vocab: Vocabulary,
     cfg: DecodeConfig = DecodeConfig(),
 ) -> dict:
-    """Run both decoders on one example and compute all metrics."""
+    """Run both decoders on one example and compute the report's metrics."""
     source, prefix, passage = prepare_example(example, template, vocab)
 
     exact_result, greedy_result = exact_and_greedy(passage, source, prefix, scorer, cfg)
@@ -104,7 +104,6 @@ def evaluate_example(
     def score(text: str) -> metrics.ExampleScore:
         return metrics.ExampleScore(
             f1=metrics.token_f1(text, example.answers),
-            exact_match=metrics.exact_match(text, example.answers),
             extractive=metrics.is_extractive(text, example.context),
             exactness_match=agrees,
             partition=partition,

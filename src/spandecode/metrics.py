@@ -158,7 +158,6 @@ class ExampleScore:
     """Per-example measurements for one decoding algorithm."""
 
     f1: float
-    exact_match: bool
     extractive: bool
     exactness_match: bool
     partition: str

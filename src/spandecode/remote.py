@@ -113,6 +113,9 @@ from .vocab import TokenSeq, Vocabulary
 
 # What a server's error says when it does not know a requested op.
 UNKNOWN_OP = "unknown op"
+# The ops a scorer stops sending once the server refuses them as unknown,
+# asking simpler ops for the same answer instead.
+STEP_DOWN_OPS = frozenset({"extract", "greedy", "extract_greedy"})
 
 
 def _floats(field) -> tuple[float, ...]:
@@ -128,10 +131,6 @@ class TransportError(ScorerError):
     """The remote scorer is unreachable or replied with garbage or an error."""
 
 
-class _ServerError(TransportError):
-    """The server replied with an error; the message holds its text."""
-
-
 class _WireScorer(Scorer):
     """Shared request framing for the HTTP and stdio transports."""
 
@@ -139,10 +138,7 @@ class _WireScorer(Scorer):
         super().__init__(vocab, terminator_ids)
         self._next_id = 0
         self._id_lock = threading.Lock()
-        # Each False once the server has refused the op as unknown.
-        self._extract = True
-        self._greedy = True
-        self._extract_greedy = True
+        self._refused: set[str] = set()  # the ops of STEP_DOWN_OPS the server does not know
 
     def _take_id(self) -> int:
         with self._id_lock:
@@ -152,7 +148,11 @@ class _WireScorer(Scorer):
     def _roundtrip(self, payload: dict) -> dict:
         raise NotImplementedError
 
-    def _call(self, op: str, source: TokenSeq, prefix: TokenSeq, **fields) -> dict:
+    def _call(self, op: str, source: TokenSeq, prefix: TokenSeq, **fields) -> dict | None:
+        """The server's reply to ``op``; None, with the op remembered and
+        not sent again, when the server refuses an op that steps down."""
+        if op in self._refused:
+            return None
         req_id = self._take_id()
         payload = {
             "id": req_id,
@@ -165,19 +165,13 @@ class _WireScorer(Scorer):
         if not isinstance(reply, dict):
             raise TransportError(f"response to request {req_id} is not a JSON object")
         if "error" in reply and reply.get("id") in (req_id, None):
-            raise _ServerError(f"server error: {reply['error']}")
+            if op in STEP_DOWN_OPS and UNKNOWN_OP in str(reply["error"]):
+                self._refused.add(op)
+                return None
+            raise TransportError(f"server error: {reply['error']}")
         if reply.get("id") != req_id:
             raise TransportError(f"response id mismatch for request {req_id}")
         return reply
-
-    def _call_unless_unknown(self, op: str, source: TokenSeq, prefix: TokenSeq, **fields) -> dict | None:
-        """The reply to ``op``, or None when the server does not know it."""
-        try:
-            return self._call(op, source, prefix, **fields)
-        except _ServerError as exc:
-            if UNKNOWN_OP not in str(exc):
-                raise
-            return None
 
     @staticmethod
     def _read(reply: dict, op: str, *keys, read=_floats) -> list:
@@ -200,14 +194,12 @@ class _WireScorer(Scorer):
         one ``teacher_forced`` request per suffix and the argmax in the
         client for a server that does not know the op."""
         cap = suffix_cap(passage, max_span_len)
-        if self._extract:
-            reply = self._extract_call("extract", source, prefix, passage, max_span_len, allow_empty_span)
-            if reply is not None:
-                span = self._span(reply, "extract", len(passage), cap, allow_empty_span)
-                self._count_pass(len(passage))
-                return span
-            self._extract = False
-        return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
+        reply = self._extract_call("extract", source, prefix, passage, max_span_len, allow_empty_span)
+        if reply is None:
+            return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
+        span = self._span(reply, "extract", len(passage), cap, allow_empty_span)
+        self._count_pass(len(passage))
+        return span
 
     def best_span_and_greedy_steps(
         self, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len: int | None,
@@ -217,23 +209,21 @@ class _WireScorer(Scorer):
         server without it, ``best_span`` and ``greedy_steps``, each stepping down."""
         cap = suffix_cap(passage, max_span_len)
         positive_int(max_steps, "max_steps")
-        if self._extract_greedy:
-            reply = self._extract_call(
-                "extract_greedy", source, prefix, passage, max_span_len, allow_empty_span, max_steps=max_steps
-            )
-            if reply is not None:
-                span = self._span(reply, "extract_greedy", len(passage), cap, allow_empty_span)
-                steps = self._greedy_steps(reply, "extract_greedy", max_steps, self.terminator_ids)
-                self._count_pass(len(passage) + len(steps))
-                return span, steps
-            self._extract_greedy = False
-        return super().best_span_and_greedy_steps(source, prefix, passage, max_span_len, allow_empty_span, max_steps)
+        reply = self._extract_call(
+            "extract_greedy", source, prefix, passage, max_span_len, allow_empty_span, max_steps=max_steps
+        )
+        if reply is None:
+            return super().best_span_and_greedy_steps(source, prefix, passage, max_span_len, allow_empty_span, max_steps)
+        span = self._span(reply, "extract_greedy", len(passage), cap, allow_empty_span)
+        steps = self._greedy_steps(reply, "extract_greedy", max_steps, self.terminator_ids)
+        self._count_pass(len(passage) + len(steps))
+        return span, steps
 
     def _extract_call(self, op, source, prefix, passage, max_span_len, allow_empty_span, **fields) -> dict | None:
         """The reply to ``op`` with extract's fields and ``fields``, or None."""
         for seq in (source, prefix, passage):
             self._check_vocab(seq)
-        return self._call_unless_unknown(
+        return self._call(
             op, source, prefix, passage_ids=list(passage.ids), max_span_len=max_span_len,
             allow_empty_span=bool(allow_empty_span), terminator_ids=sorted(self.terminator_ids), **fields)
 
@@ -267,18 +257,14 @@ class _WireScorer(Scorer):
         per step for a server that does not know the op."""
         positive_int(max_steps, "max_steps")
         stops = self.terminator_ids if terminator_ids is None else terminator_ids
-        if self._greedy:
-            self._check_vocab(source)
-            self._check_vocab(prefix)
-            reply = self._call_unless_unknown(
-                "greedy", source, prefix, terminator_ids=sorted(stops), max_steps=max_steps
-            )
-            if reply is not None:
-                steps = self._greedy_steps(reply, "greedy", max_steps, stops)
-                self._count_pass(len(steps))
-                return steps
-            self._greedy = False
-        return super().greedy_steps(source, prefix, max_steps, stops)
+        self._check_vocab(source)
+        self._check_vocab(prefix)
+        reply = self._call("greedy", source, prefix, terminator_ids=sorted(stops), max_steps=max_steps)
+        if reply is None:
+            return super().greedy_steps(source, prefix, max_steps, stops)
+        steps = self._greedy_steps(reply, "greedy", max_steps, stops)
+        self._count_pass(len(steps))
+        return steps
 
     def _greedy_steps(self, reply: dict, op: str, max_steps: int, stops) -> list[tuple[int, float]]:
         """The k steps of an ``op`` reply, checked: 1 <= k <= max_steps, one

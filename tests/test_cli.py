@@ -329,9 +329,13 @@ class TestEval:
             return out.read_bytes(), capsys.readouterr()
 
         want = run(workspace["table"])
-        ops = []
-        call = remote._WireScorer._call
-        monkeypatch.setattr(remote._WireScorer, "_call", lambda self, op, *a, **k: ops.append(op) or call(self, op, *a, **k))
+        ops = []  # the op of each request that reaches the transport
+        for transport_class in (LoopbackScorer, remote.StdioScorer, remote.RemoteScorer):
+            def record(self, payload, roundtrip=transport_class._roundtrip):
+                ops.append(payload["op"])
+                return roundtrip(self, payload)
+
+            monkeypatch.setattr(transport_class, "_roundtrip", record)
         spec = workspace["table"]
         if transport == "loopback":
             make_scorer = cli.make_scorer
@@ -1294,6 +1298,19 @@ def test_prompt_file_may_carry_the_target_pattern(workspace, command):
 
 
 class TestTerminatorMode:
+    def test_sentinel_mode_over_a_vocabulary_without_the_close_sentinel_is_a_data_error(self, workspace, capsys):
+        path = workspace["dir"] / "vocab.json"
+        vocab = json.loads(path.read_text(encoding="utf-8"))
+        vocab["pieces"] = ["<extra_id_9>" if p == "<extra_id_1>" else p for p in vocab["pieces"]]
+        vocab["sentinels"] = ["<extra_id_0>"]
+        path.write_text(json.dumps(vocab), encoding="utf-8")
+        out = workspace["dir"] / "out.jsonl"
+        code = main(base_args(workspace) + ["--terminator-mode", "sentinel", "decode",
+                                            "--input", workspace["dataset"], "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: vocabulary has no <extra_id_1> piece\n"
+        assert not out.exists()
+
     def test_eos_mode_changes_terminator(self, workspace):
         # Under eos mode the close sentinel no longer terminates, so the
         # biased table's probability mass on it is unreachable and decoding

@@ -172,6 +172,13 @@ class TestExactExtract:
 
 
 class TestNaiveExact:
+    def test_empty_passage_rejected(self):
+        vocab = bare_vocab(4)
+        lm = TableLM(vocab)
+        with pytest.raises(ValueError, match="^passage must contain at least one token$"):
+            naive_exact(empty(vocab), empty(vocab), empty(vocab), lm)
+        assert lm.pass_count() == 0
+
     def test_single_token_pass_count(self):
         vocab = bare_vocab(4)
         lm = TableLM(vocab)

@@ -102,6 +102,10 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="empty answers"):
             load_dataset(path)
 
+    def test_example_without_answers_rejected(self):
+        with pytest.raises(DataError, match="^example q: empty answer set$"):
+            QAExample(id="q", context="x", question="?", answers=())
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "dev.jsonl"
         rows = mrqa_rows()
@@ -161,6 +165,11 @@ class TestSubsample:
     def test_dataset_too_small(self):
         with pytest.raises(DataError):
             subsample(synthetic_dataset(10), sizes=(16,))
+
+    @pytest.mark.parametrize("sizes, num_samples", [((16,), 0), ((), 1)])
+    def test_no_split_to_draw_rejected(self, sizes, num_samples):
+        with pytest.raises(DataError, match="^need at least one size and one sample per size$"):
+            subsample(synthetic_dataset(40), sizes=sizes, num_samples=num_samples)
 
     def test_leakage_detected(self):
         dataset = synthetic_dataset(40)
@@ -529,6 +538,10 @@ class TestSelectHyperparameters:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_hyperparameters([])
+
+    def test_no_training_size_rejected(self):
+        with pytest.raises(ValueError, match="^score table must cover at least one training size$"):
+            select_hyperparameters([[]])
 
 
 class TestFewShotSplitShape:

@@ -113,6 +113,10 @@ class TestExactness:
 
 
 class TestPartition:
+    def test_empty_gold_set_rejected(self, toy_vocab):
+        with pytest.raises(ValueError, match="^gold answer set must be non-empty$"):
+            partition_example(set(), "the IRA was active", toy_vocab)
+
     def test_tokenization_mismatch_is_s_out(self, toy_vocab):
         assert partition_example({"1971"}, "(1971)", toy_vocab) == S_OUT
 
@@ -162,12 +166,15 @@ class TestExactMatch:
         assert exact_match("The IRA", {"IRA"})
         assert not exact_match("an IRA member", {"IRA"})
 
+    def test_empty_gold_set_rejected(self):
+        with pytest.raises(ValueError, match="^gold answer set must be non-empty$"):
+            exact_match("x", set())
+
 
 class TestAggregate:
     def score(self, f1, extractive=True, exactness_match=True, partition=S_IN):
         return ExampleScore(
             f1=f1,
-            exact_match=f1 == 1.0,
             extractive=extractive,
             exactness_match=exactness_match,
             partition=partition,

@@ -23,7 +23,7 @@ from spandecode.mrqa import QAExample
 from spandecode.prompting import get_template, render_encoder_input
 from spandecode.remote import RemoteScorer, StdioScorer, TransportError, _floats, _WireScorer, serve
 from spandecode.scorer import ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of, suffix_scores
-from spandecode.vocab import Vocabulary
+from spandecode.vocab import Vocabulary, VocabularyMismatchError
 
 from conftest import TOY_PIECES, LoopbackScorer, RecordingTableLM, TableHandler, bare_vocab
 
@@ -74,6 +74,9 @@ def assert_wire_matches_in_process(wire, local, vocab):
     passage = vocab.seq((1, 2, 0, 1, 2, 3, 4, 1))
     source = vocab.seq((0, 1))
     prefix = vocab.seq(())
+    ops = []
+    roundtrip = wire._roundtrip
+    wire._roundtrip = lambda payload: ops.append(payload["op"]) or roundtrip(payload)
     for cfg in CONFIGS:
         got = exact_extract(passage, source, prefix, wire, cfg)
         want = exact_extract(passage, source, prefix, local, cfg)
@@ -83,8 +86,7 @@ def assert_wire_matches_in_process(wire, local, vocab):
             want.span_logprob.hex(),
         ), cfg
         assert got.passes_used == len(passage)
-    # The op was not refused, so every span came from one extract request.
-    assert wire._extract
+    assert ops == [EXTRACT] * len(CONFIGS)
 
 
 class RecordingScorer(_WireScorer):
@@ -305,7 +307,6 @@ class TestSuffixes:
             exact_extract(passage, empty, empty, wire)
         exact_extract(passage, empty, empty, wire)
         assert wire.ops() == [EXTRACT] + ["teacher_forced"] * 3
-        assert not wire._extract
 
     @pytest.mark.parametrize(
         "edit, old_client", both_clients(short_total, long_total, nan_value, positive_value)
@@ -469,7 +470,6 @@ class TestExtract:
         want = exact_extract(passage, source, prefix, lm)
         for _ in range(2):
             assert span_outcome(exact_extract(passage, source, prefix, wire)) == span_outcome(want)
-            assert not wire._extract
         # One refused extract request, then one teacher_forced request per
         # suffix for both decodes: the scorer does not ask again.
         assert wire.ops() == [EXTRACT] + ["teacher_forced"] * 8
@@ -749,6 +749,20 @@ class TestGreedy:
         with pytest.raises(TransportError, match="malformed greedy"):
             wire.greedy_steps(vocab.seq(()), vocab.seq(()), 3)
 
+    @pytest.mark.parametrize("method", ["next_token_distribution", "greedy_steps"])
+    @pytest.mark.parametrize("foreign", ["source", "prefix"])
+    def test_a_sequence_from_another_vocabulary_raises_before_any_request(self, method, foreign):
+        vocab, lm = self.setup_model()
+        seqs = {"source": vocab.seq((0, 1)), "prefix": vocab.seq(())}
+        seqs[foreign] = bare_vocab(7).seq((0, 1))
+        args = (seqs["source"], seqs["prefix"]) + ((3,) if method == "greedy_steps" else ())
+        wires = [LoopbackScorer(lm), LoopbackScorer(lm, refuse={GREEDY})]
+        for scorer in (lm, *wires):
+            with pytest.raises(VocabularyMismatchError, match="^request vocabulary does not match the scorer's$"):
+                getattr(scorer, method)(*args)
+            assert scorer.pass_count() == 0
+        assert [wire.sent for wire in wires] == [[], []]
+
     @pytest.mark.parametrize("max_steps", [0, -1, True, 1.0, "3"])
     def test_bad_step_cap_raises_before_any_request(self, max_steps):
         vocab, lm = self.setup_model()
@@ -853,6 +867,16 @@ class TestExtractGreedy:
         assert wire.ops() == [EXTRACT_GREEDY] + first + later
         assert wire.pass_count() == 2 * (5 + 4)
 
+    @pytest.mark.parametrize(
+        "refuse", [(), (EXTRACT,), (GREEDY,), (EXTRACT, GREEDY)], ids=["none", "extract", "greedy", "both"]
+    )
+    def test_a_server_that_knows_the_op_is_asked_nothing_else(self, refuse):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse=refuse)
+        want = both_outcomes(self.decode(lm))
+        assert both_outcomes(self.decode(wire)) == want == both_outcomes(self.decode(wire))
+        assert wire.ops() == [EXTRACT_GREEDY] * 2 and wire.pass_count() == 2 * (5 + 4)
+
     def test_other_errors_raise_and_keep_the_op(self):
         vocab, lm = self.setup_model()
 
@@ -928,6 +952,90 @@ class TestExtractGreedy:
         forwarding = ForwardingScorer(lm)
         assert TestServe().run(forwarding, [line]) == [want]
         assert forwarding.forced_calls == 5
+
+
+class TestRefusal:
+    """The step-down rule: an unknown-op error to extract, greedy or
+    extract_greedy is remembered by the scorer that got it, and is an error
+    like any other to every other op."""
+
+    setup_model = TestGreedy.setup_model
+
+    def call(self, scorer, op, passage=None):
+        """``scorer``'s method that sends ``op`` first, over ``passage``."""
+        vocab = scorer.vocab
+        source, prefix = vocab.seq((0, 1)), vocab.seq(())
+        if passage is None:
+            passage = vocab.seq((1, 2, 3, 0, 1))
+        return {
+            EXTRACT: lambda: scorer.best_span(source, prefix, passage),
+            GREEDY: lambda: scorer.greedy_steps(source, prefix, 10),
+            EXTRACT_GREEDY: lambda: scorer.best_span_and_greedy_steps(source, prefix, passage, None, False, 10),
+        }[op]()
+
+    @pytest.mark.parametrize("op", [EXTRACT, GREEDY, EXTRACT_GREEDY])
+    def test_unknown_op_reply_with_a_null_id_steps_down(self, op):
+        vocab, lm = self.setup_model()
+
+        def null_id(payload, reply):
+            return {"id": None, "error": f"unknown op {op!r}"} if payload["op"] == op else reply
+
+        wire, refusing = LoopbackScorer(lm, edit=null_id), LoopbackScorer(lm, refuse={op})
+        want = [self.call(lm, op) for _ in range(2)]
+        assert [self.call(wire, op) for _ in range(2)] == [self.call(refusing, op) for _ in range(2)] == want
+        assert wire.ops() == refusing.ops() and wire.ops().count(op) == 1
+        assert wire.pass_count() == refusing.pass_count()
+
+    @pytest.mark.parametrize("op, compound", [("teacher_forced", EXTRACT), ("next_dist", GREEDY)])
+    @pytest.mark.parametrize("reply_id", ["same", None])
+    def test_unknown_op_error_to_a_one_pass_op_raises_on_every_call(self, op, compound, reply_id):
+        vocab, lm = self.setup_model()
+
+        def unknown(payload, reply):
+            if payload["op"] != op:
+                return reply
+            return {"id": payload["id"] if reply_id == "same" else None, "error": f"unknown op {op!r}"}
+
+        wire = LoopbackScorer(lm, refuse={compound}, edit=unknown)
+        message = rf"^server error: unknown op '{op}'$"
+        for _ in range(3):
+            with pytest.raises(TransportError, match=message):
+                self.call(wire, compound)
+        empty = vocab.seq(())
+        with pytest.raises(TransportError, match=message):
+            if op == "teacher_forced":
+                wire.teacher_forced_pass(ScoreRequest(empty, vocab.seq((1,)), empty))
+            else:
+                wire.next_token_distribution(empty, empty)
+        assert wire.ops() == [compound] + [op] * 4
+
+    @pytest.mark.parametrize("op", [EXTRACT, GREEDY, EXTRACT_GREEDY])
+    def test_a_refusal_is_remembered_by_the_scorer_that_got_it_alone(self, op):
+        vocab, lm = self.setup_model()
+        first, second = LoopbackScorer(lm, refuse={op}), LoopbackScorer(lm, refuse={op})
+        for wire in (first, second, first, second):
+            self.call(wire, op)
+        assert first.ops() == second.ops() and second.ops().count(op) == 1
+
+    @pytest.mark.parametrize(
+        "refuse", [(), (EXTRACT,), (EXTRACT_GREEDY,), (EXTRACT_GREEDY, EXTRACT)],
+        ids=["none", "extract", "extract-greedy", "both"],
+    )
+    @pytest.mark.parametrize("op", [EXTRACT, EXTRACT_GREEDY])
+    def test_a_passage_from_another_vocabulary_reads_one_message_before_and_after_a_refusal(self, op, refuse):
+        vocab, lm = self.setup_model()
+        wire = LoopbackScorer(lm, refuse=refuse)
+        other = bare_vocab(7).seq((1, 2))
+        for _ in range(2):
+            with pytest.raises(VocabularyMismatchError, match="^request vocabulary does not match the scorer's$"):
+                self.call(wire, op, other)
+            assert wire.sent == []
+        # Once the server has refused its ops, the passage still reads the same.
+        self.call(wire, op)
+        sent = len(wire.sent)
+        with pytest.raises(VocabularyMismatchError, match="^request vocabulary does not match the scorer's$"):
+            self.call(wire, op, other)
+        assert len(wire.sent) == sent
 
 
 # Valid log-probs at the edges of binary64: -inf, -0.0, the smallest

@@ -170,6 +170,10 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["a"], terminator="</s>", sentinels=[])
 
+    def test_no_pieces_rejected(self):
+        with pytest.raises(ValueError, match="^vocabulary must contain at least one piece$"):
+            Vocabulary([], terminator="</s>", sentinels=[])
+
     def test_duplicate_pieces_rejected(self):
         with pytest.raises(ValueError):
             Vocabulary(["a", "a", "</s>"], "</s>", [])
