@@ -8,14 +8,16 @@ each interpreter it runs ``benchmarks/run.py --seed 1 --seconds 2`` on every
 workload of ``BENCHMARK.json``, once with ``--trace 0`` and once with
 ``--trace 1`` as CI does, and checks that each run's result line reads
 ``"correct": true``, then runs the tier-1 tests when ``import pytest,
-hypothesis`` works there. It prints one line per step, and names each
-interpreter and step it skipped, with the reason. It exits 1 when a step
-failed or no interpreter started, else 0. Run it from anywhere: it works
-in the checkout that holds it.
+hypothesis`` works there, or works with the running interpreter's pytest
+directory on ``PYTHONPATH`` (then named on the tier-1 line). It prints one
+line per step, and names each interpreter and step it skipped, with the
+reason. It exits 1 when a step failed or no interpreter started, else 0.
+Run it from anywhere: it works in the checkout that holds it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -70,18 +72,35 @@ def _smoke(python: str, workload: str, trace: str) -> tuple[bool, str]:
     return False, f"exit code {code}: {_line(err or out, -1)}"
 
 
+def _with_path(env: dict, directory: str) -> dict:
+    """``env`` with ``directory`` first on its ``PYTHONPATH``."""
+    return dict(env, PYTHONPATH=os.pathsep.join(p for p in (directory, env.get("PYTHONPATH")) if p))
+
+
 def _tier1(python: str) -> tuple[bool | None, str]:
-    """(passed, summary), or (None, why it was skipped)."""
-    code, _, err, _ = _run([python, "-c", "import pytest, hypothesis"], 60)
+    """(passed, summary), or (None, why it was skipped). An interpreter that
+    cannot import pytest and hypothesis is tried once more with the running
+    interpreter's pytest directory on ``PYTHONPATH``, writing no bytecode
+    there, and runs the tests with it if they then import."""
+    env, borrowed = dict(os.environ), ""
+    probe = [python, "-c", "import pytest, hypothesis"]
+    code, _, err, _ = _run(probe, 60, env=env)
     if code != 0:
-        return None, "cannot import pytest and hypothesis: " + _line(err, -1)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
+        why = "cannot import pytest and hypothesis: " + _line(err, -1)
+        spec = importlib.util.find_spec("pytest")
+        if spec is None or spec.origin is None:
+            return None, why
+        borrowed = str(Path(spec.origin).parent.parent)
+        env = _with_path(dict(env, PYTHONDONTWRITEBYTECODE="1"), borrowed)
+        code, _, err, _ = _run(probe, 60, env=env)
+        if code != 0:
+            return None, f"{why}; nor with {borrowed} on PYTHONPATH: {_line(err, -1)}"
     argv = [python, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    code, out, _, took = _run(argv, TIER1_TIMEOUT_S, env=env)
+    code, out, _, took = _run(argv, TIER1_TIMEOUT_S, env=_with_path(env, "src"))
     if code is None:
         return False, f"timed out after {TIER1_TIMEOUT_S} s"
-    return code == 0, f"{_line(out, -1)} (exit code {code}, {took:.0f} s)"
+    using = f", with pytest from {borrowed}" if borrowed else ""
+    return code == 0, f"{_line(out, -1)} (exit code {code}, {took:.0f} s{using})"
 
 
 def main(argv=None) -> int:

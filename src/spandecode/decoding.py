@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .scorer import ScoreRequest, Scorer, positive_int, suffix_scores
+from .scorer import ScoreRequest, Scorer, positive_int, suffix_cap, suffix_scores
 from .vocab import TokenSeq
 
 GREEDY = "greedy"
@@ -113,13 +113,10 @@ def build_span_table(
     return SpanScoreTable(n=len(passage), ell=ell, eterm=eterm, L=L)
 
 
-def _span_candidates(n: int, cfg: DecodeConfig):
-    min_j = 0 if cfg.allow_empty_span else 1
+def _span_candidates(n: int, cap: int, allow_empty_span: bool):
+    min_j = 0 if allow_empty_span else 1
     for i in range(n):
-        limit = n - i
-        if cfg.max_span_len is not None:
-            limit = min(limit, cfg.max_span_len)
-        for j in range(min_j, limit + 1):
+        for j in range(min_j, min(n - i, cap) + 1):
             if j == 0 and i > 0:
                 continue  # the empty span is one candidate, not n
             yield i, j
@@ -148,17 +145,19 @@ def exact_extract(
     passes, one per suffix, and takes the argmax under the shared
     tie-break; a remote scorer answers it with one request."""
     span = scorer.best_span(rendered_prompt, prefix, passage, cfg.max_span_len, cfg.allow_empty_span)
-    return _extract_result(passage, scorer, *span)
+    return _extract_result(passage, scorer, *span, len(passage), EXACT_EXTRACT)
 
 
-def _extract_result(passage: TokenSeq, scorer: Scorer, start: int, length: int, logprob: float) -> DecodeResult:
+def _extract_result(
+    passage: TokenSeq, scorer: Scorer, start: int, length: int, logprob: float, passes: int, algorithm: str
+) -> DecodeResult:
     return DecodeResult(
         start=start,
         length=length,
         span_logprob=logprob,
         text=scorer.vocab.decode(passage[start : start + length]),
-        passes_used=len(passage),
-        algorithm=EXACT_EXTRACT,
+        passes_used=passes,
+        algorithm=algorithm,
         token_ids=passage.ids[start : start + length],
     )
 
@@ -171,11 +170,9 @@ def naive_exact(
     cfg: DecodeConfig = DecodeConfig(),
 ) -> DecodeResult:
     """Score every candidate span with its own pass; the independent oracle."""
-    n = len(passage)
-    if n == 0:
-        raise ValueError("passage must contain at least one token")
+    cap = suffix_cap(passage, cfg.max_span_len)
     best = None
-    for passes, (i, j) in enumerate(_span_candidates(n, cfg), start=1):
+    for passes, (i, j) in enumerate(_span_candidates(len(passage), cap, cfg.allow_empty_span), start=1):
         scores = scorer.teacher_forced_pass(
             ScoreRequest(rendered_prompt, passage[i : i + j], prefix)
         )
@@ -186,15 +183,7 @@ def naive_exact(
         if _better(total, i, j, best):
             best = (total, i, j)
     score, i, j = best
-    return DecodeResult(
-        start=i,
-        length=j,
-        span_logprob=score,
-        text=scorer.vocab.decode(passage[i : i + j]),
-        passes_used=passes,
-        algorithm=NAIVE,
-        token_ids=passage.ids[i : i + j],
-    )
+    return _extract_result(passage, scorer, i, j, score, passes, NAIVE)
 
 
 def greedy_decode(
@@ -258,4 +247,4 @@ def exact_and_greedy(
     span, steps = scorer.best_span_and_greedy_steps(
         rendered_prompt, prefix, passage, cfg.max_span_len, cfg.allow_empty_span, cfg.max_greedy_steps
     )
-    return _extract_result(passage, scorer, *span), _greedy_result(steps, scorer, passage)
+    return _extract_result(passage, scorer, *span, len(passage), EXACT_EXTRACT), _greedy_result(steps, scorer, passage)

@@ -377,10 +377,7 @@ class StdioScorer(_WireScorer):
         import subprocess
 
         proc = self._proc
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass  # the child is gone and left buffered input unread
+        proc.stdin.close()
         try:
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:

@@ -129,20 +129,22 @@ def suffix_cap(passage: TokenSeq, max_span_len: int | None) -> int:
 
 
 def suffix_scores(scorer, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len=None):
-    """Exact-extract's table: the scores of every suffix ``passage[i:i + K]``
-    forced after ``prefix``, in order of i, K being ``max_span_len`` or n
-    when uncapped. One pass per suffix.
+    """Exact-extract's table: an iterator over the scores of every suffix
+    ``passage[i:i + K]`` forced after ``prefix``, in order of i, K being
+    ``max_span_len`` or n when uncapped. One pass per suffix, made as the
+    caller reads its row, so the table is never held whole unless the
+    caller keeps it; the cap is checked at the call.
 
     ``scorer`` needs only ``teacher_forced_pass``, so that a server can
     build the table over any scorer handed to it."""
     cap = suffix_cap(passage, max_span_len)
-    # Each suffix is made as the loop reaches it: holding n suffixes slows
-    # an in-process table by several percent, mostly in the cyclic garbage
+    # Each suffix is made as its row is read: holding n suffixes slows an
+    # in-process table by several percent, mostly in the cyclic garbage
     # collector.
-    return [
+    return (
         scorer.teacher_forced_pass(ScoreRequest(source, passage[i : i + cap], prefix))
         for i in range(len(passage))
-    ]
+    )
 
 
 def best_span_of(rows, allow_empty_span: bool) -> tuple[int, int, float]:
@@ -251,10 +253,10 @@ class Scorer:
     ) -> tuple[int, int, float]:
         """Exact-extract's (start, length, log-probability) over ``passage``:
         ``best_span_of`` the suffix table, whose n counted passes are
-        checked row by row. A transport can override this to have the
+        checked row by row and each row taken as it is scored, so at most
+        one earlier row is held. A transport can override this to have the
         server take the argmax and send back only the span."""
-        rows = suffix_scores(self, source, prefix, passage, max_span_len)
-        return best_span_of(rows, allow_empty_span)
+        return best_span_of(suffix_scores(self, source, prefix, passage, max_span_len), allow_empty_span)
 
     def best_span_and_greedy_steps(
         self, source: TokenSeq, prefix: TokenSeq, passage: TokenSeq, max_span_len: int | None,
@@ -682,15 +684,16 @@ class TableLM(Scorer):
         L(i, j) + e(i, j) cannot grow for j >= k, the row's first maximum
         lies at j <= max(k, 1), and the forced part holds it, summed in the
         same order. A default with a log-prob above 0, or a subclass that
-        rescores (overrides ``_score_forced``), forces full suffixes.
+        rescores (overrides ``_score_forced``), answers through
+        ``Scorer.best_span``, which forces full suffixes.
 
         Each suffix is one ``self.teacher_forced_pass(ScoreRequest(...))``,
-        looked up through the class, so that a wrapper on
-        ``Scorer.teacher_forced_pass`` sees every pass and its forced
-        target. Each row goes to ``best_span_of`` as it is scored, not held
-        for all n."""
+        so that a wrapper on ``Scorer.teacher_forced_pass`` sees every pass
+        and its forced target. Each row goes to ``best_span_of`` as it is
+        scored, not held for all n."""
+        if self._default_rises or type(self)._score_forced is not TableLM._score_forced:
+            return super().best_span(source, prefix, passage, max_span_len, allow_empty_span)
         cap = suffix_cap(passage, max_span_len)
-        full = self._default_rises or type(self)._score_forced is not TableLM._score_forced
         nodes = self._nodes(source.ids, prefix.ids)
         ids, vocab_id = passage.ids, passage.vocab_id
         n = len(ids)
@@ -700,7 +703,7 @@ class TableLM(Scorer):
             for i in range(n):
                 pinned, any_node = nodes
                 k, limit = 0, cap if cap < n - i else n - i
-                while k < limit and (full or pinned or any_node):
+                while k < limit and (pinned or any_node):
                     token = ids[i + k]
                     pinned = pinned and pinned[1].get(token)
                     any_node = any_node and any_node[1].get(token)

@@ -175,11 +175,13 @@ class TestDecode:
         assert record["extractive"] is True
 
     def test_flat_input_format(self, workspace):
-        # A string id, an integer id, and no id: the line number.
+        # A string id, an integer id, and no id: the line number. Decoding
+        # reads no answers, so any "answers" value leaves the row as it is.
         flat = workspace["dir"] / "flat.jsonl"
         row = {"context": "the IRA was active", "question": "who?"}
+        answers = [{**row, "answers": value} for value in (5, "Paris", None)]
         flat.write_text(
-            "".join(json.dumps(r) + "\n" for r in [{"id": "x1", **row}, {"id": 7, **row}, row]),
+            "".join(json.dumps(r) + "\n" for r in [{"id": "x1", **row}, {"id": 7, **row}, row, *answers]),
             encoding="utf-8",
         )
         out = workspace["dir"] / "flat_out.jsonl"
@@ -189,8 +191,9 @@ class TestDecode:
         )
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert [r["id"] for r in records] == ["x1", "7", "3"]
+        assert [r["id"] for r in records] == ["x1", "7", "3", "4", "5", "6"]
         assert records[0]["text"] == "IRA"
+        assert all({**r, "id": "x1"} == records[0] for r in records)
 
     def test_output_that_is_not_a_regular_file_is_written_in_place(self, workspace):
         # A pipe, like /dev/null, is written as it is, never renamed over.

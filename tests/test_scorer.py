@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import weakref
 
 import pytest
 
@@ -554,19 +555,31 @@ class TestScorerBoundary:
             TableLM(vocab, terminator_ids={vocab.byte_id(0)})
 
 
+class WeakRow(StepScores):
+    """Step scores that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
 class ScriptedRows(Scorer):
     """Answers the pass of the suffix starting at token i, of a passage
     0, 1, ..., n - 1, with the first m gold and m + 1 terminator entries
-    of ``rows[i]``."""
+    of ``rows[i]``. ``most_held`` is the most rows it returned that were
+    still alive when it scored another."""
 
     def __init__(self, vocab, rows):
         super().__init__(vocab)
         self.rows = rows
+        self.returned = []
+        self.most_held = 0
 
     def _score_forced(self, req):
+        self.most_held = max(self.most_held, sum(ref() is not None for ref in self.returned))
         target = req.forced_target.ids
         gold, term = self.rows[target[0]]
-        return StepScores(gold[: len(target)], term[: len(target) + 1])
+        row = WeakRow(gold[: len(target)], term[: len(target) + 1])
+        self.returned.append(weakref.ref(row))
+        return row
 
 
 X = NEG_INF
@@ -615,7 +628,7 @@ class TestBestSpanOf:
     def test_scorer_best_span(self, case, wire):
         rows, allow, want = case
         vocab = bare_vocab(5)
-        scorer = ScriptedRows(vocab, rows)
+        scorer = scripted = ScriptedRows(vocab, rows)
         if wire != "in-process":
             # "packed": the request also carries the floats field of earlier clients.
             scorer = LoopbackScorer(scorer, old_client=wire == "packed")
@@ -623,6 +636,8 @@ class TestBestSpanOf:
         got = scorer.best_span(empty, empty, vocab.seq((0, 1, 2)), None, allow)
         assert got[:2] == want[:2] and got[2].hex() == want[2].hex()
         assert scorer.pass_count() == 3
+        # Each row is taken as it is scored: no pass finds more than the one before it alive.
+        assert scripted.most_held == 1
         if wire != "in-process":
             assert scorer.ops() == ["extract"]
 
@@ -702,6 +717,13 @@ class NanPastReach(TableLM):
         return StepScores(gold, scores.term_logprob)
 
 
+class Rescoring(RecordingTableLM):
+    """Overrides ``_score_forced`` and leaves every score as it was."""
+
+    def _score_forced(self, req):
+        return super()._score_forced(req)
+
+
 class TestTableBestSpan:
     """TableLM.best_span forces each suffix only as far as its contexts
     reach into the tables, and full suffixes where that could change the
@@ -721,23 +743,31 @@ class TestTableBestSpan:
         assert hexed(got) == hexed(Scorer.best_span(lm, source, prefix, passage, cap))
         assert hexed(got) == naive_span(lm, source, prefix, passage, cap)
 
-    @pytest.mark.parametrize("loaded", [False, True])
-    def test_default_above_one_forces_full_suffixes(self, tmp_path, loaded):
-        # Token 0, the terminator, has probability 1 + 5e-13 (within the
-        # sum tolerance), so every span grows with its length and the whole
-        # passage wins, though no context lies in a table.
+    @pytest.mark.parametrize("model", ["rising", "rising-loaded", "rescoring"])
+    def test_default_above_one_forces_full_suffixes(self, tmp_path, model):
+        # Rising: token 0, the terminator, has probability 1 + 5e-13 (within
+        # the sum tolerance), so every span grows with its length and the
+        # whole passage wins, though no context lies in a table. Rescoring:
+        # a subclass that overrides _score_forced, over a uniform default
+        # where a cut would force one token per suffix. Either answers as
+        # Scorer.best_span does.
         vocab = bare_vocab(4)
-        if loaded:
-            path = tmp_path / "table.json"
-            path.write_text(json.dumps({"default": {"0": 1 + 5e-13}}), encoding="utf-8")
-            lm = RecordingTableLM.from_file(path, vocab, terminator_ids={0})
-        else:
-            lm = RecordingTableLM(vocab, default={0: 1 + 5e-13}, terminator_ids={0})
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"default": {"0": 1 + 5e-13}}), encoding="utf-8")
+        make = {
+            "rising": lambda: RecordingTableLM(vocab, default={0: 1 + 5e-13}, terminator_ids={0}),
+            "rising-loaded": lambda: RecordingTableLM.from_file(path, vocab, terminator_ids={0}),
+            "rescoring": lambda: Rescoring(vocab, terminator_ids={0}),
+        }[model]
+        lm, reference = make(), make()
         empty, passage = vocab.seq(()), vocab.seq((0, 0, 0))
         got = lm.best_span(empty, empty, passage)
-        assert lm.forced == [3, 2, 1]
-        assert got[:2] == (0, 3) and got[2] > 0
-        assert hexed(got) == naive_span(lm, empty, empty, passage)
+        want = Scorer.best_span(reference, empty, empty, passage)
+        assert lm.forced == reference.forced == [3, 2, 1]
+        assert lm.pass_count() == reference.pass_count() == 3
+        assert hexed(got) == hexed(want) == naive_span(lm, empty, empty, passage)
+        if model != "rescoring":
+            assert got[:2] == (0, 3) and got[2] > 0
 
     def test_a_rescoring_subclass_forces_full_suffixes(self):
         # No context lies in a table, so a cut would force one token per
