@@ -1,4 +1,4 @@
-"""Run the benchmark smoke and the tier-1 tests under several Pythons.
+"""Run the benchmark smoke, the output digests and tier-1 under several Pythons.
 
     python3 scripts/check_pythons.py [PYTHON ...]
 
@@ -7,12 +7,14 @@ script takes each of ``python3.10`` to ``python3.13`` that starts. Under
 each interpreter it runs ``benchmarks/run.py --seed 1 --seconds 2`` on every
 workload of ``BENCHMARK.json``, once with ``--trace 0`` and once with
 ``--trace 1`` as CI does, and checks that each run's result line reads
-``"correct": true``, then runs the tier-1 tests when ``import pytest,
-hypothesis`` works there, or works with the running interpreter's pytest
-directory on ``PYTHONPATH`` (then named on the tier-1 line). It prints one
-line per step, and names each interpreter and step it skipped, with the
-reason. It exits 1 when a step failed or no interpreter started, else 0.
-Run it from anywhere: it works in the checkout that holds it.
+``"correct": true``, then runs ``scripts/output_digests.py`` and checks
+that every output digest equals the recorded one, then runs the tier-1
+tests when ``import pytest, hypothesis`` works there, or works with the
+running interpreter's pytest directory on ``PYTHONPATH`` (then named on the
+tier-1 line). It prints one line per step, and names each interpreter and
+step it skipped, with the reason. It exits 1 when a step failed or no
+interpreter started, else 0. The digests take about 12 minutes per
+interpreter. Run it from anywhere: it works in the checkout that holds it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PYTHONS = [f"python3.{minor}" for minor in range(10, 14)]
 SMOKE_TIMEOUT_S = 300
+DIGESTS_TIMEOUT_S = 1800
+DIFFERS = "differs from the recorded digest: "
 TIER1_TIMEOUT_S = 1800
 
 
@@ -69,6 +73,18 @@ def _smoke(python: str, workload: str, trace: str) -> tuple[bool, str]:
         correct = False
     if code == 0 and correct:
         return True, f'"correct": true ({took:.1f} s)'
+    return False, f"exit code {code}: {_line(err or out, -1)}"
+
+
+def _digests(python: str) -> tuple[bool, str]:
+    code, out, err, took = _run([python, "scripts/output_digests.py"], DIGESTS_TIMEOUT_S)
+    if code is None:
+        return False, f"timed out after {DIGESTS_TIMEOUT_S} s"
+    differ = [line[len(DIFFERS):] for line in out.splitlines() if line.startswith(DIFFERS)]
+    if code == 0:
+        return True, f"all {len(json.loads(_line(out, -1)))} equal the recorded ones ({took:.0f} s)"
+    if differ:
+        return False, f"{len(differ)} differ from the recorded ones: {', '.join(differ)}"
     return False, f"exit code {code}: {_line(err or out, -1)}"
 
 
@@ -121,6 +137,9 @@ def main(argv=None) -> int:
                 ok, says = _smoke(python, workload, trace)
                 failed += not ok
                 print(f"  smoke {workload} --trace {trace}: {'ok' if ok else 'FAILED'}, {says}")
+        ok, says = _digests(python)
+        failed += not ok
+        print(f"  output digests: {'ok' if ok else 'FAILED'}, {says}")
         ok, says = _tier1(python)
         if ok is None:
             print(f"  tier-1: skipped, {says}")

@@ -21,7 +21,7 @@ or when that file is missing, else 0. To record the digests of a checkout:
 
     python3 scripts/output_digests.py | tail -n 1 > scripts/output_digests.json
 
-The 48 runs take about 10 minutes, most of them uncapped ``naive`` over
+The 48 runs take about 12 minutes, most of them uncapped ``naive`` over
 stdio, so the check is not part of CI. Run it when a change touches what
 the decoders, the scorers or the CLI compute or write.
 """

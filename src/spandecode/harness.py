@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
+from math import fsum
 
 from . import metrics
 from .decoding import DecodeConfig, exact_and_greedy
@@ -183,7 +184,7 @@ def select_hyperparameters(scores) -> int:
                     raise ValueError(f"score {value!r} outside [0, 100]")
 
     per_size_means = [
-        [sum(scores[i][n]) / num_samples for n in range(num_sizes)]
+        [fsum(scores[i][n]) / num_samples for n in range(num_sizes)]
         for i in range(len(scores))
     ]
     normalized_sums = [0.0] * len(scores)

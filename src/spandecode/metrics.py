@@ -14,6 +14,7 @@ import string
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from math import fsum
 
 from .prompting import CLOSE_SENTINEL, OPEN_SENTINEL
 from .vocab import TokenSeq, Vocabulary, is_token_subsequence
@@ -175,9 +176,9 @@ def aggregate(scores) -> dict:
             return {"count": 0, "f1": None, "extractive": None, "exactness": None}
         return {
             "count": count,
-            "f1": sum(s.f1 for s in subset) / count,
-            "extractive": sum(s.extractive for s in subset) / count,
-            "exactness": sum(s.exactness_match for s in subset) / count,
+            "f1": fsum(s.f1 for s in subset) / count,
+            "extractive": fsum(s.extractive for s in subset) / count,
+            "exactness": fsum(s.exactness_match for s in subset) / count,
         }
 
     report = {"overall": summarize(scores)}

@@ -177,11 +177,11 @@ def best_span_of(rows, allow_empty_span: bool) -> tuple[int, int, float]:
 
 
 def logsumexp(values) -> float:
-    values = [v for v in values]
+    values = list(values)
     hi = max(values, default=NEG_INF)
     if hi == NEG_INF:
         return NEG_INF
-    return hi + math.log(sum(math.exp(v - hi) for v in values))
+    return hi + math.log(math.fsum(math.exp(v - hi) for v in values))
 
 
 class Scorer:
@@ -441,6 +441,7 @@ class TableLM(Scorer):
         self._by_source: dict[tuple[int, ...], list] = {}
         # The last lookup's (source ids, prefix ids, nodes), one attribute
         # so that threads read and replace it at once; None holds nothing.
+        # ``_nodes`` writes it and ``_score_forced`` reads it.
         self._last_nodes = None
         self._ids = _IdMemo()
         self._logs = _LogMemo()
@@ -448,7 +449,7 @@ class TableLM(Scorer):
         # a table file writes them.
         self._dense_keys = list(map(str, range(vocab.size)))
         if default is None:
-            default = {i: 1.0 / vocab.size for i in range(vocab.size)}
+            default = dict.fromkeys(self._dense_keys, 1.0 / vocab.size)
         self._set_default(self._entry(default))
         for key, dist in (contexts or {}).items():
             self.set_context(key, dist)
@@ -651,12 +652,8 @@ class TableLM(Scorer):
     # ------------------------------------------------------------------
     def _nodes(self, source: tuple[int, ...], prefix: tuple[int, ...]):
         """The (pinned, any-source) nodes of context ``prefix`` under
-        ``source``, None where a tree lacks it. The last pair is kept with
-        both tuples and reused while calls carry the same tuple objects, as
-        the n passes of one ``best_span`` do."""
-        last = self._last_nodes
-        if last is not None and last[0] is source and last[1] is prefix:
-            return last[2]
+        ``source``, None where a tree lacks it, written to ``_last_nodes``
+        with both tuples for ``_score_forced`` to read."""
         pinned, any_node = self._by_source.get(source), self._any_source
         for token in prefix:
             pinned = pinned and pinned[1].get(token)
@@ -747,7 +744,7 @@ class TableLM(Scorer):
         both nodes stepped down the target, and last the terminator
         log-prob of the context after the whole target."""
         source, prefix = req.source.ids, req.forced_prefix.ids
-        # ``_nodes``' memo, read here: every pass of one ``best_span`` hits it.
+        # ``_nodes``' memo, read only here: every ``best_span`` pass hits it.
         last = self._last_nodes
         if last is not None and last[0] is source and last[1] is prefix:
             pinned, any_node = last[2]

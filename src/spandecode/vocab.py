@@ -91,7 +91,7 @@ class Vocabulary:
         self.sentinels = list(sentinels)
         self._piece_to_id = {p: i for i, p in enumerate(pieces)}
         # When the marker only ever begins a piece, no match crosses a word
-        # boundary, so encode can take the marked string one word at a time.
+        # boundary, so encode can cut the marked string into words.
         self._split_words = not any(SPACE_MARKER in p[1:] for p in pieces)
         # The id of each piece that is the marker and a word, by the word.
         self._word_to_id = {p[1:]: i for i, p in enumerate(pieces) if p[0] == SPACE_MARKER}
@@ -162,24 +162,21 @@ class Vocabulary:
         prepended, matching the sentencepiece convention. Characters no
         piece covers are emitted as per-byte fallback tokens.
 
-        If no piece holds the marker after its first character, the marked
-        string is split before each marker, and every word is looked up at
-        once, by one map over a table of the pieces that are the marker and
-        a word; only the words that miss it are matched by ``_match``.
-        Otherwise the whole string is matched by ``_match``.
+        The marked string is cut into words: before each marker when no
+        piece holds the marker after its first character, so that no match
+        crosses a word boundary, else not at all. Every word is looked up
+        at once, by one map over a table of the pieces that are the marker
+        and a word; only the words that miss it are matched by ``_match``.
+        A hit on the whole uncut string is its longest match at position 0.
         """
         if not text:
             return TokenSeq((), self.vocab_id)
         marked = text.replace(" ", SPACE_MARKER)
-        if not self._split_words:
-            ids: list[int] = []
-            self._match(SPACE_MARKER + marked, ids)
-            return TokenSeq(tuple(ids), self.vocab_id)
-        words = marked.split(SPACE_MARKER)
+        words = marked.split(SPACE_MARKER) if self._split_words else [marked]
         found = list(map(self._word_to_id.get, words))
         if None not in found:
             return TokenSeq(tuple(found), self.vocab_id)
-        ids = []
+        ids: list[int] = []
         for word, token in zip(words, found):
             if token is None:
                 self._match(SPACE_MARKER + word, ids)

@@ -199,6 +199,19 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @pytest.mark.parametrize(
+        "f1s, mean",
+        [
+            # A plain sum ends in ...13p-5 on 3.10 to 3.13 (compensated or not).
+            ([0.09608804055518887, 1.054438966176656e-54, 0.04363237654542032], "0x1.7d87a695a8e14p-5"),
+            # A plain sum ends in ...99p-4 on 3.10 and 3.11.
+            ([0.1] * 10, "0x1.999999999999ap-4"),
+        ],
+    )
+    def test_means_are_correctly_rounded_on_every_python(self, f1s, mean):
+        report = aggregate([self.score(f1, partition=S_OUT) for f1 in f1s])
+        assert report["overall"]["f1"].hex() == report[S_OUT]["f1"].hex() == mean
+
 
 def normalize_by_generator(text: str) -> str:
     """normalize_answer with punctuation dropped one character at a time."""

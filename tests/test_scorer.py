@@ -6,12 +6,13 @@ import pickle
 import random
 import re
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from spandecode.decoding import DecodeConfig, naive_exact
 from spandecode.mrqa import DataError
-from spandecode.scorer import _READ_SIZE, DIST_SUM_TOL, NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of
+from spandecode.scorer import _READ_SIZE, DIST_SUM_TOL, NEG_INF, ScoreRequest, Scorer, ScorerError, StepScores, TableLM, best_span_of, logsumexp
 from spandecode.vocab import TokenSeq, VocabularyMismatchError
 
 from conftest import LoopbackScorer, RecordingTableLM, bare_vocab, random_distribution
@@ -137,8 +138,32 @@ class TestTerminatorSet:
         scores = lm.teacher_forced_pass(make_request(vocab, ()))
         assert scores.term_logprob[0] == pytest.approx(math.log(0.5))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.log(p) for p in (0.09608804055518887, 1.054438966176656e-54, 0.04363237654542032)],
+            [math.log(0.1)] * 10,
+            # 1 + exp(-0.172) is a tie, rounded to even, and exp(-700) breaks
+            # it: a plain sum, compensated (3.12+) or not, rounds it down.
+            [0.0, -0.172, -700.0],
+        ],
+    )
+    def test_logsumexp_pools_a_correctly_rounded_sum(self, values):
+        hi = max(values)
+        exact = sum(Fraction(math.exp(v - hi)) for v in values)
+        assert logsumexp(iter(values)).hex() == (hi + math.log(float(exact))).hex()
+
 
 class TestTableValidation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_uniform_default_equals_the_int_keyed_spelling(self, n):
+        # The built default takes the dense path, the int keys the general one.
+        vocab = bare_vocab(n)
+        built = TableLM(vocab)._default
+        general = TableLM(vocab, default={i: 1 / n for i in range(n)})._default
+        assert [x.hex() for x in built[0]] == [x.hex() for x in general[0]]
+        assert (built[1].hex(), built[2], built[3].hex()) == (general[1].hex(), general[2], general[3].hex())
+
     def test_unnormalized_distribution_rejected(self):
         vocab = bare_vocab(4)
         with pytest.raises(ValueError):
@@ -742,6 +767,17 @@ class TestTableBestSpan:
         assert lm.forced == forced and lm.pass_count() == 5
         assert hexed(got) == hexed(Scorer.best_span(lm, source, prefix, passage, cap))
         assert hexed(got) == naive_span(lm, source, prefix, passage, cap)
+
+    def test_greedy_steps_after_best_span_match_a_fresh_model(self):
+        # best_span leaves its nodes in the memo; greedy_steps walks its own.
+        vocab, lm, source, _, passage = self.setup_model()
+        prefix = vocab.seq((1,))
+        lm.best_span(source, prefix, passage)
+        before = lm.pass_count()
+        steps = lm.greedy_steps(source, prefix, 4)
+        fresh = self.setup_model()[1]
+        assert [(t, p.hex()) for t, p in steps] == [(t, p.hex()) for t, p in fresh.greedy_steps(source, prefix, 4)]
+        assert lm.pass_count() - before == fresh.pass_count() == 4
 
     @pytest.mark.parametrize("model", ["rising", "rising-loaded", "rescoring"])
     def test_default_above_one_forces_full_suffixes(self, tmp_path, model):

@@ -42,6 +42,18 @@ class TestEncode:
         # "the" is a piece, "The" is too; they get different ids.
         assert toy_vocab.encode("the") != toy_vocab.encode("The")
 
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_inner_marker_vocabulary_looks_the_whole_text_up_first(self, whole):
+        # A piece holds the marker after its first character, so the text is
+        # not cut into words: one id when "▁a▁b" is a piece, else _match's.
+        pieces = ["▁a", "▁b", "b▁", "</s>"] + (["▁a▁b"] if whole else [])
+        vocab = Vocabulary(pieces, "</s>", [])
+        assert not vocab._split_words
+        ids: list[int] = []
+        vocab._match("▁a▁b", ids)
+        assert vocab.encode("a b").ids == (ids_of(vocab, "▁a▁b") if whole else tuple(ids))
+        assert tuple(ids) == (ids_of(vocab, "▁a▁b") if whole else ids_of(vocab, "▁a", "▁b"))
+
 
 class TestDecode:
     def test_empty(self, toy_vocab):
